@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -19,6 +20,7 @@ from . import formulas
 from .codes import (
     DEFAULT_BUDGET,
     BudgetError,
+    _estimate_ops,
     build_code,
     codeword_from_form,
     min_distance,
@@ -40,6 +42,8 @@ from .linalg import read_matrix_text
 
 SLOW_BUDGET = 10**13
 SLOW_THRESHOLD = 10**9  # sweeps estimated above this run only with --slow
+BUILD_POINTS = 5_000_000  # larger point sets are refused (exit 3)
+VERIFY_POINTS = 2_000_000  # larger point sets are not verification targets
 
 
 def _log(msg: str) -> None:
@@ -74,8 +78,29 @@ def _check_nkq(n: int, k: int, q: int) -> None:
     _field(q)
 
 
-def _sweep_estimate(n: int, k: int, q: int) -> int:
-    return q ** formulas.dimension(n, k) * formulas.length(n, k, q)
+def _gate(args) -> tuple[int, int, int, int, bool]:
+    """Decide, from the closed forms and before anything is built, what a
+    command may build and sweep.
+
+    Returns (N, K, sweep estimate, budget, sweep admitted) for the chosen
+    method.  build and weights refuse a point set over BUILD_POINTS, and
+    weights a sweep over its budget (BudgetError, exit 3).  verify and bounds
+    skip a sweep that is not admitted: one over the budget, or over
+    SLOW_THRESHOLD without --slow.
+    """
+    _check_nkq(args.n, args.k, args.q)
+    big_n = formulas.length(args.n, args.k, args.q)
+    big_k = formulas.dimension(args.n, args.k)
+    est = _estimate_ops(args.q, big_k, big_n, getattr(args, "method", "codeword"))
+    slow = getattr(args, "slow", False)
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        budget = SLOW_BUDGET if slow else DEFAULT_BUDGET
+    if args.subcommand in ("build", "weights") and big_n > BUILD_POINTS:
+        raise BudgetError(big_n, BUILD_POINTS)
+    if args.subcommand == "weights" and est > budget:
+        raise BudgetError(est, budget)
+    return big_n, big_k, est, budget, est <= budget and (slow or est <= SLOW_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +125,14 @@ def cmd_params(args) -> int:
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
-    _check_nkq(args.n, args.k, args.q)
-    est = _sweep_estimate(args.n, args.k, args.q)
-    big_n = formulas.length(args.n, args.k, args.q)
-    if big_n > 5_000_000:
-        raise BudgetError(big_n, 5_000_000)
+    _, big_k, est, _, _ = _gate(args)
     code = build_code(args.n, args.k, _field(args.q))
     write_generator(args.output, code)
-    expected_k = formulas.dimension(args.n, args.k)
     results = {
         "N": code.N,
         "K": code.K,
-        "expected_K": expected_k,
-        "rank_ok": code.K == expected_k,
+        "expected_K": big_k,
+        "rank_ok": code.K == big_k,
         "output": args.output,
         "sweep_estimate_ops": est,
     }
@@ -123,18 +143,13 @@ def cmd_build(args) -> int:
 
 def cmd_weights(args) -> int:
     t0 = time.perf_counter()
-    _check_nkq(args.n, args.k, args.q)
-    budget = args.budget if args.budget is not None else (SLOW_BUDGET if args.slow else DEFAULT_BUDGET)
+    budget = _gate(args)[3]
     code = build_code(args.n, args.k, _field(args.q))
     we = weight_enumerator(code, method=args.method, threads=args.threads, budget=budget)
     seconds = time.perf_counter() - t0
 
     verdicts = {}
-    table = None
-    if (args.n, args.k) == (2, 2):
-        table = formulas.w22_table(args.q)
-    elif (args.n, args.k) == (3, 3):
-        table = formulas.w33_table(args.q)
+    table = formulas.known_table(args.n, args.k, args.q)
     if table is not None:
         verdicts["table_match"] = we.distribution == table
         _log(f"table comparison: {'MATCH' if verdicts['table_match'] else 'MISMATCH'}")
@@ -233,13 +248,12 @@ def cmd_eta(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
-    _check_nkq(args.n, args.k, args.q)
+    sweep = _gate(args)[4]
     p = formulas.code_params(args.n, args.k, args.q)
     results: dict = {"N": p.N, "K": p.K, "d_min": p.d_min, "d_min_proved": p.d_min_proved}
     d = p.d_min
     if d is None:
-        est = _sweep_estimate(args.n, args.k, args.q)
-        if est <= SLOW_THRESHOLD:
+        if sweep:
             code = build_code(args.n, args.k, _field(args.q))
             d = min_distance(code)
             results["d_min"] = d
@@ -268,10 +282,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    _check_nkq(args.n, args.k, args.q)
+    big_n, big_k, est, budget, sweep = _gate(args)
     n, k, q = args.n, args.k, args.q
     f = _field(q)
-    budget = args.budget if args.budget is not None else (SLOW_BUDGET if args.slow else DEFAULT_BUDGET)
     checks: dict[str, dict] = {}
     seed = args.seed if args.seed is not None else 0
 
@@ -280,38 +293,26 @@ def cmd_verify(args) -> int:
         verdict = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
         _log(f"{verdict} {name}" + (f" {info}" if info else ""))
 
-    # point count against the closed-form length
-    expected_n = formulas.length(n, k, q)
-    if expected_n <= 2_000_000:
+    # point count against the closed-form length, Plücker rank against the dimension
+    code = None
+    if big_n <= VERIFY_POINTS:
         got = count_isotropic(n, k, f)
-        record("length", got == expected_n, enumerated=got, formula=expected_n)
+        record("length", got == big_n, enumerated=got, formula=big_n)
+        code = build_code(n, k, f)
+        record("dimension", code.K == big_k, rank=code.K, formula=big_k)
     else:
         record("length", None, reason="point set too large; not a verification target")
-
-    # Plücker rank against the dimension formula
-    expected_k = formulas.dimension(n, k)
-    code = None
-    if expected_n <= 2_000_000:
-        code = build_code(n, k, f)
-        record("dimension", code.K == expected_k, rank=code.K, formula=expected_k)
-    else:
         record("dimension", None, reason="point set too large")
 
     # minimum distance / weight table sweeps
     p = formulas.code_params(n, k, q)
-    est = _sweep_estimate(n, k, q)
-    sweep_allowed = est <= budget and (est <= SLOW_THRESHOLD or args.slow)
-    if code is not None and sweep_allowed:
+    if code is not None and sweep:
         we = weight_enumerator(code, method=args.method, threads=args.threads, budget=budget)
         if p.d_min_proved:
             record("d_min", we.d_min == p.d_min, swept=we.d_min, formula=p.d_min)
         else:
             record("d_min", None, swept=we.d_min, reason="no proved value")
-        table = None
-        if (n, k) == (2, 2):
-            table = formulas.w22_table(q)
-        elif (n, k) == (3, 3):
-            table = formulas.w33_table(q)
+        table = formulas.known_table(n, k, q)
         if table is not None:
             record("weight_table", we.distribution == table)
         sums_ok = we.total() == q**code.K
@@ -334,14 +335,11 @@ def cmd_verify(args) -> int:
         record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
 
         theta = worst_case_theta(sigma)
-        dec = eigen_analysis(sigma, theta)
-        dims_ok = sorted(dec.dims) == sorted((2, 2 * n - 2))
-        n1 = count_n1(sigma, theta)
-        eta = count_common_isotropic_lines(sigma, theta)
-        weight = formulas.length(n, 2, q) - eta
-        w_ok = weight == formulas.dmin_line(n, q)
-        record("worst_case_theta", dims_ok and n1 == formulas.n1_max(n, q) and w_ok,
-               eigen_dims=sorted(dec.dims), N1=n1, weight=weight)
+        rep = _eta_report(sigma, theta, q, n)
+        n1, weight = rep["N1"], rep["N_minus_eta"]
+        ok = rep["eigen_dims"] == sorted((2, 2 * n - 2)) and n1 == formulas.n1_max(n, q)
+        record("worst_case_theta", ok and weight == formulas.dmin_line(n, q),
+               eigen_dims=rep["eigen_dims"], N1=n1, weight=weight)
         if code is not None:
             _, cw_weight = codeword_from_form(code, theta)
             record("worst_case_codeword", cw_weight == formulas.dmin_line(n, q),
@@ -359,16 +357,31 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
-def _add_common(sp, trials_default=25):
-    sp.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _threads(text: str) -> int:
+    """At least 1, capped at the number of cores so no request starts more threads."""
+    return min(_positive(text), os.cpu_count() or 1)
+
+
+def _add_common(sp):
+    sp.add_argument("--threads", type=_threads, default=1,
+                    help="worker threads for sweeps (capped at the core count)")
     sp.add_argument("--budget", type=int, default=None,
                     help=f"sweep operation budget (default {DEFAULT_BUDGET:.0e})")
     sp.add_argument("--slow", action="store_true",
                     help="unlock the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2)")
     sp.add_argument("--method", choices=["codeword", "hyperplane"], default="codeword")
+
+
+def _add_trials(sp):
     sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    sp.add_argument("--trials", type=int, default=trials_default,
-                    help="number of random-form trials")
+    sp.add_argument("--trials", type=_positive, default=25, help="number of random-form trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("q", type=int)
     sp.add_argument("--theta", default="worst",
                     help="'worst', 'random', or a matrix text file path")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=25)
+    _add_trials(sp)
     sp.set_defaults(func=cmd_eta)
 
     sp = sub.add_parser("verify", help="run every applicable check for (n,k,q)")
     for name in ("n", "k", "q"):
         sp.add_argument(name, type=int)
     _add_common(sp)
+    _add_trials(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bounds", help="lower/upper bounds with ordering verdicts")

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forms import AlternatingForm, _pair_values
-from .gf import GF, Field
+from .forms import AlternatingForm
+from .gf import Field
 from .grassmann import isotropic_stack, plucker_batch
-from .linalg import rref
+from .linalg import read_matrix_text, rref, write_matrix_text
 
 DEFAULT_BUDGET = 10**11
 
@@ -270,39 +270,12 @@ def weight_enumerator(
 
 def min_distance(
     code: LinearCode,
-    early_exit_bound: int | None = None,
     method: str = "codeword",
     threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Smallest nonzero codeword weight.
-
-    Without early_exit_bound the sweep is exhaustive and the result exact.
-    With a bound b, the sweep stops at the first block containing a weight
-    <= b and returns the smallest weight seen, certifying d_min <= b; the
-    value is exact whenever it is also backed by a lower bound of b.
-    """
-    f = code.field
-    est = _estimate_ops(f.q, code.K, code.N, method)
-    if est > budget:
-        raise BudgetError(est, budget)
-    if early_exit_bound is None:
-        return weight_enumerator(code, method=method, threads=threads, budget=budget).d_min
-
-    big_k, big_n = code.generator.shape
-    q = f.q
-    t = _pick_table_size(q, big_k)
-    table = _low_table(f, code.generator[big_k - t :])
-    high = code.generator[: big_k - t]
-    best = big_n + 1
-    for h in range(q ** (big_k - t)):
-        w = _block_weights(f, table, _combo_row(f, high, h))
-        nz = w[w > 0]
-        if nz.size:
-            best = min(best, int(nz.min()))
-            if best <= early_exit_bound:
-                return best
-    return best
+    """Smallest nonzero codeword weight, by an exhaustive sweep."""
+    return weight_enumerator(code, method=method, threads=threads, budget=budget).d_min
 
 
 def codeword_from_form(code: LinearCode, theta: AlternatingForm) -> tuple[np.ndarray, int]:
@@ -317,46 +290,20 @@ def codeword_from_form(code: LinearCode, theta: AlternatingForm) -> tuple[np.nda
         raise ValueError("code carries no point bases (was it read from a file?)")
     if theta.field != code.field or theta.dim != 2 * code.n:
         raise ValueError("theta must be an alternating form on the same V(2n, q)")
-    vals = _pair_values(code.field, theta.gram, code.point_bases)
+    vals = theta.evaluate(code.point_bases[:, 0], code.point_bases[:, 1])
     return vals, int(np.count_nonzero(vals))
 
 
 # ---------------------------------------------------------------------------
 # generator matrix files: header "q K N", then K rows of N encodings
 
+GENERATOR_HEADER = "q rows cols"
+
 
 def write_generator(dest, code: LinearCode) -> None:
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w") if own else dest
-    try:
-        fh.write(f"{code.field.q} {code.K} {code.N}\n")
-        for row in code.generator:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+    write_matrix_text(dest, code.field, code.generator, GENERATOR_HEADER)
 
 
 def read_generator(src) -> LinearCode:
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src) if own else src
-    try:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("generator header must be 'q K N'")
-        q, big_k, big_n = (int(x) for x in header)
-        f = GF(q)
-        gen = np.zeros((big_k, big_n), dtype=np.uint8)
-        for i in range(big_k):
-            vals = fh.readline().split()
-            if len(vals) != big_n:
-                raise ValueError(f"row {i}: expected {big_n} entries")
-            row = [int(x) for x in vals]
-            for v in row:
-                if not 0 <= v < q:
-                    raise ValueError(f"entry {v} out of range for GF({q})")
-            gen[i] = row
-        return LinearCode(field=f, n=None, k=None, N=big_n, K=big_k, generator=gen)
-    finally:
-        if own:
-            fh.close()
+    f, gen = read_matrix_text(src, GENERATOR_HEADER)
+    return LinearCode(field=f, n=None, k=None, N=gen.shape[1], K=gen.shape[0], generator=gen)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .linalg import Subspace, inverse, kernel, mat_mul, rank
+from .linalg import Subspace, inverse, kernel, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +59,12 @@ class AlternatingForm:
     def is_nondegenerate(self) -> bool:
         return self._rank == self.dim
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> int:
-        """The scalar value of the form on a pair of vectors."""
+    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Values x^T G y of the form on pairs of vectors of shape (..., dim)."""
+        x = np.asarray(x, dtype=np.uint8)[..., None, :]
+        y = np.asarray(y, dtype=np.uint8)[..., :, None]
         f = self.field
-        t = mat_mul(f, np.asarray(x, dtype=np.uint8).reshape(1, -1), self.gram)
-        acc = 0
-        y = np.asarray(y, dtype=np.uint8)
-        for i in range(self.dim):
-            acc = f.add(acc, f.mul(int(t[0, i]), int(y[i])))
-        return acc
+        return f.matmul(f.matmul(x, self.gram), y)[..., 0, 0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,7 +115,7 @@ def perp(form: AlternatingForm, s: Subspace) -> Subspace:
     f = form.field
     if s.dim == 0:
         return Subspace.full(f, form.dim)
-    constraints = mat_mul(f, s.basis, form.gram.T)
+    constraints = f.matmul(s.basis, form.gram.T)
     return kernel(f, constraints)
 
 
@@ -127,7 +124,7 @@ def is_totally_isotropic(form: AlternatingForm, s: Subspace) -> bool:
     f = form.field
     if s.dim == 0:
         return True
-    vals = mat_mul(f, mat_mul(f, s.basis, form.gram), s.basis.T)
+    vals = f.matmul(f.matmul(s.basis, form.gram), s.basis.T)
     return not vals.any()
 
 
@@ -141,7 +138,7 @@ def eigen_analysis(sigma: AlternatingForm, theta: AlternatingForm) -> EigenDecom
         raise ValueError("forms must live on the same space")
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")
-    a = mat_mul(f, inverse(f, sigma.gram), theta.gram)
+    a = f.matmul(inverse(f, sigma.gram), theta.gram)
     d = sigma.dim
     pairs = []
     total = 0
@@ -167,29 +164,10 @@ def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
     return sum((q**d - 1) // (q - 1) for d in dec.dims)
 
 
-def count_n1_direct(sigma: AlternatingForm, theta: AlternatingForm) -> int:
-    """Independent N1 count: compare the two perp subspaces point by point."""
-    from .linalg import projective_points_array
-
-    f = sigma.field
-    if not sigma.is_nondegenerate():
-        raise ValueError("sigma must be non-degenerate")
-    pts = projective_points_array(f, sigma.dim)
-    count = 0
-    for p in pts:
-        row = p.reshape(1, -1)
-        p_sig = kernel(f, mat_mul(f, row, sigma.gram.T))
-        p_th = kernel(f, mat_mul(f, row, theta.gram.T))
-        if p_th.contains_subspace(p_sig):
-            count += 1
-    return count
-
-
 def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm) -> int:
-    """Lines totally isotropic for both forms, by direct enumeration.
+    """eta: lines totally isotropic for both forms, by one enumeration of them.
 
-    Enumerates the sigma-isotropic lines and keeps those on which theta
-    vanishes too.  sigma must be non-degenerate and n >= 2.
+    sigma must be non-degenerate and n >= 2.
     """
     from .grassmann import iter_isotropic_batches
 
@@ -200,29 +178,8 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
         raise ValueError("lines need n >= 2")
     if theta.dim != sigma.dim or theta.field != f:
         raise ValueError("forms must live on the same space")
-    eta = 0
-    for batch in iter_isotropic_batches(f, sigma.gram, 2):
-        vals = _pair_values(f, theta.gram, batch)
-        eta += int(np.count_nonzero(vals == 0))
-    return eta
-
-
-def _pair_values(f: Field, gram: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """theta(v1, v2) over a stacked batch of 2-row bases, shape (B, 2, d)."""
-    v1 = bases[:, 0, :]
-    v2 = bases[:, 1, :]
-    if f.e == 1:
-        t = v1.astype(np.int64) @ gram.astype(np.int64)
-        return ((t * v2.astype(np.int64)).sum(axis=1) % f.q).astype(np.uint8)
-    acc = np.zeros(v1.shape[0], dtype=np.uint8)
-    for j in range(gram.shape[0]):
-        col = np.zeros(v1.shape[0], dtype=np.uint8)
-        for i in range(gram.shape[0]):
-            gij = int(gram[i, j])
-            if gij:
-                col = f.arr_add(col, f.arr_mul(v1[:, i], np.uint8(gij)))
-        acc = f.arr_add(acc, f.arr_mul(col, v2[:, j]))
-    return acc
+    grams = np.stack([sigma.gram, theta.gram])
+    return sum(batch.shape[0] for batch in iter_isotropic_batches(f, grams, 2))
 
 
 def worst_case_theta(sigma: AlternatingForm) -> AlternatingForm:
@@ -256,8 +213,8 @@ def worst_case_theta(sigma: AlternatingForm) -> AlternatingForm:
     c_inv = inverse(f, c_mat)
     mask = np.zeros((d, d), dtype=np.uint8)
     mask[0, 0] = mask[1, 1] = 1
-    proj = mat_mul(f, mat_mul(f, c_inv, mask), c_mat)
-    s_gram = mat_mul(f, mat_mul(f, proj, sigma.gram), proj.T)
+    proj = f.matmul(f.matmul(c_inv, mask), c_mat)
+    s_gram = f.matmul(f.matmul(proj, sigma.gram), proj.T)
     theta = AlternatingForm(f, s_gram)
     assert theta.rank == 2
     return theta

@@ -116,6 +116,15 @@ def w33_table(q: int) -> dict[int, int]:
     }
 
 
+def known_table(n: int, k: int, q: int) -> dict[int, int] | None:
+    """The proved full weight distribution of W(n,k), where there is one."""
+    if (n, k) == (2, 2):
+        return w22_table(q)
+    if (n, k) == (3, 3):
+        return w33_table(q)
+    return None
+
+
 def grassmann_bound_line(n: int, q: int) -> int:
     """Lower bound on d_min(W(n,2)) from the second-highest Grassmann weight.
 

@@ -28,7 +28,6 @@ from .linalg import (
     Subspace,
     _digit_block,
     iter_subspace_batches,
-    mat_mul,
     normalize_projective,
     projective_points_array,
     rref,
@@ -118,39 +117,21 @@ def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np
     return rows
 
 
-def _sigma_dual(f: Field, gram: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Rows w_t with sigma(x, cand_t) = x . w_t, i.e. cands @ gram^T."""
-    if f.e == 1:
-        return ((cands.astype(np.int64) @ gram.T.astype(np.int64)) % f.q).astype(np.uint8)
-    out = np.zeros(cands.shape, dtype=np.uint8)
-    for i in range(gram.shape[0]):
-        acc = np.zeros(cands.shape[0], dtype=np.uint8)
-        for j in range(gram.shape[1]):
-            gij = int(gram[i, j])
-            if gij:
-                acc = f.arr_add(acc, f.arr_mul(cands[:, j], np.uint8(gij)))
-        out[:, i] = acc
-    return out
+def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Extend partial frames by every candidate row orthogonal to all of them.
 
-
-def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, dual: np.ndarray) -> np.ndarray:
-    """Extend partial frames by every candidate row orthogonal to all of them."""
+    Column (g, t) of duals, shape (d, forms * candidates), is G_g @ cand_t, so
+    frame row x is orthogonal to cand_t under form g iff x @ duals[:, (g, t)] = 0.
+    """
     n_surv, r, d = surv.shape
     n_cand = cands.shape[0]
     pieces = []
-    chunk = max(1, _FILTER_CHUNK_ELEMS // max(1, r * n_cand))
+    # budget in elements of the float32 product inside f.matmul
+    chunk = max(1, _FILTER_CHUNK_ELEMS // (r * duals.shape[1] * f.e))
     for s in range(0, n_surv, chunk):
         part = surv[s : s + chunk]
-        if f.e == 1:
-            vals = part.reshape(-1, d).astype(np.float32) @ dual.T.astype(np.float32)
-            vals = vals.astype(np.int32).reshape(part.shape[0], r, n_cand) % f.q
-            ok = ~np.any(vals, axis=1)
-        else:
-            vals = np.zeros((part.shape[0], r, n_cand), dtype=np.uint8)
-            for c in range(d):
-                vals = f.arr_add(vals, f.arr_mul(part[:, :, c, None], dual[None, None, :, c]))
-            ok = ~np.any(vals, axis=1)
-        ib, it = np.nonzero(ok)
+        vals = f.matmul(part, duals).reshape(part.shape[0], -1, n_cand)
+        ib, it = np.nonzero(~np.any(vals, axis=1))
         if ib.size:
             pieces.append(np.concatenate([part[ib], cands[it][:, None, :]], axis=1))
     if not pieces:
@@ -159,21 +140,25 @@ def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, dual: np.ndarr
 
 
 def iter_isotropic_batches(
-    f: Field, gram: np.ndarray, k: int, max_rows: int = DEFAULT_BATCH_ROWS
+    f: Field, grams: np.ndarray, k: int, max_rows: int = DEFAULT_BATCH_ROWS
 ) -> Iterator[np.ndarray]:
-    """Totally isotropic k-subspaces of the form with the given Gram matrix.
+    """Subspaces of dimension k totally isotropic for every given alternating form.
 
-    Yields canonical RREF bases stacked as (B, k, d) batches, cell by cell
-    in lexicographic pivot-pattern order.
+    grams is one Gram matrix (d, d) or a stack (forms, d, d).  Yields
+    canonical RREF bases stacked as (B, k, d) batches, cell by cell in
+    lexicographic pivot-pattern order.
     """
-    d = gram.shape[0]
+    grams = np.asarray(grams, dtype=np.uint8)
+    d = grams.shape[-1]
+    grams = grams.reshape(-1, d, d)
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}, got k={k}")
     for pivots in combinations(range(d), k):
         surv = _row_candidates(f, pivots, d, 0)[:, None, :]
         for i in range(1, k):
             cands = _row_candidates(f, pivots, d, i)
-            surv = _filter_extend(f, surv, cands, _sigma_dual(f, gram, cands))
+            duals = f.matmul(grams, cands.T).transpose(1, 0, 2).reshape(d, -1)
+            surv = _filter_extend(f, surv, cands, duals)
             if surv.shape[0] == 0:
                 break
         if surv.shape[0] == 0:
@@ -221,44 +206,6 @@ def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
     return _isotropic_stack_cached(n, k, field.q)
 
 
-def write_point_list(dest, n: int, k: int, field: Field) -> None:
-    """Point-list file: header "n k q N", then one Plücker point per line."""
-    bases = isotropic_stack(n, k, field)
-    coords = plucker_batch(field, bases)
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w") if own else dest
-    try:
-        fh.write(f"{n} {k} {field.q} {coords.shape[0]}\n")
-        for row in coords:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def read_point_list(src) -> tuple[int, int, Field, np.ndarray]:
-    """Read a point-list file back as (n, k, field, coords)."""
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src) if own else src
-    try:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError("point-list header must be 'n k q N'")
-        n, k, q, count = (int(x) for x in header)
-        f = GF(q)
-        width = len(k_subsets(2 * n, k))
-        coords = np.zeros((count, width), dtype=np.uint8)
-        for i in range(count):
-            vals = fh.readline().split()
-            if len(vals) != width:
-                raise ValueError(f"point {i}: expected {width} coordinates")
-            coords[i] = [int(x) for x in vals]
-        return n, k, f, coords
-    finally:
-        if own:
-            fh.close()
-
-
 # ---------------------------------------------------------------------------
 # lines of the symplectic Grassmannian
 
@@ -299,13 +246,8 @@ def line_points(line: GrassmannLine, sigma: AlternatingForm) -> list[Subspace]:
         comp = _complement_rows(f, line.W, perp(sigma, line.W))
     if comp.shape[0] != 2:
         raise AssertionError("line complement should be 2-dimensional")
-    points = []
-    for cvec in projective_points_array(f, 2):
-        extra = mat_mul(f, cvec[None, :], comp)
-        points.append(
-            Subspace.from_rows(f, np.concatenate([line.W.basis, extra], axis=0))
-        )
-    return points
+    extras = f.matmul(projective_points_array(f, 2), comp)
+    return [Subspace.from_rows(f, np.vstack([line.W.basis, row])) for row in extras]
 
 
 def grassmann_lines(n: int, k: int, field: Field) -> Iterator[GrassmannLine]:
@@ -321,8 +263,7 @@ def grassmann_lines(n: int, k: int, field: Field) -> Iterator[GrassmannLine]:
         return
     for t in enumerate_isotropic(n, k + 1, field):
         for combo_batch in iter_subspace_batches(field, k + 1, k - 1):
-            for cmat in combo_batch:
-                w_rows = mat_mul(field, cmat, t.basis)
+            for w_rows in field.matmul(combo_batch, t.basis):
                 yield GrassmannLine(Subspace.from_rows(field, w_rows), t)
 
 
@@ -337,20 +278,14 @@ def grassmann_lines_through(
         raise ValueError("x must be totally isotropic")
     if k == n:
         for w_batch in iter_subspace_batches(field, n, n - 1):
-            for wmat in w_batch:
-                w_rows = mat_mul(field, wmat, x.basis)
+            for w_rows in field.matmul(w_batch, x.basis):
                 yield GrassmannLine(Subspace.from_rows(field, w_rows), None)
         return
     comp = _complement_rows(field, x, perp(sigma, x))
-    t_list = []
-    for cvec in projective_points_array(field, comp.shape[0]):
-        extra = mat_mul(field, cvec[None, :], comp)
-        t_list.append(
-            Subspace.from_rows(field, np.concatenate([x.basis, extra], axis=0))
-        )
+    extras = field.matmul(projective_points_array(field, comp.shape[0]), comp)
+    t_list = [Subspace.from_rows(field, np.vstack([x.basis, row])) for row in extras]
     for w_batch in iter_subspace_batches(field, k, k - 1):
-        for wmat in w_batch:
-            w_rows = mat_mul(field, wmat, x.basis)
+        for w_rows in field.matmul(w_batch, x.basis):
             w = Subspace.from_rows(field, w_rows)
             for t in t_list:
                 yield GrassmannLine(w, t)

@@ -13,7 +13,7 @@ stay vectorized.
 
 from __future__ import annotations
 
-import io
+import contextlib
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -26,23 +26,7 @@ DEFAULT_BATCH_ROWS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
-# elementary matrix operations
-
-
-def mat_mul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(q); inner dimensions are small, so loop there."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for i in range(a.shape[1]):
-        out = f.arr_add(out, f.arr_mul(a[:, i : i + 1], b[i : i + 1, :]))
-    return out
-
-
-def mat_vec(f: Field, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return mat_mul(f, a, np.asarray(v, dtype=np.uint8).reshape(-1, 1))[:, 0]
+# row reduction
 
 
 def _next_pivot_col(r_mat: np.ndarray, r: int, c0: int) -> int | None:
@@ -278,52 +262,56 @@ def enumerate_projective_points(ambient_dim: int, field: Field) -> Iterator[np.n
 
 
 # ---------------------------------------------------------------------------
-# text serialization: first line "rows cols q", then one row per line
+# text matrix files: one header line naming rows, cols and q in some order,
+# then one row of encodings per line
+
+MATRIX_HEADER = "rows cols q"
 
 
-def write_matrix_text(dest, f: Field, m: np.ndarray) -> None:
+def _open(target, mode: str):
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        return open(target, mode)
+    return contextlib.nullcontext(target)
+
+
+def write_matrix_text(dest, f: Field, m: np.ndarray, header: str = MATRIX_HEADER) -> None:
     m = np.asarray(m, dtype=np.uint8)
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w") if own else dest
-    try:
-        fh.write(f"{m.shape[0]} {m.shape[1]} {f.q}\n")
+    values = {"rows": m.shape[0], "cols": m.shape[1], "q": f.q}
+    with _open(dest, "w") as fh:
+        fh.write(" ".join(str(values[name]) for name in header.split()) + "\n")
         for row in m:
             fh.write(" ".join(str(int(x)) for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def read_matrix_text(src) -> tuple[Field, np.ndarray]:
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src) if own else src
-    try:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("matrix header must be 'rows cols q'")
-        nrows, ncols, q = (int(x) for x in header)
+def read_matrix_text(src, header: str = MATRIX_HEADER) -> tuple[Field, np.ndarray]:
+    """Read a matrix file written with the same header.
+
+    Nothing is allocated from the header before the rows are read; a short
+    row, a missing row, or a non-blank line after the last row is an error.
+    """
+    names = header.split()
+    with _open(src, "r") as fh:
+        first = fh.readline().split()
+        if len(first) != len(names):
+            raise ValueError(f"matrix header must be '{header}'")
+        values = dict(zip(names, (int(x) for x in first)))
+        nrows, ncols, q = values["rows"], values["cols"], values["q"]
         f = GF(q)
-        m = np.zeros((nrows, ncols), dtype=np.uint8)
-        for i in range(nrows):
-            vals = fh.readline().split()
+        if nrows < 0 or ncols < 0:
+            raise ValueError(f"negative matrix shape {nrows} x {ncols}")
+        rows = []
+        for i, line in enumerate(fh):
+            vals = line.split()
+            if i >= nrows:
+                if vals:
+                    raise ValueError(f"unexpected data after the {nrows} rows")
+                continue
             if len(vals) != ncols:
                 raise ValueError(f"row {i}: expected {ncols} entries, got {len(vals)}")
-            row = [int(x) for x in vals]
-            for v in row:
-                if not 0 <= v < q:
-                    raise ValueError(f"entry {v} out of range for GF({q})")
-            m[i] = row
-        return f, m
-    finally:
-        if own:
-            fh.close()
-
-
-def matrix_to_text(f: Field, m: np.ndarray) -> str:
-    buf = io.StringIO()
-    write_matrix_text(buf, f, m)
-    return buf.getvalue()
-
-
-def matrix_from_text(text: str) -> tuple[Field, np.ndarray]:
-    return read_matrix_text(io.StringIO(text))
+            row = np.fromiter(map(int, vals), dtype=np.int64, count=ncols)
+            if np.any((row < 0) | (row >= q)):
+                raise ValueError(f"row {i}: entry out of range for GF({q})")
+            rows.append(row.astype(np.uint8))
+    if len(rows) != nrows:
+        raise ValueError(f"expected {nrows} rows, got {len(rows)}")
+    return f, np.array(rows, dtype=np.uint8).reshape(nrows, ncols)

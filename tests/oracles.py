@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's vectorized code paths:
 field arithmetic is naive polynomial arithmetic written from scratch,
 subspaces are sets of vectors, determinants use the Leibniz sum, and
-weight sweeps walk messages one by one.
+weight sweeps walk messages one by one.  The one exception is
+count_n1_direct, which takes a different route through the package's own
+linear algebra than the eigenspace count it checks.
 """
 
 from itertools import combinations, permutations, product
@@ -190,3 +192,35 @@ def oracle_weight_enumerator_gf2(generator_rows_as_ints, big_n):
         w = bin(cw).count("1")
         dist[w] = dist.get(w, 0) + 1
     return dist
+
+
+def oracle_common_isotropic_lines(q, gram_s, gram_t):
+    """eta by brute force: pairs of distinct projective points on which both
+    forms vanish, divided by the C(q+1, 2) such pairs on each common line."""
+    d = len(gram_s)
+    points = [v for v in all_vectors(q, d) if any(v) and next(x for x in v if x) == 1]
+    pairs = sum(
+        1
+        for x, y in combinations(points, 2)
+        if oracle_bilinear(q, gram_s, x, y) == 0 and oracle_bilinear(q, gram_t, x, y) == 0
+    )
+    per_line = q * (q + 1) // 2
+    assert pairs % per_line == 0
+    return pairs // per_line
+
+
+def count_n1_direct(sigma, theta):
+    """Independent N1 count: compare the two perp subspaces point by point."""
+    from sympgrass.linalg import kernel, projective_points_array
+
+    f = sigma.field
+    if not sigma.is_nondegenerate():
+        raise ValueError("sigma must be non-degenerate")
+    count = 0
+    for p in projective_points_array(f, sigma.dim):
+        row = p.reshape(1, -1)
+        p_sig = kernel(f, f.matmul(row, sigma.gram.T))
+        p_th = kernel(f, f.matmul(row, theta.gram.T))
+        if p_th.contains_subspace(p_sig):
+            count += 1
+    return count

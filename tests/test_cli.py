@@ -1,8 +1,10 @@
 """CLI behavior: JSON reports, exit codes, determinism."""
 
 import json
+import os
 
-from sympgrass.cli import main
+from sympgrass import cli
+from sympgrass.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -172,3 +174,33 @@ def test_weights_output_file(capsys, tmp_path):
     assert code == 0
     written = json.loads(out.read_text())
     assert written["distribution"] == report["results"]["distribution"]
+
+
+def test_eta_rejects_malformed_theta_file(capsys, tmp_path):
+    path = tmp_path / "theta.txt"
+    rows = "\n".join(" ".join(["0"] * 4) for _ in range(4))
+    path.write_text(f"4 4 3\n{rows}\n0 0 0 0\n")  # one row too many
+    assert run_cli(capsys, "eta", "2", "3", "--theta", str(path))[0] == 2
+    path.write_text(f"4 1000000000 3\n{rows}\n")  # header claims 10^9 columns
+    assert run_cli(capsys, "eta", "2", "3", "--theta", str(path))[0] == 2
+
+
+def test_threads_and_trials_validated(capsys):
+    args = build_parser().parse_args(["weights", "2", "2", "2", "--threads", "100000"])
+    assert args.threads == (os.cpu_count() or 1)  # capped before any thread starts
+    assert run_cli(capsys, "weights", "2", "2", "2", "--threads", "0")[0] == 2
+    assert run_cli(capsys, "eta", "2", "3", "--theta", "random", "--trials", "0")[0] == 2
+    assert run_cli(capsys, "verify", "2", "2", "2", "--trials", "0")[0] == 2
+    assert run_cli(capsys, "weights", "2", "2", "2", "--seed", "1")[0] == 2  # no such option
+
+
+def test_gate_refuses_before_building(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a code the gate should have refused")
+
+    monkeypatch.setattr(cli, "build_code", no_build)
+    monkeypatch.setattr(cli, "count_isotropic", no_build)
+    assert run_cli(capsys, "weights", "4", "3", "3")[0] == 3  # sweep over budget
+    assert run_cli(capsys, "weights", "4", "3", "4")[0] == 3  # 24 million points
+    code, report, _ = run_cli(capsys, "verify", "4", "3", "4")  # skipped, not refused
+    assert code == 0 and report["results"]["checks"]["length"]["pass"] is None

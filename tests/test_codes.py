@@ -120,9 +120,6 @@ def test_projective_system_rule_w22():
 def test_min_distance_early_exit():
     code = build_code(2, 2, GF(2))
     assert min_distance(code) == 6
-    assert min_distance(code, early_exit_bound=6) == 6
-    # a bound below the true minimum cannot trigger an exit; result is exact
-    assert min_distance(code, early_exit_bound=3) == 6
 
 
 def test_threads_do_not_change_distribution():

@@ -10,7 +10,6 @@ from sympgrass.forms import (
     AlternatingForm,
     count_common_isotropic_lines,
     count_n1,
-    count_n1_direct,
     eigen_analysis,
     is_totally_isotropic,
     perp,
@@ -21,15 +20,14 @@ from sympgrass.forms import (
     worst_case_theta,
 )
 from sympgrass.gf import GF
-from sympgrass.linalg import (
-    Subspace,
-    inverse,
-    kernel,
-    mat_mul,
-    projective_points_array,
-)
+from sympgrass.linalg import Subspace, inverse, kernel, projective_points_array
 
-from oracles import oracle_bilinear, oracle_subspaces, standard_gram
+from oracles import (
+    count_n1_direct,
+    oracle_bilinear,
+    oracle_common_isotropic_lines,
+    standard_gram,
+)
 
 
 def e(i, d):
@@ -200,9 +198,9 @@ def test_count_n1_direct_agrees_small():
 def _eigen_membership_and_direct(f, sig, theta, pts, perp_bases):
     """Per point: eigenvector-of-M^-1-S membership vs perp-inclusion."""
     q = f.q
-    a = mat_mul(f, inverse(f, sig.gram), theta.gram)
-    v = mat_mul(f, pts, a.T)  # (M^-1 S) p for every point, as rows
-    w = mat_mul(f, pts, theta.gram.T)  # S p for every point, as rows
+    a = f.matmul(inverse(f, sig.gram), theta.gram)
+    v = f.matmul(pts, a.T)  # (M^-1 S) p for every point, as rows
+    w = f.matmul(pts, theta.gram.T)  # S p for every point, as rows
     eigen = np.zeros(pts.shape[0], dtype=bool)
     for lam in range(q):
         lam_p = f.arr_mul(pts, np.uint8(lam))
@@ -211,7 +209,7 @@ def _eigen_membership_and_direct(f, sig, theta, pts, perp_bases):
     direct = np.zeros(pts.shape[0], dtype=bool)
     for idx in range(pts.shape[0]):
         kb = perp_bases[idx]
-        vals = mat_mul(f, kb, np.asarray(w[idx], dtype=np.uint8).reshape(-1, 1))
+        vals = f.matmul(kb, np.asarray(w[idx], dtype=np.uint8).reshape(-1, 1))
         direct[idx] = not vals.any()
     return eigen, direct
 
@@ -224,7 +222,7 @@ def test_perp_inclusion_iff_eigenvector_exhaustive(n, q):
     sig = standard_symplectic(n, f)
     pts = projective_points_array(f, 2 * n)
     perp_bases = [
-        kernel(f, mat_mul(f, p[None, :], sig.gram.T)).basis for p in pts
+        kernel(f, f.matmul(p[None, :], sig.gram.T)).basis for p in pts
     ]
     for theta in all_alternating_forms(f, 2 * n):
         eigen, direct = _eigen_membership_and_direct(f, sig, theta, pts, perp_bases)
@@ -235,7 +233,7 @@ def test_perp_inclusion_iff_eigenvector_32_sampled():
     f = GF(2)
     sig = standard_symplectic(3, f)
     pts = projective_points_array(f, 6)
-    perp_bases = [kernel(f, mat_mul(f, p[None, :], sig.gram.T)).basis for p in pts]
+    perp_bases = [kernel(f, f.matmul(p[None, :], sig.gram.T)).basis for p in pts]
     rng = np.random.default_rng(23)
     for _ in range(150):
         theta = random_alternating_form(f, 6, rng)
@@ -248,7 +246,7 @@ def test_perp_inclusion_iff_eigenvector_32_exhaustive():
     f = GF(2)
     sig = standard_symplectic(3, f)
     pts = projective_points_array(f, 6)
-    perp_bases = [kernel(f, mat_mul(f, p[None, :], sig.gram.T)).basis for p in pts]
+    perp_bases = [kernel(f, f.matmul(p[None, :], sig.gram.T)).basis for p in pts]
     for theta in all_alternating_forms(f, 6):
         eigen, direct = _eigen_membership_and_direct(f, sig, theta, pts, perp_bases)
         assert np.array_equal(eigen, direct)
@@ -268,22 +266,22 @@ def test_eta_worst_case_22():
 
 
 def test_eta_against_brute_force_22():
-    # independent oracle: spans of vector pairs, both forms checked naively
-    f = GF(2)
-    sig = standard_symplectic(2, f)
-    th = worst_case_theta(sig)
-    gram_s = [[int(x) for x in row] for row in sig.gram]
-    gram_t = [[int(x) for x in row] for row in th.gram]
-    count = 0
-    for span in oracle_subspaces(2, 4, 2):
-        vecs = list(span)
-        if all(
-            oracle_bilinear(2, gram_s, x, y) == 0 and oracle_bilinear(2, gram_t, x, y) == 0
-            for x in vecs
-            for y in vecs
-        ):
-            count += 1
-    assert count == 9 == count_common_isotropic_lines(sig, th)
+    # independent oracle: point pairs on which both forms vanish, pure python;
+    # the worst-case theta over GF(2), random theta over a prime and an
+    # extension field
+    sig = standard_symplectic(2, GF(2))
+    cases = [(sig, worst_case_theta(sig))]
+    rng = np.random.default_rng(22)
+    for q in (3, 4):
+        sig_q = standard_symplectic(2, GF(q))
+        cases += [(sig_q, random_alternating_form(GF(q), 4, rng)) for _ in range(3)]
+    etas = []
+    for sig_q, th in cases:
+        gram_s = [[int(x) for x in row] for row in sig_q.gram]
+        gram_t = [[int(x) for x in row] for row in th.gram]
+        etas.append(oracle_common_isotropic_lines(sig_q.field.q, gram_s, gram_t))
+        assert count_common_isotropic_lines(sig_q, th) == etas[-1]
+    assert etas[0] == 9
 
 
 @pytest.mark.parametrize("n,q,trials", [(2, 2, 40), (2, 3, 40), (3, 2, 40), (2, 4, 25)])

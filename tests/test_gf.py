@@ -5,7 +5,7 @@ import pytest
 
 from sympgrass.gf import GF
 
-from oracles import oracle_add, oracle_mul
+from oracles import oracle_add, oracle_dot, oracle_matvec, oracle_mul
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 EXTENSION_Q = [4, 8, 9, 16]
@@ -115,3 +115,44 @@ def test_moduli_metadata():
 def test_shared_instances():
     assert GF(5) is GF(5)
     assert GF(4) == GF(4) and GF(4) != GF(8)
+
+
+def oracle_matmul(q, a, b):
+    """Product of two 2-d arrays, column by column through oracle_matvec."""
+    a_rows = a.tolist()
+    cols = [oracle_matvec(q, a_rows, col) for col in b.T.tolist()]
+    return np.array(cols, dtype=np.uint8).T
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_matmul_against_oracle(q):
+    f = GF(q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, size=(5, 7), dtype=np.uint8)
+    b = rng.integers(0, q, size=(7, 4), dtype=np.uint8)
+    assert np.array_equal(f.matmul(a, b), oracle_matmul(q, a, b))
+    # a stacked left operand against one right operand
+    stack = rng.integers(0, q, size=(3, 2, 7), dtype=np.uint8)
+    got = f.matmul(stack, b)
+    assert got.shape == (3, 2, 4)
+    for i in range(3):
+        assert np.array_equal(got[i], oracle_matmul(q, stack[i], b))
+    # batched operands on both sides: one dot product per pair
+    x = rng.integers(0, q, size=(6, 1, 7), dtype=np.uint8)
+    y = rng.integers(0, q, size=(6, 7, 1), dtype=np.uint8)
+    got = f.matmul(x, y)
+    assert got.shape == (6, 1, 1)
+    for i in range(6):
+        assert got[i, 0, 0] == oracle_dot(q, x[i, 0].tolist(), y[i, :, 0].tolist())
+
+
+def test_matmul_exactness_guard():
+    # GF(13): k * (p - 1)^2 must stay below 2^24, so k = 2^24 // 144 + 1 is refused
+    k = (1 << 24) // 144 + 1
+    with pytest.raises(ValueError):
+        GF(13).matmul(np.zeros((1, k), dtype=np.uint8), np.zeros((k, 1), dtype=np.uint8))
+    # GF(16) = GF(2^4): k * 4 * 1 < 2^24 allows k up to 2^22 - 1
+    with pytest.raises(ValueError):
+        GF(16).matmul(np.zeros((1, 1 << 22), dtype=np.uint8), np.zeros((1 << 22, 1), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        GF(3).matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))

@@ -238,15 +238,3 @@ def test_invalid_args_rejected():
     with pytest.raises(ValueError):
         list(grassmann_lines_through(2, 2, f, sig_x))
 
-
-def test_point_list_round_trip(tmp_path):
-    from sympgrass.grassmann import read_point_list, write_point_list
-
-    f = GF(3)
-    path = tmp_path / "points.txt"
-    write_point_list(path, 2, 2, f)
-    assert path.read_text().splitlines()[0] == "2 2 3 40"
-    n, k, f2, coords = read_point_list(path)
-    assert (n, k, f2.q) == (2, 2, 3)
-    expected = plucker_batch(f, isotropic_stack(2, 2, f))
-    assert np.array_equal(coords, expected)

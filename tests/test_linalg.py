@@ -1,5 +1,7 @@
 """Row reduction, kernels, subspace enumeration, serialization."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,11 @@ from sympgrass.linalg import (
     inverse,
     iter_subspace_batches,
     kernel,
-    mat_mul,
-    matrix_from_text,
-    matrix_to_text,
     normalize_projective,
     rank,
+    read_matrix_text,
     rref,
+    write_matrix_text,
 )
 
 from oracles import oracle_subspaces
@@ -93,7 +94,7 @@ def test_kernel_dimension_and_annihilation(q):
         ker = kernel(f, m)
         assert ker.dim == 5 - rank(f, m)
         if ker.dim:
-            prod = mat_mul(f, m, ker.basis.T)
+            prod = f.matmul(m, ker.basis.T)
             assert not prod.any()
 
 
@@ -107,7 +108,7 @@ def test_inverse_round_trip():
             continue
         found += 1
         inv = inverse(f, m)
-        assert np.array_equal(mat_mul(f, m, inv), np.eye(4, dtype=np.uint8))
+        assert np.array_equal(f.matmul(m, inv), np.eye(4, dtype=np.uint8))
     with pytest.raises(ValueError):
         inverse(f, np.zeros((2, 2), dtype=np.uint8))
 
@@ -203,13 +204,24 @@ def test_matrix_text_round_trip():
     f = GF(9)
     rng = np.random.default_rng(3)
     m = rng.integers(0, 9, size=(3, 5)).astype(np.uint8)
-    text = matrix_to_text(f, m)
+    buf = io.StringIO()
+    write_matrix_text(buf, f, m)
+    text = buf.getvalue()
     first = text.splitlines()[0]
     assert first == "3 5 9"
-    f2, m2 = matrix_from_text(text)
+    f2, m2 = read_matrix_text(io.StringIO(text + "\n  \n"))  # trailing blank lines are fine
     assert f2 == f and np.array_equal(m, m2)
 
 
 def test_matrix_text_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        matrix_from_text("1 2 3\n5 0\n")
+    for text in [
+        "1 2 3\n5 0\n",  # entry out of range
+        "1 2 3\n1\n",  # short row
+        "2 2 3\n1 0\n",  # missing row
+        "1 2 3\n1 0\n2 2\n",  # trailing row
+        "1 1000000000 3\n1 0\n",  # header claims more columns than the row holds
+        "-1 2 3\n",  # negative shape
+        "1 2\n1 0\n",  # short header
+    ]:
+        with pytest.raises(ValueError):
+            read_matrix_text(io.StringIO(text))
