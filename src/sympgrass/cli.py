@@ -31,6 +31,7 @@ from .forms import (
     count_common_isotropic_lines,
     count_n1,
     eigen_analysis,
+    n1_from_eigenspaces,
     random_alternating_form,
     standard_symplectic,
     worst_case_theta,
@@ -83,10 +84,10 @@ def _gate(args) -> tuple[int, int, int, int, bool]:
     command may build and sweep.
 
     Returns (N, K, sweep estimate, budget, sweep admitted) for the chosen
-    method.  build and weights refuse a point set over BUILD_POINTS, and
-    weights a sweep over its budget (BudgetError, exit 3).  verify and bounds
-    skip a sweep that is not admitted: one over the budget, or over
-    SLOW_THRESHOLD without --slow.
+    method.  A sweep is admitted if it is within the budget and, without
+    --slow, within SLOW_THRESHOLD.  build and weights refuse a point set
+    over BUILD_POINTS, and weights a sweep that is not admitted
+    (BudgetError, exit 3); verify and bounds skip it.
     """
     _check_nkq(args.n, args.k, args.q)
     big_n = formulas.length(args.n, args.k, args.q)
@@ -100,6 +101,8 @@ def _gate(args) -> tuple[int, int, int, int, bool]:
         raise BudgetError(big_n, BUILD_POINTS)
     if args.subcommand == "weights" and est > budget:
         raise BudgetError(est, budget)
+    if args.subcommand == "weights" and not slow and est > SLOW_THRESHOLD:
+        raise BudgetError(est, SLOW_THRESHOLD, remedy="use --slow")
     return big_n, big_k, est, budget, est <= budget and (slow or est <= SLOW_THRESHOLD)
 
 
@@ -189,7 +192,7 @@ def cmd_weights(args) -> int:
 
 def _eta_report(sigma, theta, q: int, n: int) -> dict:
     dec = eigen_analysis(sigma, theta)
-    n1 = count_n1(sigma, theta)
+    n1 = n1_from_eigenspaces(dec, q)
     eta = count_common_isotropic_lines(sigma, theta)
     rhs = formulas.line_identity_rhs(n, q, n1)
     residual = (q + 1) * eta - rhs

@@ -1,7 +1,15 @@
 """Projective codes from the Plücker point set, with exact exhaustive sweeps.
 
-The generator matrix of W(n,k) is obtained by row-reducing the transpose
-of the N x C(2n,k) Plücker matrix; the nonzero rows span exactly the code.
+The generator matrix of W(n,k) is the nonzero rows of the RREF of the
+transpose of the N x C(2n,k) Plücker matrix pl, byte for byte, but the
+transpose is never row-reduced (transposed_rref).  A stride sample of pl's
+rows gives pivot columns P and the relation pl[:, not P] = pl[:, P] @ X;
+the relation is checked on all N rows, and a row that breaks it joins the
+sample.  The canonical RREF is then recovered from the first K independent
+rows of pl[:, P] by one chunked product, which also carries the check.
+
+Every sweep's distribution is checked against q^K words and the first two
+power moments, which hold for any generator (see _check_power_moments).
 
 Weight enumeration sweeps the whole message space.  Messages are processed
 in blocks: a table of all combinations of the last t generator rows is
@@ -26,18 +34,21 @@ import numpy as np
 from .forms import AlternatingForm
 from .gf import Field
 from .grassmann import isotropic_stack, plucker_batch
-from .linalg import read_matrix_text, rref, write_matrix_text
+from .linalg import inverse, read_matrix_text, rref, write_matrix_text
 
 DEFAULT_BUDGET = 10**11
+_SCAN_BLOCK_ROWS = 1 << 16  # largest block of the independent-row scan
+_PRODUCT_CHUNK_ELEMS = 1 << 22  # product entries per chunk of the generator step
 
 
 class BudgetError(RuntimeError):
     """Raised when a sweep's estimated cost exceeds the allowed budget."""
 
-    def __init__(self, estimated_ops: int, budget: int):
+    def __init__(self, estimated_ops: int, budget: int,
+                 remedy: str = "raise --budget (or use --slow)"):
         super().__init__(
             f"sweep estimated at {estimated_ops:.2e} symbol operations, "
-            f"over the budget of {budget:.2e}; raise --budget (or use --slow) to run it"
+            f"over the budget of {budget:.2e}; {remedy} to run it"
         )
         self.estimated_ops = estimated_ops
         self.budget = budget
@@ -97,17 +108,90 @@ def build_code(n: int, k: int, field: Field) -> LinearCode:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     bases = isotropic_stack(n, k, field)
     pl = plucker_batch(field, bases)
-    transposed = np.ascontiguousarray(pl.T)
-    reduced, rk, _ = rref(field, transposed)
+    gen = transposed_rref(field, pl)
     return LinearCode(
         field=field,
         n=n,
         k=k,
         N=pl.shape[0],
-        K=rk,
-        generator=reduced[:rk].copy(),
+        K=gen.shape[0],
+        generator=gen,
         point_bases=bases,
     )
+
+
+def _first_independent_rows(f: Field, pl: np.ndarray, cols) -> list[int]:
+    """Indices of the first len(cols) independent rows of G = pl[:, cols], in
+    order; the columns cols must be independent.
+
+    Rows are scanned in blocks.  The rows of H span the vectors supported on
+    cols that are orthogonal to the rows picked so far, so a row's syndrome
+    row @ H.T is zero exactly when the row's G part lies in their span, and
+    rows are independent modulo that span exactly when their syndromes are.
+    A block's leading nonzero syndromes S are picked greedily, as the pivot
+    columns of the RREF of [S.T | I]; the rows of that RREF past the picked
+    pivots are [0 | E] with E @ S.T = 0, so E @ H is the next H.
+    """
+    n_rows, width = pl.shape
+    picked: list[int] = []
+    h = np.eye(width, dtype=np.uint8)[cols]
+    pos, block = 0, 4 * width
+    while pos < n_rows and h.shape[0]:
+        syn = f.matmul(pl[pos : pos + block], h.T)
+        cand = np.nonzero(syn.any(axis=1))[0][: 4 * width]
+        block = min(2 * block, _SCAN_BLOCK_ROWS)
+        if cand.size == 0:
+            pos += syn.shape[0]
+            continue
+        aug = np.concatenate([syn[cand].T, np.eye(h.shape[0], dtype=np.uint8)], axis=1)
+        reduced, _, pivots = rref(f, aug)
+        new = [c for c in pivots if c < cand.size]
+        picked.extend(pos + int(cand[c]) for c in new)
+        h = f.matmul(reduced[len(new) :, cand.size :], h)
+        pos += int(cand[-1]) + 1
+    return picked
+
+
+def transposed_rref(f: Field, pl: np.ndarray) -> np.ndarray:
+    """The nonzero rows of rref(pl.T), without row-reducing the transpose.
+
+    A stride sample of about 4 * width rows of pl is row-reduced; its pivot
+    columns P and its relation X = RREF[:, not P] describe every sampled row
+    as pl[i, not P] = pl[i, P] @ X.  That is then checked on all N rows.  A
+    row that fails it is outside the sample's row space, so it is added to
+    the sample, which raises the sample's rank; at most K rounds follow.
+    Once it holds, the columns P of pl are a basis of its column space, so
+    K = |P|, and with G = pl[:, P] and Q its first K independent rows,
+    rref(pl.T)[:K] = inverse(G[Q].T) @ G.T exactly: that matrix spans the
+    same row space and has the identity on the pivot columns Q.  With
+    M = inverse(G[Q].T) it is computed as (G @ M.T).T, in one chunked
+    product that also carries the check: pl @ right, where right holds
+    [X; -I] in its first width - K columns and [M.T; 0] in the rest.
+    """
+    n_rows, width = pl.shape
+    # distinct rows: their spacing is at least 1
+    sample = np.linspace(0, n_rows - 1, min(n_rows, 4 * width), dtype=np.intp)
+    while True:
+        reduced, rk, pivots = rref(f, pl[sample])
+        rest = np.delete(np.arange(width), pivots)
+        q_rows = _first_independent_rows(f, pl, pivots)
+        m = inverse(f, np.ascontiguousarray(pl[np.ix_(q_rows, pivots)].T))
+        right = np.zeros((width, width), dtype=np.uint8)
+        right[pivots, : width - rk] = reduced[:rk, rest]
+        right[rest, np.arange(width - rk)] = f.neg(1)
+        right[pivots, width - rk :] = m.T
+        gen = np.empty((rk, n_rows), dtype=np.uint8)
+        chunk = max(1, _PRODUCT_CHUNK_ELEMS // (width * f.e))
+        for s in range(0, n_rows, chunk):
+            prod = f.matmul(pl[s : s + chunk], right)
+            bad = np.nonzero(prod[:, : width - rk].any(axis=1))[0]
+            if bad.size:
+                row = s + int(bad[0])
+                sample = np.insert(sample, np.searchsorted(sample, row), row)
+                break
+            gen[:, s : s + chunk] = prod[:, width - rk :].T
+        else:
+            return gen
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +349,41 @@ def weight_enumerator(
     we = WeightEnumerator.from_histogram(hist)
     if we.total() != f.q**code.K:
         raise AssertionError("sweep histogram does not sum to q^K; internal error")
+    _check_power_moments(f, code.generator, we)
     return we
+
+
+def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator) -> None:
+    """The first two power moments of a sweep over all q^K messages of gen.
+
+    A nonzero column is nonzero in (q-1)q^(K-1) of the messages' codewords,
+    and two columns are both nonzero in (q-1)q^(K-1) of them if they are
+    proportional, in (q-1)^2 q^(K-2) if not.  With Z nonzero columns and Pp
+    ordered pairs of distinct proportional ones, for any generator:
+        sum w A_w   = Z (q-1) q^(K-1)
+        sum w^2 A_w = (Z + Pp)(q-1) q^(K-1) + (Z(Z-1) - Pp)(q-1)^2 q^(K-2)
+    Both right sides are integers: at K = 1 all nonzero columns are
+    proportional, so Z(Z-1) = Pp, and at K = 0 there are no columns.  They
+    are computed times q^2 so that no power of q is negative.
+    """
+    q, big_k = f.q, gen.shape[0]
+    cols = gen[:, gen.any(axis=0)]
+    z = cols.shape[1]
+    lead = cols[(cols != 0).argmax(axis=0), np.arange(z)]
+    normed = f.arr_mul(cols, f.inv_table[lead][None, :])
+    counts = np.unique(normed.T, axis=0, return_counts=True)[1] if z else []
+    pp = sum(int(c) * (int(c) - 1) for c in counts)
+    moments = (
+        ("first", 1, z * (q - 1) * q ** (big_k + 1)),
+        ("second", 2, (z + pp) * (q - 1) * q ** (big_k + 1)
+         + (z * (z - 1) - pp) * (q - 1) ** 2 * q**big_k),
+    )
+    for name, power, scaled in moments:
+        got = sum(w**power * c for w, c in we.distribution.items())
+        if got != scaled // q**2:
+            raise AssertionError(
+                f"{name} power moment: sum w^{power} A_w = {got}, expected {scaled // q**2}"
+            )
 
 
 def min_distance(

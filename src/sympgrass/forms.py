@@ -153,15 +153,19 @@ def eigen_analysis(sigma: AlternatingForm, theta: AlternatingForm) -> EigenDecom
     return EigenDecomposition(tuple(pairs), diagonalizable=(total == d))
 
 
-def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
-    """Projective points p with sigma-perp of p contained in theta-perp of p.
+def n1_from_eigenspaces(dec: EigenDecomposition, q: int) -> int:
+    """N1 from the eigenspaces of M^-1 S: the projective points they hold.
 
-    Counted through the eigenspaces of M^-1 S; eigenspaces for distinct
-    eigenvalues meet trivially, so the union count is a plain sum.
+    Eigenspaces for distinct eigenvalues meet trivially, so the union count
+    is a plain sum.
     """
-    q = sigma.field.q
-    dec = eigen_analysis(sigma, theta)
     return sum((q**d - 1) // (q - 1) for d in dec.dims)
+
+
+def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
+    """Projective points p with sigma-perp of p contained in theta-perp of p,
+    counted through the eigenspaces of M^-1 S."""
+    return n1_from_eigenspaces(eigen_analysis(sigma, theta), sigma.field.q)
 
 
 def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm) -> int:

@@ -9,7 +9,10 @@ sizes (about a million subspaces in seconds).
 Plücker coordinates are the k x k minors over lexicographically ordered
 column subsets.  For an RREF basis the minor on the pivot columns equals
 1 and every lexicographically earlier minor vanishes, so projective
-normalization (first nonzero coordinate = 1) is automatic.
+normalization (first nonzero coordinate = 1) is automatic.  The minors come
+from a row-by-row Laplace expansion, level r holding the minors of the
+first r rows on every r-subset of columns, for any k and chunk by chunk of
+points.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .linalg import (
 )
 
 _FILTER_CHUNK_ELEMS = 8_000_000
+_PLUCKER_CHUNK_ELEMS = 1 << 21  # minors per chunk of points
 
 
 # ---------------------------------------------------------------------------
@@ -46,49 +50,69 @@ def k_subsets(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(d), k))
 
 
-def det_batch(f: Field, mats: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of m x m matrices, m <= 4, shape (B, m, m)."""
-    m = mats.shape[-1]
-    if m == 0:
-        return np.ones(mats.shape[0], dtype=np.uint8)
-    if m == 1:
-        return mats[:, 0, 0].copy()
-    if m == 2:
-        return f.arr_sub(
-            f.arr_mul(mats[:, 0, 0], mats[:, 1, 1]),
-            f.arr_mul(mats[:, 0, 1], mats[:, 1, 0]),
-        )
-    if m == 3:
-        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
-        d0, e, g = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
-        h, i, j = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
-        pos = f.arr_add(
-            f.arr_add(f.arr_mul(a, f.arr_mul(e, j)), f.arr_mul(b, f.arr_mul(g, h))),
-            f.arr_mul(c, f.arr_mul(d0, i)),
-        )
-        neg = f.arr_add(
-            f.arr_add(f.arr_mul(c, f.arr_mul(e, h)), f.arr_mul(b, f.arr_mul(d0, j))),
-            f.arr_mul(a, f.arr_mul(g, i)),
-        )
-        return f.arr_sub(pos, neg)
-    if m == 4:
-        acc = np.zeros(mats.shape[0], dtype=np.uint8)
-        for col in range(4):
-            rest = tuple(x for x in range(4) if x != col)
-            minor = det_batch(f, mats[:, 1:, :][:, :, rest])
-            term = f.arr_mul(mats[:, 0, col], minor)
-            acc = f.arr_add(acc, term) if col % 2 == 0 else f.arr_sub(acc, term)
-        return acc
-    raise ValueError(f"determinant batches support m <= 4, got {m}")
+@lru_cache(maxsize=None)
+def _laplace_tables(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables for expanding every r-subset minor along its last row.
+
+    For the t-th element j of the subset S (lex index i), idx[i, t] is the
+    lex index of S minus j among the (r-1)-subsets, and col[i, t] is j when
+    the cofactor sign (-1)^(r-1+t) is +1 and d + j when it is -1, so that it
+    picks a row of [b; -b].
+    """
+    prev = {s: i for i, s in enumerate(k_subsets(d, r - 1))}
+    subs = k_subsets(d, r)
+    idx = np.empty((len(subs), r), dtype=np.intp)
+    col = np.empty((len(subs), r), dtype=np.intp)
+    for i, s in enumerate(subs):
+        for t, j in enumerate(s):
+            idx[i, t] = prev[s[:t] + s[t + 1 :]]
+            col[i, t] = j + d * ((r - 1 + t) % 2)
+    idx.setflags(write=False)
+    col.setflags(write=False)
+    return idx, col
+
+
+def _minors_chunk(f: Field, bt: np.ndarray) -> np.ndarray:
+    """All k x k minors of a (k, d, B) stack, as a (C(d,k), B) array.
+
+    Level r holds the minors of the first r rows on every r-subset, each one
+    the Laplace expansion along row r-1 of r minors of level r-1.  Over a
+    prime field one level is summed in uint16 and reduced mod p once: each
+    of its r terms is a product of two residues, at most (p-1)^2, so the sum
+    is at most r*(p-1)^2 <= k*(p-1)^2 < 2^16 (checked in plucker_batch).
+    """
+    k, d, _ = bt.shape
+    level = bt[0]
+    for r in range(2, k + 1):
+        row = bt[r - 1]
+        idx, col = _laplace_tables(d, r)
+        signed = np.concatenate([row, f.arr_neg(row)])
+        if f.e == 1:
+            signed = signed.astype(np.uint16)
+            acc = np.zeros((idx.shape[0], row.shape[1]), dtype=np.uint16)
+            for t in range(r):
+                acc += signed[col[:, t]] * level[idx[:, t]]
+            level = f.mod_p(acc).astype(np.uint8)
+        else:
+            acc = np.zeros((idx.shape[0], row.shape[1]), dtype=np.uint8)
+            for t in range(r):
+                acc = f.arr_add(acc, f.arr_mul(signed[col[:, t]], level[idx[:, t]]))
+            level = acc
+    return level
 
 
 def plucker_batch(f: Field, mats: np.ndarray) -> np.ndarray:
-    """Plücker coordinate vectors for a (B, k, d) stack of RREF bases."""
-    _, k, d = mats.shape
-    subs = k_subsets(d, k)
-    out = np.empty((mats.shape[0], len(subs)), dtype=np.uint8)
-    for idx, cols in enumerate(subs):
-        out[:, idx] = det_batch(f, mats[:, :, cols])
+    """Plücker coordinate vectors (all k x k minors, lex column subsets) of a
+    (B, k, d) stack of bases, computed in chunks of points."""
+    n_mats, k, d = mats.shape
+    if k * (f.p - 1) ** 2 >= 1 << 16:
+        raise ValueError(f"k={k} is too large for exact uint16 minor sums over GF({f.q})")
+    width = len(k_subsets(d, k))
+    out = np.empty((n_mats, width), dtype=np.uint8)
+    chunk = max(1, _PLUCKER_CHUNK_ELEMS // width)
+    for s in range(0, n_mats, chunk):
+        bt = np.ascontiguousarray(mats[s : s + chunk].transpose(1, 2, 0))
+        out[s : s + chunk] = _minors_chunk(f, bt).T
     return out
 
 

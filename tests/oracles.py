@@ -93,7 +93,7 @@ def oracle_bilinear(q, gram, x, y):
 
 
 def oracle_det(q, mat):
-    """Leibniz determinant, any size (used for m <= 4)."""
+    """Leibniz determinant of any size: the reference for the Plücker minors."""
     m = len(mat)
     total = 0
     for perm in permutations(range(m)):

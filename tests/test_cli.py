@@ -3,8 +3,11 @@
 import json
 import os
 
-from sympgrass import cli
+import numpy as np
+
+from sympgrass import cli, forms
 from sympgrass.cli import build_parser, main
+from sympgrass.gf import GF
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +100,30 @@ def test_eta_random_deterministic(capsys):
     assert code1 == code2 == 0
     assert rep1["results"]["all_residuals_zero"] is True
     assert strip_seconds(rep1) == strip_seconds(rep2)
+
+
+def test_eta_analyses_each_form_once(capsys, monkeypatch):
+    calls = []
+    orig = forms.eigen_analysis
+
+    def counted(sigma, theta):
+        calls.append(theta)
+        return orig(sigma, theta)
+
+    monkeypatch.setattr(forms, "eigen_analysis", counted)
+    monkeypatch.setattr(cli, "eigen_analysis", counted)
+    code, report, _ = run_cli(capsys, "eta", "3", "4", "--theta", "random",
+                              "--seed", "7", "--trials", "20")
+    assert code == 0 and len(calls) == 20
+    # N1 and eta as counted by the library's own entry points
+    f = GF(4)
+    sigma = forms.standard_symplectic(3, f)
+    rng = np.random.default_rng(7)
+    for trial in report["results"]["sample"]:
+        theta = forms.random_alternating_form(f, 6, rng)
+        assert trial["N1"] == forms.count_n1(sigma, theta)
+        assert trial["eta"] == forms.count_common_isotropic_lines(sigma, theta)
+    assert report["results"]["all_residuals_zero"] is True
 
 
 def test_eta_from_file(capsys, tmp_path):
@@ -204,3 +231,17 @@ def test_gate_refuses_before_building(capsys, monkeypatch):
     assert run_cli(capsys, "weights", "4", "3", "4")[0] == 3  # 24 million points
     code, report, _ = run_cli(capsys, "verify", "4", "3", "4")  # skipped, not refused
     assert code == 0 and report["results"]["checks"]["length"]["pass"] is None
+
+
+def test_weights_long_sweep_needs_slow(capsys, monkeypatch):
+    # W(3,2) q=3 is estimated at 1.7e10 operations: within the budget but
+    # over SLOW_THRESHOLD, so weights refuses it unless --slow is given
+    def no_build(*args):
+        raise AssertionError("built a code the gate should have refused")
+
+    monkeypatch.setattr(cli, "build_code", no_build)
+    code, _, err = run_cli(capsys, "weights", "3", "2", "3")
+    assert code == 3 and "--slow" in err
+    args = build_parser().parse_args(["weights", "3", "2", "3", "--slow"])
+    _, _, est, budget, admitted = cli._gate(args)  # the sweep itself is not run
+    assert cli.SLOW_THRESHOLD < est <= budget and admitted

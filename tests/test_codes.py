@@ -5,14 +5,16 @@ import io
 import numpy as np
 import pytest
 
-from sympgrass import formulas
+from sympgrass import codes, formulas
 from sympgrass.codes import (
     BudgetError,
+    LinearCode,
     WeightEnumerator,
     build_code,
     codeword_from_form,
     min_distance,
     read_generator,
+    transposed_rref,
     weight_enumerator,
     write_generator,
 )
@@ -23,7 +25,8 @@ from sympgrass.forms import (
     worst_case_theta,
 )
 from sympgrass.gf import GF
-from sympgrass.linalg import rank
+from sympgrass.grassmann import isotropic_stack, plucker_batch
+from sympgrass.linalg import rank, rref
 
 from oracles import oracle_weight_enumerator, oracle_weight_enumerator_gf2
 
@@ -41,13 +44,62 @@ def test_build_code_parameters(n, k, q, N, K):
 
 def test_generator_rows_span_plucker_rows():
     # the generator row space equals the span of the coordinate functionals
-    from sympgrass.grassmann import isotropic_stack, plucker_batch
-
     f = GF(2)
     code = build_code(2, 2, f)
     pl = plucker_batch(f, isotropic_stack(2, 2, f))
     stacked = np.concatenate([np.ascontiguousarray(pl.T), code.generator], axis=0)
     assert rank(f, stacked) == code.K
+
+
+GENERATOR_CASES = [
+    (n, k, q) for q in (2, 3) for n in range(1, 5) for k in range(1, n + 1)
+] + [(2, 2, 4), (3, 3, 4), (3, 2, 4), (2, 2, 5), (3, 2, 5), (2, 2, 8), (3, 3, 8), (2, 2, 9)]
+
+
+@pytest.mark.parametrize("n,k,q", GENERATOR_CASES)
+def test_generator_is_rref_of_transpose(n, k, q):
+    # byte for byte the nonzero rows of the full row reduction of pl.T
+    f = GF(q)
+    pl = plucker_batch(f, isotropic_stack(n, k, f))
+    reduced, rk, _ = rref(f, np.ascontiguousarray(pl.T))
+    gen = build_code(n, k, f).generator
+    assert gen.dtype == np.uint8 and gen.flags.c_contiguous
+    assert gen.tobytes() == reduced[:rk].tobytes()
+    assert gen.shape == (formulas.dimension(n, k), formulas.length(n, k, q))
+
+
+def test_transposed_rref_grows_a_sample_that_misses_a_column(monkeypatch):
+    # column 2 is nonzero only on row 5, which the stride sample skips; the
+    # full check finds it, adds the row and reduces again
+    f = GF(3)
+    rng = np.random.default_rng(11)
+    pl = np.zeros((100, 4), dtype=np.uint8)
+    pl[:, 0] = rng.integers(1, 3, size=100)
+    pl[:, 1] = f.arr_mul(pl[:, 0], np.uint8(2))
+    pl[:, 3] = rng.integers(0, 3, size=100)
+    pl[5, 2] = 1
+    sample_rows = []
+
+    def counting_rref(field, m):
+        sample_rows.append(m.shape[0])
+        return rref(field, m)
+
+    monkeypatch.setattr(codes, "rref", counting_rref)
+    gen = transposed_rref(f, pl)
+    reduced, rk, _ = rref(f, np.ascontiguousarray(pl.T))
+    assert rk == 3 and gen.tobytes() == reduced[:rk].tobytes()
+    # the first sample has 4 * width rows; one later sample has one more
+    assert sample_rows[0] == 16 and 17 in sample_rows
+
+
+def test_transposed_rref_of_zero_matrix():
+    assert transposed_rref(GF(2), np.zeros((9, 3), dtype=np.uint8)).shape == (0, 9)
+
+
+def test_build_w55_q2_has_the_formula_dimension():
+    # k = 5: no ceiling on the size of the Plücker minors
+    code = build_code(5, 5, GF(2))
+    assert (code.N, code.K) == (formulas.length(5, 5, 2), 132)
 
 
 def test_w22_q2_against_oracle_and_table():
@@ -197,6 +249,56 @@ def test_generator_file_round_trip(tmp_path):
 def test_read_generator_rejects_bad_header():
     with pytest.raises(ValueError):
         read_generator(io.StringIO("3 5\n"))
+
+
+# zero, repeated, proportional and dependent rows and columns over GF(3):
+# row 2 = row 0 + row 1, row 3 is zero, row 4 repeats row 0; column 4 is
+# zero, column 5 repeats column 0 and column 6 is twice column 2
+ODD_GENERATOR = np.array(
+    [
+        [1, 0, 2, 1, 0, 1, 1],
+        [0, 1, 1, 2, 0, 0, 2],
+        [1, 1, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 2, 1, 0, 1, 1],
+    ],
+    dtype=np.uint8,
+)
+
+
+def odd_code():
+    return LinearCode(field=GF(3), n=None, k=None, N=7, K=5, generator=ODD_GENERATOR.copy())
+
+
+def test_power_moments_hold_for_any_generator():
+    code = odd_code()
+    for method in ("codeword", "hyperplane"):
+        we = weight_enumerator(code, method=method)
+        assert we.distribution == oracle_weight_enumerator(3, ODD_GENERATOR.tolist())
+
+
+@pytest.mark.parametrize("moment", ["first", "second"])
+def test_power_moments_catch_a_wrong_histogram(monkeypatch, moment):
+    # keep the q^K total but move weight: one word from w to w+1 breaks the
+    # first moment; one word each from w-1 and w+1 to w keeps it and breaks
+    # the second
+    orig = codes._sweep_histogram
+
+    def wrong(*args):
+        hist = orig(*args).copy()
+        w = int(np.nonzero(hist[1:])[0][0]) + 2
+        if moment == "first":
+            hist[w - 1] -= 1
+            hist[w] += 1
+        else:
+            hist[w - 1] -= 1
+            hist[w + 1] -= 1
+            hist[w] += 2
+        return hist
+
+    monkeypatch.setattr(codes, "_sweep_histogram", wrong)
+    with pytest.raises(AssertionError, match=f"{moment} power moment"):
+        weight_enumerator(build_code(2, 2, GF(3)))
 
 
 def test_weight_enumerator_dataclass_helpers():

@@ -8,7 +8,6 @@ from sympgrass.forms import is_totally_isotropic, standard_symplectic
 from sympgrass.gf import GF
 from sympgrass.grassmann import (
     count_isotropic,
-    det_batch,
     enumerate_isotropic,
     grassmann_lines,
     grassmann_lines_through,
@@ -27,16 +26,31 @@ def test_k_subsets_lex_order():
     assert k_subsets(4, 2) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@pytest.mark.parametrize("q", [3, 4])
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_det_batch_against_leibniz(q, m):
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_plucker_batch_against_leibniz(q, k):
+    # random bases, not in RREF, so every minor is exercised
     f = GF(q)
-    rng = np.random.default_rng(q * 10 + m)
-    mats = rng.integers(0, q, size=(40, m, m)).astype(np.uint8)
-    got = det_batch(f, mats)
+    rng = np.random.default_rng(q * 10 + k)
+    d = k + 2 if k <= 4 else k + 1
+    mats = rng.integers(0, q, size=(4 if k <= 4 else 2, k, d)).astype(np.uint8)
+    got = plucker_batch(f, mats)
+    assert got.shape == (mats.shape[0], len(k_subsets(d, k)))
     for i in range(mats.shape[0]):
-        expect = oracle_det(q, [[int(x) for x in row] for row in mats[i]])
-        assert int(got[i]) == expect
+        for j, cols in enumerate(k_subsets(d, k)):
+            expect = oracle_det(q, [[int(row[c]) for c in cols] for row in mats[i]])
+            assert int(got[i, j]) == expect
+
+
+def test_plucker_batch_chunks_agree(monkeypatch):
+    # a chunk of a few points gives the same minors as one chunk of all
+    from sympgrass import grassmann
+
+    f = GF(5)
+    mats = np.random.default_rng(3).integers(0, 5, size=(50, 3, 6)).astype(np.uint8)
+    whole = plucker_batch(f, mats)
+    monkeypatch.setattr(grassmann, "_PLUCKER_CHUNK_ELEMS", 7 * 20)
+    assert np.array_equal(plucker_batch(f, mats), whole)
 
 
 def test_plucker_coordinate_basis_plane():
