@@ -11,14 +11,15 @@ rows of pl[:, P] by one chunked product, which also carries the check.
 Every sweep's distribution is checked against q^K words and the first two
 power moments, which hold for any generator (see _check_power_moments).
 
-Weight enumeration sweeps the whole message space.  Messages are processed
-in blocks: a table of all combinations of the last t generator rows is
-built once, and each block adds one fixed combination of the remaining
-rows, so the amortized cost per codeword is one vectorized row update.
-For q = 2 the table is bit-packed into uint64 words and weights come from
-hardware popcounts.  The hyperplane method sweeps one message per
-projective functional instead (counting hyperplane sections), and scales
-counts by q - 1; both methods must produce identical distributions.
+Weight enumeration sweeps the whole message space with one kernel for
+every q.  A message splits into low digits (a row of a table of all
+combinations of the last t generator rows, built once) and high digits (a
+row of a chunk of combinations of the rows before them).  Encoding each
+symbol as q - 1 float32 indicators turns the weights of all low x high
+pairs into one BLAS product of the encoded rows (_pair_weights), exact
+while 2N < 2^24.  The hyperplane method sweeps one message per projective
+functional instead (counting hyperplane sections), and scales counts by
+q - 1; both methods must produce identical distributions.
 
 Sweeps above a configurable operation budget are refused up front with a
 cost estimate (BudgetError) so CLI behavior stays predictable.
@@ -198,11 +199,19 @@ def transposed_rref(f: Field, pl: np.ndarray) -> np.ndarray:
 # sweep engine
 
 
-def _pick_table_size(q: int, k_rows: int) -> int:
-    t = 1
-    while t + 1 <= k_rows and q ** (t + 1) <= 8192:
-        t += 1
-    return min(t, k_rows)
+_PAIR_CODEWORDS = 1 << 20  # low rows x high rows of one product
+_BLOCK_ELEMS = 1 << 21  # float32 elements of one column block's two encoded operands
+
+
+def _split_rows(q: int, rows: int) -> tuple[int, int]:
+    """(t, r): the last t of `rows` free generator rows make the low table and
+    the r before them one high chunk.  q^(t+r) is the largest power within
+    _PAIR_CODEWORDS, split as evenly as powers of q allow, so both sides of a
+    product have hundreds of rows whenever the code has that many words."""
+    m = 0
+    while m < rows and q ** (m + 1) <= _PAIR_CODEWORDS:
+        m += 1
+    return (m + 1) // 2, m // 2
 
 
 def _low_table(f: Field, rows: np.ndarray) -> np.ndarray:
@@ -231,25 +240,31 @@ def _combo_row(f: Field, rows: np.ndarray, h: int) -> np.ndarray:
     return base
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack (B, N) GF(2) rows into (B, ceil(N/64)) uint64 words."""
-    nrows, ncols = bits.shape
-    words = max(1, (ncols + 63) // 64)
-    packed8 = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
-    out8 = np.zeros((nrows, words * 8), dtype=np.uint8)
-    out8[:, : packed8.shape[1]] = packed8
-    return out8.view(np.uint64)
+def _pair_weights(f: Field, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """weights[b, a] of the codewords low[b] + high[a], as float32.
 
-
-def _block_weights(f: Field, table: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Hamming weights of table[i] + base over GF(q), vectorized per block."""
-    ncols = table.shape[1]
-    if f.e == 1:
-        z = table + base[None, :]  # values stay below 2q <= 32, no wraparound
-        w = ncols - np.count_nonzero(z == 0, axis=1) - np.count_nonzero(z == f.q, axis=1)
-        return w
-    z = f.arr_add(table, base[None, :])
-    return np.count_nonzero(z, axis=1)
+    Symbols are encoded by two q x (q-1) float32 tables, E_lo[v, c-1] = [v = c]
+    and E_hi[v, c-1] = [-v = c] + [v != 0].  For x, y in GF(q),
+    [x != -y] = [x != 0] + [y != 0] - E_lo(x) . E_hi(y), so the weights are
+    |low| + |high| minus one product of the encoded rows, taken in column
+    blocks.  Every entry of a block product, of their sum and of the weights
+    is an integer of at most 2N, so the float32 arithmetic is exact while
+    2N < 2^24 (checked by _sweep_histogram).
+    """
+    q, n_lo, n_hi = f.q, low.shape[0], high.shape[0]
+    lo_tab = np.eye(q, q - 1, -1, dtype=np.float32)
+    hi_tab = lo_tab[f.neg_table] + lo_tab.any(axis=1, keepdims=True)
+    step = max(1, _BLOCK_ELEMS // ((n_lo + n_hi) * (q - 1)))
+    acc = np.zeros((n_lo, n_hi), dtype=np.float32)
+    prod = np.empty_like(acc)
+    for c in range(0, low.shape[1], step):
+        # encodings are below q, so "clip" never clips; it skips the bounds check
+        a = np.take(lo_tab, low[:, c : c + step], axis=0, mode="clip").reshape(n_lo, -1)
+        b = np.take(hi_tab, high[:, c : c + step], axis=0, mode="clip").reshape(n_hi, -1)
+        acc += np.matmul(a, b.T, out=prod)  # exact: integers of at most 2N < 2^24
+    np.subtract(np.count_nonzero(low, axis=1)[:, None], acc, out=acc)
+    acc += np.count_nonzero(high, axis=1)
+    return acc
 
 
 def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
@@ -260,61 +275,56 @@ def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
 def _sweep_histogram(
     f: Field, gen: np.ndarray, method: str, threads: int
 ) -> np.ndarray:
-    """Exact weight histogram (length N+1 int64) by exhaustive block sweep."""
+    """Exact weight histogram (length N+1 int64) by exhaustive block sweep.
+
+    A message is split into its last t digits (a row of the low table), the
+    r digits before them (a row of the high chunk) and the rest (one base
+    row per task), and each task weighs all its low x high pairs with one
+    _pair_weights product.  'codeword' covers all q^K messages; 'hyperplane'
+    covers, for each lead, the messages whose first nonzero coordinate is a
+    1 there, and scales the counts by q - 1.
+    """
     big_k, big_n = gen.shape
     q = f.q
-    packed = q == 2
-    t = _pick_table_size(q, big_k if method == "codeword" else max(big_k - 1, 1))
-    table = _low_table(f, gen[big_k - t :])
-    table_p = _pack_rows(table) if packed else None
+    if method not in ("codeword", "hyperplane"):
+        raise ValueError(f"unknown sweep method {method!r}")
+    if 2 * big_n >= 1 << 24:
+        raise ValueError(
+            f"sweep of length N={big_n} is not exact in float32: needs 2N < 2^24"
+        )
+    t, r = _split_rows(q, big_k if method == "codeword" else max(big_k - 1, 0))
+    low = _low_table(f, gen[big_k - t :])
+    chunk = _low_table(f, gen[big_k - t - r : big_k - t])
 
+    # (lead, outer digits h, high chunk rows, low table rows)
     if method == "codeword":
-        high = gen[: big_k - t]
-        tasks: list[tuple] = [(None, h) for h in range(q ** (big_k - t))]
-    elif method == "hyperplane":
+        tasks = [(None, h, chunk.shape[0], low.shape[0])
+                 for h in range(q ** (big_k - t - r))]
+    else:
         tasks = []
         for lead in range(big_k):
             s = big_k - 1 - lead
-            if s <= t:
-                tasks.append((lead, None))
-            else:
-                tasks.extend((lead, h) for h in range(q ** (s - t)))
-    else:
-        raise ValueError(f"unknown sweep method {method!r}")
+            lo_rows = min(s, t)
+            hi_rows = min(s - lo_rows, r)
+            tasks.extend((lead, h, q**hi_rows, q**lo_rows)
+                         for h in range(q ** (s - lo_rows - hi_rows)))
 
-    def base_for(task) -> np.ndarray:
-        lead, h = task
+    def base_for(lead, h) -> np.ndarray:
         if lead is None:
-            return _combo_row(f, high, h)
-        base = gen[lead].copy()
-        if h is not None:
-            mid = gen[lead + 1 : big_k - t]
-            base = f.arr_add(base, _combo_row(f, mid, h))
-        return base
+            return _combo_row(f, gen[: big_k - t - r], h)
+        return f.arr_add(gen[lead], _combo_row(f, gen[lead + 1 : big_k - t - r], h))
 
     mult = 1 if method == "codeword" else q - 1
 
     def run(task_chunk) -> np.ndarray:
         hist = np.zeros(big_n + 1, dtype=np.int64)
-        for task in task_chunk:
-            lead, h = task
-            base = base_for(task)
-            if lead is None:
-                block_p, block = table_p, table
-            else:
-                size = q ** (big_k - 1 - lead) if h is None else None
-                block = table[:size] if size is not None else table
-                block_p = table_p[:size] if (packed and size is not None) else table_p
-            if packed:
-                w = np.bitwise_count(block_p ^ _pack_rows(base[None, :])[0]).sum(
-                    axis=1, dtype=np.int64
-                )
-            else:
-                w = _block_weights(f, block, base)
-            hist += mult * np.bincount(w, minlength=big_n + 1)
+        for lead, h, n_hi, n_lo in task_chunk:
+            high = f.arr_add(chunk[:n_hi], base_for(lead, h)[None, :])
+            w = _pair_weights(f, low[:n_lo], high)
+            hist += mult * np.bincount(w.ravel().astype(np.intp), minlength=big_n + 1)
         return hist
 
-    if threads <= 1 or len(tasks) < 4:
+    if threads <= 1 or len(tasks) < 2:
         hist = run(tasks)
     else:
         n_chunks = min(len(tasks), threads * 4)
@@ -369,9 +379,11 @@ def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator) -> Non
     q, big_k = f.q, gen.shape[0]
     cols = gen[:, gen.any(axis=0)]
     z = cols.shape[1]
-    lead = cols[(cols != 0).argmax(axis=0), np.arange(z)]
-    normed = f.arr_mul(cols, f.inv_table[lead][None, :])
-    counts = np.unique(normed.T, axis=0, return_counts=True)[1] if z else []
+    counts = []
+    if z:  # with no nonzero column (K = 0 included) there is nothing to normalise
+        lead = cols[(cols != 0).argmax(axis=0), np.arange(z)]
+        normed = f.arr_mul(cols, f.inv_table[lead][None, :])
+        counts = np.unique(normed.T, axis=0, return_counts=True)[1]
     pp = sum(int(c) * (int(c) - 1) for c in counts)
     moments = (
         ("first", 1, z * (q - 1) * q ** (big_k + 1)),

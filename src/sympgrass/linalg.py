@@ -88,10 +88,8 @@ def kernel(f: Field, m: np.ndarray) -> "Subspace":
     if not free:
         return Subspace(f, ncols, np.zeros((0, ncols), dtype=np.uint8))
     basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for t, c in enumerate(free):
-        basis[t, c] = 1
-        for row, pc in enumerate(pivots):
-            basis[t, pc] = f.neg(int(r_mat[row, c]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = f.neg_table[r_mat[:rk][:, free]].T
     return Subspace.from_rows(f, basis)
 
 

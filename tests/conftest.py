@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2, full subspace range)",
+        help="run the long sweeps (W(4,2) q=2, full subspace range)",
     )
 
 

@@ -8,6 +8,7 @@ count_n1_direct, which takes a different route through the package's own
 linear algebra than the eigenspace count it checks.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 # same fixed moduli as the package contract (little-endian coefficients)
@@ -36,6 +37,7 @@ def _undigits(ds, p):
     return out
 
 
+@lru_cache(maxsize=None)  # at most q*q entries per field; the sweeps call it millions of times
 def oracle_add(q, a, b):
     p = ORACLE_CHAR[q]
     if q == p:
@@ -45,6 +47,7 @@ def oracle_add(q, a, b):
     return _undigits([(x + y) % p for x, y in zip(da, db)], p)
 
 
+@lru_cache(maxsize=None)
 def oracle_mul(q, a, b):
     p = ORACLE_CHAR[q]
     if q == p:

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sympgrass import codes, formulas
 from sympgrass.codes import (
@@ -123,8 +124,8 @@ def test_w22_q3_against_oracle_and_table():
 
 
 def test_packed_sweep_against_bitmask_oracle():
-    # W(3,2) q=2 runs through the packed uint64 path; check it against an
-    # integer-bitmask sweep written independently
+    # W(3,2) q=2 against an integer-bitmask sweep written independently of
+    # the float32 sweep kernel
     f = GF(2)
     code = build_code(3, 2, f)
     we = weight_enumerator(code)
@@ -174,7 +175,7 @@ def test_min_distance_early_exit():
     assert min_distance(code) == 6
 
 
-def test_threads_do_not_change_distribution():
+def test_threads_do_not_change_distribution(monkeypatch):
     code = build_code(3, 3, GF(2))
     one = weight_enumerator(code, threads=1)
     four = weight_enumerator(code, threads=4)
@@ -182,6 +183,85 @@ def test_threads_do_not_change_distribution():
     hp1 = weight_enumerator(code, method="hyperplane", threads=1)
     hp3 = weight_enumerator(code, method="hyperplane", threads=3)
     assert hp1.distribution == hp3.distribution
+    # W(2,2) over GF(3) and GF(4) fit one product; small products give
+    # them 9 and 16 tasks to share out
+    monkeypatch.setattr(codes, "_PAIR_CODEWORDS", 64)
+    for q in (3, 4):
+        code = build_code(2, 2, GF(q))
+        for method in ("codeword", "hyperplane"):
+            dists = [weight_enumerator(code, method=method, threads=t).distribution
+                     for t in (1, 2, 3, 4)]
+            assert dists == [formulas.w22_table(q)] * 4
+
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+@st.composite
+def small_generators(draw):
+    """A K x N generator (K <= 4, q^K <= 4096, N <= 12) whose columns are
+    random, zero, repeated or a multiple of an earlier column."""
+    q = draw(st.sampled_from(FIELDS))
+    f = GF(q)
+    big_k = draw(st.integers(1, max(k for k in range(1, 5) if q**k <= 4096)))
+    cols: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat", "scaled")))
+        if kind == "zero":
+            col = [0] * big_k
+        elif kind == "repeat" and cols:
+            col = list(draw(st.sampled_from(cols)))
+        elif kind == "scaled" and cols:
+            lam = draw(st.integers(1, q - 1))
+            col = [f.mul(lam, x) for x in draw(st.sampled_from(cols))]
+        else:
+            col = [draw(st.integers(0, q - 1)) for _ in range(big_k)]
+        cols.append(col)
+    return q, np.array(cols, dtype=np.uint8).T.copy()
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(small_generators())
+def test_sweep_kernel_against_oracle(case):
+    # once as shipped, once with products of at most 16 codewords and column
+    # blocks of one to a few columns, so that task, high-chunk and
+    # column-block boundaries fall inside the message space and inside N
+    q, gen = case
+    code = LinearCode(field=GF(q), n=None, k=None, N=gen.shape[1], K=gen.shape[0],
+                      generator=gen)
+    expected = oracle_weight_enumerator(q, gen.tolist())
+    for tiny in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if tiny:
+                mp.setattr(codes, "_PAIR_CODEWORDS", 16)
+                mp.setattr(codes, "_BLOCK_ELEMS", 16)
+            for method in ("codeword", "hyperplane"):
+                assert weight_enumerator(code, method=method).distribution == expected
+
+
+@pytest.mark.parametrize("big_k,big_n", [(0, 3), (2, 0)])
+def test_sweep_of_an_empty_generator(big_k, big_n):
+    # no rows or no columns: all q^K words have weight 0
+    gen = np.zeros((big_k, big_n), dtype=np.uint8)
+    code = LinearCode(field=GF(3), n=None, k=None, N=big_n, K=big_k, generator=gen)
+    for method in ("codeword", "hyperplane"):
+        assert weight_enumerator(code, method=method).distribution == {0: 3**big_k}
+
+
+def test_float32_exactness_guard(monkeypatch):
+    # 2N = 2^24 breaks the bound: refused before any product is taken
+    def no_product(*args):
+        raise AssertionError("product taken")
+
+    monkeypatch.setattr(codes, "_pair_weights", no_product)
+    wide = np.zeros((1, 1 << 23), dtype=np.uint8)
+    wide[0, 0] = 1
+    code = LinearCode(field=GF(2), n=None, k=None, N=1 << 23, K=1, generator=wide)
+    with pytest.raises(ValueError, match=r"2N < 2\^24"):
+        weight_enumerator(code)
+    # one column fewer is within the bound and reaches the product
+    with pytest.raises(AssertionError, match="product taken"):
+        codes._sweep_histogram(GF(2), wide[:, 1:], "codeword", 1)
 
 
 def test_budget_guard():
