@@ -378,8 +378,13 @@ def _add_common(sp):
     sp.add_argument("--budget", type=int, default=None,
                     help=f"sweep operation budget (default {DEFAULT_BUDGET:.0e})")
     sp.add_argument("--slow", action="store_true",
-                    help="unlock the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2)")
-    sp.add_argument("--method", choices=["codeword", "hyperplane"], default="codeword")
+                    help="unlock the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2, "
+                         "W(3,2) and W(3,3) q=4)")
+    sp.add_argument("--method", choices=["codeword", "hyperplane"], default="codeword",
+                    help="codeword: count-vector transform over all q^K messages "
+                         "(exact while N < 2^24); hyperplane: float32 sweep of the "
+                         "projective functionals, counts times q-1 (exact while "
+                         "2N < 2^24)")
 
 
 def _add_trials(sp):

@@ -11,15 +11,22 @@ rows of pl[:, P] by one chunked product, which also carries the check.
 Every sweep's distribution is checked against q^K words and the first two
 power moments, which hold for any generator (see _check_power_moments).
 
-Weight enumeration sweeps the whole message space with one kernel for
-every q.  A message splits into low digits (a row of a table of all
-combinations of the last t generator rows, built once) and high digits (a
-row of a chunk of combinations of the rows before them).  Encoding each
-symbol as q - 1 float32 indicators turns the weights of all low x high
-pairs into one BLAS product of the encoded rows (_pair_weights), exact
-while 2N < 2^24.  The hyperplane method sweeps one message per projective
-functional instead (counting hyperplane sections), and scales counts by
-q - 1; both methods must produce identical distributions.
+Weight enumeration has one engine per method, each for every q, and the
+two must produce identical distributions.  The codeword method is a
+count-vector transform over all q^K messages (_transform_histogram): with
+F(m, c) the number of generator columns g with m.g = c, message m weighs
+N - F(m, 0).  np.bincount tallies the columns by their last t digits and
+c, and those digits are transformed a few at a time by float32 products
+with a fixed 0/1 matrix, so the work per message does not grow with N.
+Every entry is a count of columns, exact while N < 2^24; a block of F holds
+at most _TRANSFORM_BLOCK = 2^18 float32 entries (1 MB).  The hyperplane
+method sweeps one message per projective functional (counting hyperplane
+sections) and scales counts by q - 1.  Its messages split into low digits
+(a row of a table of all combinations of the last t generator rows, built
+once) and high digits (a row of a chunk of combinations of the rows before
+them); encoding each symbol as q - 1 float32 indicators turns the weights
+of all low x high pairs into one BLAS product of the encoded rows
+(_pair_weights), exact while 2N < 2^24.
 
 Sweeps above a configurable operation budget are refused up front with a
 cost estimate (BudgetError) so CLI behavior stays predictable.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,7 +204,7 @@ def transposed_rref(f: Field, pl: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sweep engine
+# weight engines: the hyperplane pair sweep, then the codeword transform
 
 
 _PAIR_CODEWORDS = 1 << 20  # low rows x high rows of one product
@@ -272,72 +280,178 @@ def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
     return n_codewords * big_n
 
 
+def _run_tasks(run, tasks, threads: int) -> np.ndarray:
+    """Sum of the histograms run(chunk) over chunks of tasks, shared over threads."""
+    if threads <= 1 or len(tasks) < 2:
+        return run(tasks)
+    n_chunks = min(len(tasks), threads * 4)
+    bounds = np.linspace(0, len(tasks), n_chunks + 1, dtype=int)
+    chunks = [tasks[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(run, chunks))
+
+
 def _sweep_histogram(
     f: Field, gen: np.ndarray, method: str, threads: int
 ) -> np.ndarray:
-    """Exact weight histogram (length N+1 int64) by exhaustive block sweep.
+    """Exact weight histogram (length N+1 int64) of the chosen method.
 
-    A message is split into its last t digits (a row of the low table), the
-    r digits before them (a row of the high chunk) and the rest (one base
-    row per task), and each task weighs all its low x high pairs with one
-    _pair_weights product.  'codeword' covers all q^K messages; 'hyperplane'
-    covers, for each lead, the messages whose first nonzero coordinate is a
-    1 there, and scales the counts by q - 1.
+    'codeword' is the count-vector transform (_transform_histogram).
+    'hyperplane' covers, for each lead, the messages whose first nonzero
+    coordinate is a 1 there, and scales the counts by q - 1.  Such a
+    message is split into its last t digits (a row of the low table), the r
+    digits before them (a row of the high chunk) and the rest (one base row
+    per task), and each task weighs all its low x high pairs with one
+    _pair_weights product, exact while 2N < 2^24.
     """
+    if method == "codeword":
+        return _transform_histogram(f, gen, threads)
+    if method != "hyperplane":
+        raise ValueError(f"unknown sweep method {method!r}")
     big_k, big_n = gen.shape
     q = f.q
-    if method not in ("codeword", "hyperplane"):
-        raise ValueError(f"unknown sweep method {method!r}")
     if 2 * big_n >= 1 << 24:
         raise ValueError(
             f"sweep of length N={big_n} is not exact in float32: needs 2N < 2^24"
         )
-    t, r = _split_rows(q, big_k if method == "codeword" else max(big_k - 1, 0))
+    t, r = _split_rows(q, max(big_k - 1, 0))
     low = _low_table(f, gen[big_k - t :])
     chunk = _low_table(f, gen[big_k - t - r : big_k - t])
 
     # (lead, outer digits h, high chunk rows, low table rows)
-    if method == "codeword":
-        tasks = [(None, h, chunk.shape[0], low.shape[0])
-                 for h in range(q ** (big_k - t - r))]
-    else:
-        tasks = []
-        for lead in range(big_k):
-            s = big_k - 1 - lead
-            lo_rows = min(s, t)
-            hi_rows = min(s - lo_rows, r)
-            tasks.extend((lead, h, q**hi_rows, q**lo_rows)
-                         for h in range(q ** (s - lo_rows - hi_rows)))
-
-    def base_for(lead, h) -> np.ndarray:
-        if lead is None:
-            return _combo_row(f, gen[: big_k - t - r], h)
-        return f.arr_add(gen[lead], _combo_row(f, gen[lead + 1 : big_k - t - r], h))
-
-    mult = 1 if method == "codeword" else q - 1
+    tasks = []
+    for lead in range(big_k):
+        s = big_k - 1 - lead
+        lo_rows = min(s, t)
+        hi_rows = min(s - lo_rows, r)
+        tasks.extend((lead, h, q**hi_rows, q**lo_rows)
+                     for h in range(q ** (s - lo_rows - hi_rows)))
 
     def run(task_chunk) -> np.ndarray:
         hist = np.zeros(big_n + 1, dtype=np.int64)
         for lead, h, n_hi, n_lo in task_chunk:
-            high = f.arr_add(chunk[:n_hi], base_for(lead, h)[None, :])
+            base = f.arr_add(gen[lead], _combo_row(f, gen[lead + 1 : big_k - t - r], h))
+            high = f.arr_add(chunk[:n_hi], base[None, :])
             w = _pair_weights(f, low[:n_lo], high)
-            hist += mult * np.bincount(w.ravel().astype(np.intp), minlength=big_n + 1)
+            hist += np.bincount(w.ravel().astype(np.intp), minlength=big_n + 1)
         return hist
 
-    if threads <= 1 or len(tasks) < 2:
-        hist = run(tasks)
-    else:
-        n_chunks = min(len(tasks), threads * 4)
-        bounds = np.linspace(0, len(tasks), n_chunks + 1, dtype=int)
-        chunks = [tasks[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        hist = np.zeros(big_n + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run, chunks):
-                hist += part
-
-    if method == "hyperplane":
-        hist[0] += 1  # the zero word is not covered by projective functionals
+    hist = (q - 1) * _run_tasks(run, tasks, threads)
+    hist[0] += 1  # the zero word is not covered by projective functionals
     return hist
+
+
+# ---------------------------------------------------------------------------
+# codeword method: the count-vector transform
+
+
+_TRANSFORM_BLOCK = 1 << 18  # float32 entries of one block of F (at most 2^20)
+_RADIX = {2: 5, 3: 3, 4: 2}  # digits per stage, measured; 1 for every other q
+
+
+@lru_cache(maxsize=None)
+def _stage_matrix(f: Field, s: int) -> np.ndarray:
+    """The 0/1 float32 matrix T[(u, c), (m, c')] = [c' = c + m.u] of one stage
+    over s digits, side q^(s+1); u and m are base-q numbers, first digit most
+    significant."""
+    q = f.q
+    digits = np.arange(q**s)[:, None] // q ** np.arange(s - 1, -1, -1) % q
+    dot = np.zeros((q**s, q**s), dtype=np.uint8)  # dot[u, m] = m.u
+    for i in range(s):
+        dot = f.add_table[dot, f.mul_table[digits[:, None, i], digits[None, :, i]]]
+    u, m, c = np.ix_(np.arange(q**s), np.arange(q**s), np.arange(q))
+    mat = np.zeros((q**s, q, q**s, q), dtype=np.float32)
+    mat[u, c, m, f.add_table[c, dot[:, :, None]]] = 1
+    mat = mat.reshape(q ** (s + 1), q ** (s + 1))
+    mat.setflags(write=False)
+    return mat
+
+
+def _transform_digits(q: int, big_k: int, big_n: int) -> tuple[int, int]:
+    """(t, b): the last t generator rows are transformed, and a block holds
+    q^b values of the rows before them, so that a block of F has
+    q^(b+t+1) <= _TRANSFORM_BLOCK entries.  t is the smallest with
+    q^t >= 4N, capped by K and the block: the direct tally then costs at most
+    a quarter of a column per message, and each further inner digit would
+    add a fraction of a stage."""
+    top = 0
+    while q ** (top + 2) <= _TRANSFORM_BLOCK:
+        top += 1
+    t = min(big_k, top)
+    while t > 0 and q ** (t - 1) >= 4 * big_n:
+        t -= 1
+    return t, min(big_k - t, top - t)
+
+
+def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
+    """Exact weight histogram (length N+1 int64) of all q^K messages.
+
+    F(m, c) counts the columns g with m.g = c, so message m weighs
+    N - F(m, 0).  The last t generator rows are the inner digits u of a
+    column and the rows before them the outer digits.  For each outer
+    value, np.bincount tallies the columns by (u, c), c the outer value's
+    dot product with the column; a block stacks q^b outer values.  The
+    inner digits are then transformed s at a time, by one product with
+    _stage_matrix(f, s) per stage: the stage's digits sit next to the c
+    axis, and after the product the transformed digits rotate to the front
+    (one copy), which brings the next digits next to c.  The last stage
+    keeps only the c' = 0 columns.  Every entry of F, of a product and of
+    its partial sums counts a set of columns, so it is an integer of at
+    most N and the float32 arithmetic is exact while N < 2^24.
+    """
+    big_k, big_n = gen.shape
+    q = f.q
+    if big_n >= 1 << 24:
+        raise ValueError(
+            f"transform of length N={big_n} is not exact in float32: needs N < 2^24"
+        )
+    t, b = _transform_digits(q, big_k, big_n)
+    radix = _RADIX.get(q, 1)
+    stages = [radix] * (t // radix) + ([t % radix] if t % radix else [])
+    mats = [_stage_matrix(f, s) for s in stages]
+    if mats:
+        side = mats[-1].shape[0]
+        mats[-1] = np.ascontiguousarray(mats[-1].reshape(side, side // q, q)[:, :, 0])
+    # the q float32 entries of one (digits, c) row move as one element: as a
+    # 2-d transpose the rotation is several times faster than as a 3-d one
+    rotate = np.dtype((np.void, 4 * q))
+    outer = gen[: big_k - t]
+    n_block = q**b
+    block = n_block * q ** (t + 1)
+    inner = q ** np.arange(t - 1, -1, -1, dtype=np.int64) @ gen[big_k - t :].astype(np.int64)
+    offsets = (np.arange(n_block, dtype=np.int64)[:, None] * q**t + inner) * q
+    powers = q ** np.arange(big_k - t - 1, -1, -1, dtype=np.int64)
+    per_chunk = max(1, block // max(1, n_block * big_n))  # blocks per outer product
+
+    def transform(counts: np.ndarray, prod: np.ndarray) -> np.ndarray:
+        """F(m, 0) of one block from its tally (overwritten)."""
+        for mat in mats[:-1]:
+            side = mat.shape[0]
+            rows = block // side
+            np.matmul(counts.reshape(rows, side), mat, out=prod.reshape(rows, side))
+            np.copyto(counts.view(rotate).reshape(side // q, rows),
+                      prod.view(rotate).reshape(rows, side // q).T)
+        if not mats:
+            return counts.reshape(-1, q)[:, 0]
+        return counts.reshape(-1, mats[-1].shape[0]) @ mats[-1]
+
+    def run(block_ids) -> np.ndarray:
+        zeros_hist = np.zeros(big_n + 1, dtype=np.int64)
+        prod = np.empty(block, dtype=np.float32)
+        for i in range(0, len(block_ids), per_chunk):
+            ids = block_ids[i : i + per_chunk]
+            msgs = np.arange(ids[0] * n_block, (ids[-1] + 1) * n_block)
+            vals = (f.matmul((msgs[:, None] // powers % q).astype(np.uint8), outer)
+                    if big_k > t else np.zeros((msgs.size, big_n), dtype=np.uint8))
+            for j in range(len(ids)):
+                tally = np.bincount((offsets + vals[j * n_block : (j + 1) * n_block]).ravel(),
+                                    minlength=block)
+                zeros = transform(tally.astype(np.float32), prod)
+                zeros_hist += np.bincount(zeros.ravel().astype(np.intp), minlength=big_n + 1)
+        return zeros_hist
+
+    blocks = range(q ** (big_k - t - b))
+    return _run_tasks(run, blocks, threads)[::-1].copy()
 
 
 def weight_enumerator(
@@ -346,10 +460,13 @@ def weight_enumerator(
     threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> WeightEnumerator:
-    """Exact weight distribution of the code by exhaustive sweep.
+    """Exact weight distribution of the code.
 
-    method 'codeword' walks all q^K messages; 'hyperplane' walks the
-    (q^K - 1)/(q - 1) projective functionals and scales by q - 1.
+    method 'codeword' transforms the column counts of all q^K messages
+    (exact while N < 2^24); 'hyperplane' weighs the (q^K - 1)/(q - 1)
+    projective functionals with float32 products (exact while 2N < 2^24)
+    and scales by q - 1.  Both share their blocks over `threads`; a longer
+    code raises ValueError before any product is taken.
     """
     f = code.field
     est = _estimate_ops(f.q, code.K, code.N, method)

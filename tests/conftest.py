@@ -6,7 +6,8 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the long sweeps (W(4,2) q=2, full subspace range)",
+        help="run the long tests: the GF(4) sweeps of W(3,2) and W(3,3), the "
+        "full subspace range and every alternating form on GF(2)^6 (~2 min)",
     )
 
 

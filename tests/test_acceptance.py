@@ -1,18 +1,19 @@
 """Acceptance suite: one test per verification criterion, exact tolerances.
 
-Each test prints one PASS/FAIL line to stderr.  The long sweep of W(4,2)
-over GF(2) carries the slow marker; enable it with --runslow.  The sweeps
-of W(3,2) and W(3,3) over GF(3) kept their "_slow" names but run in the
-default suite (about a second each).
+Each test prints one PASS/FAIL line to stderr.  The CLI sweeps of W(3,2)
+and W(3,3) over GF(4) carry the slow marker; enable them with --runslow.
+The sweeps of W(3,2) and W(3,3) over GF(3) and of W(4,2) over GF(2) kept
+their "_slow" names but run in the default suite (a few seconds at most).
 """
 
+import json
 import sys
 import time
 
 import numpy as np
 import pytest
 
-from sympgrass import formulas
+from sympgrass import cli, formulas
 from sympgrass.codes import build_code, min_distance, weight_enumerator
 from sympgrass.forms import (
     count_common_isotropic_lines,
@@ -97,7 +98,6 @@ def test_criterion_03_line_dmin_33_slow():
     assert elapsed < 600
 
 
-@pytest.mark.slow
 def test_criterion_03_line_dmin_42_slow():
     t0 = time.perf_counter()
     code = build_code(4, 2, GF(2))
@@ -107,6 +107,25 @@ def test_criterion_03_line_dmin_42_slow():
     report("3 d_min W(4,2) q=2 [slow]", ok, f"d={d} in {elapsed:.1f}s")
     assert d == formulas.dmin_line(4, 2) == 2016
     assert elapsed < 1800
+
+
+def run_weights(capsys, *argv) -> tuple[int, dict, float]:
+    """`sympgrass weights ...` in process: exit code, results, seconds."""
+    t0 = time.perf_counter()
+    rc = cli.main(["weights", *argv])
+    elapsed = time.perf_counter() - t0
+    return rc, json.loads(capsys.readouterr().out)["results"], elapsed
+
+
+@pytest.mark.slow
+def test_criterion_03_line_dmin_34_slow(capsys):
+    """`weights 3 2 4 --slow`: all 4^14 codewords of length 23205."""
+    rc, res, elapsed = run_weights(capsys, "3", "2", "4", "--slow")
+    expected = formulas.dmin_line(3, 4)
+    ok = rc == 0 and res["d_min"] == expected
+    report("3 d_min W(3,2) q=4 [slow]", ok, f"d={res['d_min']} in {elapsed:.1f}s")
+    assert rc == 0
+    assert res["d_min"] == expected == 4**7 - 4**3
 
 
 def test_criterion_04_w22_tables():
@@ -147,6 +166,18 @@ def test_criterion_05_w33_table_q3_slow():
     assert we.distribution == expected
     assert sorted(w for w in expected if w) == [648, 729, 756, 810]
     assert elapsed < 600
+
+
+@pytest.mark.slow
+def test_criterion_05_w33_table_q4_slow(capsys):
+    """`weights 3 3 4 --slow`: the rank 3 Lagrangian-Grassmannian table over GF(4)."""
+    rc, res, elapsed = run_weights(capsys, "3", "3", "4", "--slow")
+    got = {int(w): c for w, c in res["distribution"].items()}
+    expected = formulas.w33_table(4)
+    ok = rc == 0 and got == expected
+    report("5 W(3,3) table q=4 [slow]", ok, f"{elapsed:.1f}s")
+    assert rc == 0 and res["table_match"] is True
+    assert got == expected
 
 
 def test_criterion_06_line_identity_random():

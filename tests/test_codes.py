@@ -137,8 +137,11 @@ def test_packed_sweep_against_bitmask_oracle():
     assert we.d_min == 120
 
 
-@pytest.mark.parametrize("n,k,q", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 2, 4)])
+@pytest.mark.parametrize(
+    "n,k,q", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 2, 4), (2, 2, 5), (2, 2, 8), (2, 2, 13)]
+)
 def test_method_agreement(n, k, q):
+    # the count-vector transform against the hyperplane pair sweep
     code = build_code(n, k, GF(q))
     cw = weight_enumerator(code, method="codeword")
     hp = weight_enumerator(code, method="hyperplane")
@@ -176,18 +179,24 @@ def test_min_distance_early_exit():
 
 
 def test_threads_do_not_change_distribution(monkeypatch):
+    # blocks of 64 entries split each transform into many blocks
+    monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", 64)
     code = build_code(3, 3, GF(2))
+    big_k = code.K
+    t, b = codes._transform_digits(2, big_k, code.N)
+    assert big_k - t - b >= 4  # at least 16 blocks
     one = weight_enumerator(code, threads=1)
     four = weight_enumerator(code, threads=4)
-    assert one.distribution == four.distribution
+    assert one.distribution == four.distribution == formulas.w33_table(2)
     hp1 = weight_enumerator(code, method="hyperplane", threads=1)
     hp3 = weight_enumerator(code, method="hyperplane", threads=3)
     assert hp1.distribution == hp3.distribution
     # W(2,2) over GF(3) and GF(4) fit one product; small products give
-    # them 9 and 16 tasks to share out
+    # them 9 and 16 tasks to share out, and the transform 27 and 64 blocks
     monkeypatch.setattr(codes, "_PAIR_CODEWORDS", 64)
     for q in (3, 4):
         code = build_code(2, 2, GF(q))
+        assert sum(codes._transform_digits(q, code.K, code.N)) == 2
         for method in ("codeword", "hyperplane"):
             dists = [weight_enumerator(code, method=method, threads=t).distribution
                      for t in (1, 2, 3, 4)]
@@ -223,18 +232,22 @@ def small_generators(draw):
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(small_generators())
 def test_sweep_kernel_against_oracle(case):
-    # once as shipped, once with products of at most 16 codewords and column
-    # blocks of one to a few columns, so that task, high-chunk and
-    # column-block boundaries fall inside the message space and inside N
+    # once as shipped, then twice with products of at most 16 codewords,
+    # column blocks of one to a few columns and transform blocks of q^3 and
+    # q^5 entries at radix 2, so that task, high-chunk, column-block and
+    # outer-digit block boundaries fall inside the message space and inside
+    # N, and a stage of one digit follows a stage of two
     q, gen = case
     code = LinearCode(field=GF(q), n=None, k=None, N=gen.shape[1], K=gen.shape[0],
                       generator=gen)
     expected = oracle_weight_enumerator(q, gen.tolist())
-    for tiny in (False, True):
+    for block in (None, q**3, q**5):
         with pytest.MonkeyPatch.context() as mp:
-            if tiny:
+            if block:
                 mp.setattr(codes, "_PAIR_CODEWORDS", 16)
                 mp.setattr(codes, "_BLOCK_ELEMS", 16)
+                mp.setattr(codes, "_TRANSFORM_BLOCK", block)
+                mp.setattr(codes, "_RADIX", {q: 2})
             for method in ("codeword", "hyperplane"):
                 assert weight_enumerator(code, method=method).distribution == expected
 
@@ -249,7 +262,7 @@ def test_sweep_of_an_empty_generator(big_k, big_n):
 
 
 def test_float32_exactness_guard(monkeypatch):
-    # 2N = 2^24 breaks the bound: refused before any product is taken
+    # hyperplane: 2N = 2^24 breaks the bound, refused before any product
     def no_product(*args):
         raise AssertionError("product taken")
 
@@ -258,8 +271,25 @@ def test_float32_exactness_guard(monkeypatch):
     wide[0, 0] = 1
     code = LinearCode(field=GF(2), n=None, k=None, N=1 << 23, K=1, generator=wide)
     with pytest.raises(ValueError, match=r"2N < 2\^24"):
-        weight_enumerator(code)
+        weight_enumerator(code, method="hyperplane")
     # one column fewer is within the bound and reaches the product
+    with pytest.raises(AssertionError, match="product taken"):
+        codes._sweep_histogram(GF(2), wide[:, 1:], "hyperplane", 1)
+
+
+def test_float32_exactness_guard_codeword(monkeypatch):
+    # the transform: N = 2^24 breaks N < 2^24, refused before the stage
+    # matrices of its products are fetched
+    def no_product(*args):
+        raise AssertionError("product taken")
+
+    monkeypatch.setattr(codes, "_stage_matrix", no_product)
+    wide = np.zeros((1, 1 << 24), dtype=np.uint8)
+    wide[0, 0] = 1
+    code = LinearCode(field=GF(2), n=None, k=None, N=1 << 24, K=1, generator=wide)
+    with pytest.raises(ValueError, match=r"needs N < 2\^24"):
+        weight_enumerator(code)
+    # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
         codes._sweep_histogram(GF(2), wide[:, 1:], "codeword", 1)
 
