@@ -4,6 +4,10 @@ Houses the fixed standard symplectic form (Gram matrix [[0, I], [-I, 0]]),
 arbitrary alternating forms, perp/radical computations, the eigenspace
 analysis of M^-1 S for a pair of forms, and the point/line counts that
 drive the minimum-distance verification for the line codes.
+
+N1 comes from the eigenspaces.  eta, the number of lines isotropic for
+both forms, is an exact count that builds no line and does not use N1, so
+the double-counting identity that ties the two stays a check.
 """
 
 from __future__ import annotations
@@ -169,11 +173,21 @@ def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
 
 
 def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm) -> int:
-    """eta: lines totally isotropic for both forms, by one enumeration of them.
+    """eta: the lines (2-subspaces) totally isotropic for both forms.
+
+    Counted, not built: every such line has one RREF basis, whose first row
+    is a projective point p with pivot c0 and zero in the second pivot column
+    c1 > c0, and whose second row is one of cell (c0, c1)'s candidate rows
+    orthogonal to p under both forms (a single vector is isotropic for every
+    alternating form).  So eta is the sum, over the points p and the columns
+    c1 > c0 where p is zero, of the number of such candidate rows: the same
+    pairs the two-form enumeration of lines visits, each counted once, and
+    nothing depends on N1.  Memory is bounded by one chunk of the isotropy
+    filter's product (grassmann._FILTER_CHUNK_ELEMS float32 elements).
 
     sigma must be non-degenerate and n >= 2.
     """
-    from .grassmann import iter_isotropic_batches
+    from . import grassmann
 
     f = sigma.field
     if not sigma.is_nondegenerate():
@@ -183,7 +197,17 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
     if theta.dim != sigma.dim or theta.field != f:
         raise ValueError("forms must live on the same space")
     grams = np.stack([sigma.gram, theta.gram])
-    return sum(batch.shape[0] for batch in iter_isotropic_batches(f, grams, 2))
+    d = sigma.dim
+    eta = 0
+    # every point of a batch has the same pivot, so one batch is (part of) one cell c0
+    for points in grassmann.iter_isotropic_batches(f, sigma.gram, 1):
+        c0 = int((points[0, 0] != 0).argmax())
+        for c1 in range(c0 + 1, d):
+            firsts = points[points[:, 0, c1] == 0]
+            cands = grassmann._row_candidates(f, (c0, c1), d, 1)
+            for _, ok in grassmann._orthogonal_chunks(f, firsts, cands, grams):
+                eta += int(np.count_nonzero(ok))
+    return eta
 
 
 def worst_case_theta(sigma: AlternatingForm) -> AlternatingForm:

@@ -177,8 +177,6 @@ def code_params(n: int, k: int, q: int) -> CodeParams:
     big_k = dimension(n, k)
     if k == 2:
         d: int | None = dmin_line(n, q)
-    elif (n, k) == (2, 2):
-        d = dmin_line(2, q)
     elif (n, k) == (3, 3):
         d = dmin_dps3(q)
     else:

@@ -195,7 +195,12 @@ class Field:
 
     def arr_add(self, a, b) -> np.ndarray:
         if self.e == 1:
-            return ((np.asarray(a, dtype=np.uint8) + np.asarray(b, dtype=np.uint8)) % self.q).astype(np.uint8)
+            # encodings are below q, so s = a + b <= 2q - 2 < 256 is exact in
+            # uint8, and s - q wraps above s exactly when s < q: the minimum
+            # is s mod q, without a division (taken in place unless s is a
+            # scalar, so that one temporary is live, as for a uint8 %)
+            s = np.add(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8), dtype=np.uint8)
+            return np.minimum(s, np.subtract(s, self.q, dtype=np.uint8), out=s if s.ndim else None)
         return self._add_packed[np.asarray(a, dtype=np.uint8) << 4 | np.asarray(b, dtype=np.uint8)]
 
     def arr_neg(self, a) -> np.ndarray:

@@ -128,8 +128,11 @@ def plucker(s: Subspace) -> np.ndarray:
 # isotropic enumeration
 
 
+@lru_cache(maxsize=256)
 def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np.ndarray:
-    """All admissible RREF row-i vectors for the given pivot pattern."""
+    """All admissible RREF row-i vectors for the given pivot pattern (cached
+    and read-only: every enumeration over the same field and dimension, such
+    as one eta count per form, asks for the same tables)."""
     c = pivots[i]
     pset = set(pivots)
     free = [j for j in range(c + 1, ncols) if j not in pset]
@@ -138,24 +141,42 @@ def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np
     rows[:, c] = 1
     if free:
         rows[:, np.asarray(free, dtype=np.intp)] = _digit_block(0, total, len(free), f.q)
+    rows.setflags(write=False)
     return rows
 
 
-def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, duals: np.ndarray) -> np.ndarray:
-    """Extend partial frames by every candidate row orthogonal to all of them.
+def _orthogonal_chunks(
+    f: Field, surv: np.ndarray, cands: np.ndarray, grams: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Which candidate rows are orthogonal to whole frames, chunk by chunk.
 
-    Column (g, t) of duals, shape (d, forms * candidates), is G_g @ cand_t, so
-    frame row x is orthogonal to cand_t under form g iff x @ duals[:, (g, t)] = 0.
+    Yields (part, ok) for consecutive chunks of the (B, r, d) frames surv:
+    ok[b, t] is true iff cands[t] is orthogonal to every row of part[b] under
+    every form of the (forms, d, d) stack grams.  Column (g, t) of duals is
+    G_g @ cand_t, so row x is orthogonal to cand_t under form g iff
+    x @ duals[:, (g, t)] = 0.  A chunk's float32 product inside f.matmul
+    holds at most _FILTER_CHUNK_ELEMS elements (32 MB), whatever B is.
     """
     n_surv, r, d = surv.shape
     n_cand = cands.shape[0]
-    pieces = []
-    # budget in elements of the float32 product inside f.matmul
+    duals = f.matmul(grams, cands.T).transpose(1, 0, 2).reshape(d, -1)
     chunk = max(1, _FILTER_CHUNK_ELEMS // (r * duals.shape[1] * f.e))
     for s in range(0, n_surv, chunk):
         part = surv[s : s + chunk]
         vals = f.matmul(part, duals).reshape(part.shape[0], -1, n_cand)
-        ib, it = np.nonzero(~np.any(vals, axis=1))
+        # OR of the rows x forms slices: zero iff every value is zero
+        acc = vals[:, 0]
+        for j in range(1, vals.shape[1]):
+            acc = acc | vals[:, j]
+        yield part, acc == 0
+
+
+def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """Extend partial frames by every candidate row orthogonal to all of them."""
+    _, r, d = surv.shape
+    pieces = []
+    for part, ok in _orthogonal_chunks(f, surv, cands, grams):
+        ib, it = np.nonzero(ok)
         if ib.size:
             pieces.append(np.concatenate([part[ib], cands[it][:, None, :]], axis=1))
     if not pieces:
@@ -181,8 +202,7 @@ def iter_isotropic_batches(
         surv = _row_candidates(f, pivots, d, 0)[:, None, :]
         for i in range(1, k):
             cands = _row_candidates(f, pivots, d, i)
-            duals = f.matmul(grams, cands.T).transpose(1, 0, 2).reshape(d, -1)
-            surv = _filter_extend(f, surv, cands, duals)
+            surv = _filter_extend(f, surv, cands, grams)
             if surv.shape[0] == 0:
                 break
         if surv.shape[0] == 0:

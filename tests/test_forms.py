@@ -4,8 +4,9 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sympgrass import formulas
+from sympgrass import formulas, grassmann
 from sympgrass.forms import (
     AlternatingForm,
     count_common_isotropic_lines,
@@ -305,6 +306,52 @@ def test_eta_scalar_invariance():
         base = count_common_isotropic_lines(sig, theta)
         for lam in range(3):
             assert count_common_isotropic_lines(sig, subtract_scaled(theta, sig, lam)) == base
+
+
+ETA_CASES = [(2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [(3, q) for q in (2, 3, 4, 5)]
+
+
+def _theta(sig, kind, lam, seed):
+    f = sig.field
+    if kind == "zero":
+        return AlternatingForm(f, np.zeros_like(sig.gram))
+    if kind == "scaled":
+        return AlternatingForm(f, f.arr_mul(sig.gram, np.uint8(lam)))
+    if kind == "worst":
+        return worst_case_theta(sig)
+    return random_alternating_form(f, sig.dim, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n,q", ETA_CASES)
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(("zero", "scaled", "worst", "random")),
+       lam=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+def test_eta_counts_the_lines_it_would_build(n, q, kind, lam, seed):
+    # the counted eta equals the number of frames the two-form enumeration
+    # of lines yields and satisfies the line identity, once as shipped and
+    # once with filter chunks of one frame, so that every cell with more
+    # than one point splits into several chunks
+    f = GF(q)
+    sig = standard_symplectic(n, f)
+    th = _theta(sig, kind, 1 + lam % (q - 1), seed)
+    rhs = formulas.line_identity_rhs(n, q, count_n1(sig, th))
+    for budget in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if budget:
+                mp.setattr(grassmann, "_FILTER_CHUNK_ELEMS", budget)
+            frames = sum(b.shape[0] for b in grassmann.iter_isotropic_batches(
+                f, [sig.gram, th.gram], 2))
+            eta = count_common_isotropic_lines(sig, th)
+            assert eta == frames
+            assert (q + 1) * eta == rhs
+
+
+def test_row_candidates_are_cached_read_only():
+    f = GF(3)
+    rows = grassmann._row_candidates(f, (0, 2), 4, 1)
+    assert grassmann._row_candidates(f, (0, 2), 4, 1) is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 2
 
 
 def test_worst_case_attains_maximum_22():
