@@ -1,84 +1,3 @@
 """Symplectic Grassmann codes over GF(q): construction and exact verification."""
 
-from .codes import (
-    BudgetError,
-    LinearCode,
-    WeightEnumerator,
-    build_code,
-    codeword_from_form,
-    min_distance,
-    read_generator,
-    weight_enumerator,
-    write_generator,
-)
-from .forms import (
-    AlternatingForm,
-    EigenDecomposition,
-    count_common_isotropic_lines,
-    count_n1,
-    eigen_analysis,
-    is_totally_isotropic,
-    perp,
-    radical,
-    random_alternating_form,
-    standard_symplectic,
-    worst_case_theta,
-)
-from .gf import GF, Field
-from .grassmann import (
-    GrassmannLine,
-    count_isotropic,
-    enumerate_isotropic,
-    grassmann_lines,
-    grassmann_lines_through,
-    line_points,
-    plucker,
-)
-from .linalg import (
-    Subspace,
-    enumerate_projective_points,
-    enumerate_subspaces,
-    kernel,
-    rank,
-    rref,
-)
-
-__all__ = [
-    "GF",
-    "Field",
-    "Subspace",
-    "AlternatingForm",
-    "EigenDecomposition",
-    "GrassmannLine",
-    "LinearCode",
-    "WeightEnumerator",
-    "BudgetError",
-    "rref",
-    "rank",
-    "kernel",
-    "enumerate_subspaces",
-    "enumerate_projective_points",
-    "standard_symplectic",
-    "radical",
-    "perp",
-    "is_totally_isotropic",
-    "eigen_analysis",
-    "count_n1",
-    "count_common_isotropic_lines",
-    "worst_case_theta",
-    "random_alternating_form",
-    "plucker",
-    "enumerate_isotropic",
-    "count_isotropic",
-    "grassmann_lines",
-    "grassmann_lines_through",
-    "line_points",
-    "build_code",
-    "weight_enumerator",
-    "min_distance",
-    "codeword_from_form",
-    "write_generator",
-    "read_generator",
-]
-
 __version__ = "0.1.0"

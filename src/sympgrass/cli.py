@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .codes import (
     DEFAULT_BUDGET,
     BudgetError,
     _estimate_ops,
+    _sci,
     build_code,
     codeword_from_form,
-    min_distance,
     weight_enumerator,
     write_generator,
 )
@@ -76,34 +77,68 @@ class UsageError(ValueError):
 def _check_nkq(n: int, k: int, q: int) -> None:
     if not 1 <= k <= n:
         raise UsageError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if n > 300:  # a fixed limit: every closed form up to it takes under a second
+        raise UsageError(f"n={n} is over the largest supported n, 300")
     _field(q)
 
 
-def _gate(args) -> tuple[int, int, int, int, bool]:
-    """Decide, from the closed forms and before anything is built, what a
-    command may build and sweep.
+def _eta_ops(n: int, q: int, counts: int) -> int:
+    """Symbol operations of `counts` eta counts, the sweep estimate's unit:
+    each tests one candidate per 2-subspace of V(2n, q), a product of length
+    2n under each of the two forms."""
+    return counts * 4 * n * formulas.gaussian_binomial(2 * n, 2, q)
 
-    Returns (N, K, sweep estimate, budget, sweep admitted) for the chosen
-    method.  A sweep is admitted if it is within the budget and, without
-    --slow, within SLOW_THRESHOLD.  build and weights refuse a point set
-    over BUILD_POINTS, and weights a sweep that is not admitted
-    (BudgetError, exit 3); verify and bounds skip it.
+
+class Gate(NamedTuple):
+    N: int
+    K: int
+    estimate: int | None  # of the sweep; None for a point set over BUILD_POINTS
+    budget: int
+    sweep: bool  # the sweep is admitted
+    lines_estimate: int | None  # of eta's counts or of verify's line checks
+    lines: bool  # the line checks are admitted
+
+
+def _gate(args) -> Gate:
+    """Decide, from the closed forms and before anything is built, what a
+    command may build, sweep and count.
+
+    A sweep or a set of eta counts is admitted if its estimate is within the
+    budget and, without --slow, within SLOW_THRESHOLD.  build and weights
+    refuse a point set over BUILD_POINTS, weights a sweep that is not
+    admitted, and eta its counts over the budget (BudgetError, exit 3);
+    verify and bounds skip what is not admitted.  q^K is only computed for a point
+    set that could be built, so that no n makes the estimate itself costly.
     """
-    _check_nkq(args.n, args.k, args.q)
-    big_n = formulas.length(args.n, args.k, args.q)
-    big_k = formulas.dimension(args.n, args.k)
-    est = _estimate_ops(args.q, big_k, big_n, getattr(args, "method", "codeword"))
+    n, k, q, command = args.n, args.k, args.q, args.subcommand
+    _check_nkq(n, k, q)
+    big_n = formulas.length(n, k, q)
+    big_k = formulas.dimension(n, k)
     slow = getattr(args, "slow", False)
     budget = getattr(args, "budget", None)
     if budget is None:
         budget = SLOW_BUDGET if slow else DEFAULT_BUDGET
-    if args.subcommand in ("build", "weights") and big_n > BUILD_POINTS:
+
+    def admitted(est) -> bool:
+        return est is not None and est <= budget and (slow or est <= SLOW_THRESHOLD)
+
+    lines_est = None
+    if command == "eta":
+        lines_est = _eta_ops(n, q, args.trials if args.theta == "random" else 1)
+        if lines_est > budget:
+            raise BudgetError(lines_est, budget, remedy="lower n, q or --trials")
+    elif command == "verify" and k == 2:
+        lines_est = _eta_ops(n, q, args.trials + 1)  # the random trials and the worst case
+    if command in ("build", "weights") and big_n > BUILD_POINTS:
         raise BudgetError(big_n, BUILD_POINTS)
-    if args.subcommand == "weights" and est > budget:
+    est = None
+    if big_n <= BUILD_POINTS:
+        est = _estimate_ops(q, big_k, big_n, getattr(args, "method", "codeword"))
+    if command == "weights" and est > budget:
         raise BudgetError(est, budget)
-    if args.subcommand == "weights" and not slow and est > SLOW_THRESHOLD:
+    if command == "weights" and not slow and est > SLOW_THRESHOLD:
         raise BudgetError(est, SLOW_THRESHOLD, remedy="use --slow")
-    return big_n, big_k, est, budget, est <= budget and (slow or est <= SLOW_THRESHOLD)
+    return Gate(big_n, big_k, est, budget, admitted(est), lines_est, admitted(lines_est))
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +163,16 @@ def cmd_params(args) -> int:
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
-    _, big_k, est, _, _ = _gate(args)
+    gate = _gate(args)
     code = build_code(args.n, args.k, _field(args.q))
     write_generator(args.output, code)
     results = {
         "N": code.N,
         "K": code.K,
-        "expected_K": big_k,
-        "rank_ok": code.K == big_k,
+        "expected_K": gate.K,
+        "rank_ok": code.K == gate.K,
         "output": args.output,
-        "sweep_estimate_ops": est,
+        "sweep_estimate_ops": gate.estimate,
     }
     _log(f"wrote generator [{code.N},{code.K}] to {args.output}")
     _emit("build", {"n": args.n, "k": args.k, "q": args.q}, results, time.perf_counter() - t0)
@@ -146,7 +181,7 @@ def cmd_build(args) -> int:
 
 def cmd_weights(args) -> int:
     t0 = time.perf_counter()
-    budget = _gate(args)[3]
+    budget = _gate(args).budget
     code = build_code(args.n, args.k, _field(args.q))
     we = weight_enumerator(code, method=args.method, threads=args.threads, budget=budget)
     seconds = time.perf_counter() - t0
@@ -213,6 +248,7 @@ def cmd_eta(args) -> int:
     t0 = time.perf_counter()
     if args.n < 2:
         raise UsageError("eta needs n >= 2")
+    _gate(args)
     f = _field(args.q)
     sigma = standard_symplectic(args.n, f)
     seed = None
@@ -224,15 +260,18 @@ def cmd_eta(args) -> int:
     elif args.theta == "random":
         seed = args.seed if args.seed is not None else 0
         rng = np.random.default_rng(seed)
-        trials = []
+        sample, all_zero = [], True  # only the reports that are printed are kept
         for _ in range(args.trials):
             theta = random_alternating_form(f, 2 * args.n, rng)
-            trials.append(_eta_report(sigma, theta, args.q, args.n))
+            rep = _eta_report(sigma, theta, args.q, args.n)
+            all_zero = all_zero and rep["e1_residual"] == 0
+            if len(sample) < 5:
+                sample.append(rep)
         results = {
             "theta_source": "random",
             "trials": args.trials,
-            "all_residuals_zero": all(t["e1_residual"] == 0 for t in trials),
-            "sample": trials[: min(5, len(trials))],
+            "all_residuals_zero": all_zero,
+            "sample": sample,
         }
     else:
         form_field, gram = read_matrix_text(args.theta)
@@ -251,14 +290,14 @@ def cmd_eta(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
-    sweep = _gate(args)[4]
+    sweep = _gate(args).sweep
     p = formulas.code_params(args.n, args.k, args.q)
     results: dict = {"N": p.N, "K": p.K, "d_min": p.d_min, "d_min_proved": p.d_min_proved}
     d = p.d_min
     if d is None:
         if sweep:
             code = build_code(args.n, args.k, _field(args.q))
-            d = min_distance(code)
+            d = weight_enumerator(code).d_min
             results["d_min"] = d
             results["d_min_computed"] = True
     if args.k == 2:
@@ -285,7 +324,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    big_n, big_k, est, budget, sweep = _gate(args)
+    gate = _gate(args)
+    big_n, big_k, budget = gate.N, gate.K, gate.budget
     n, k, q = args.n, args.k, args.q
     f = _field(q)
     checks: dict[str, dict] = {}
@@ -309,7 +349,7 @@ def cmd_verify(args) -> int:
 
     # minimum distance / weight table sweeps
     p = formulas.code_params(n, k, q)
-    if code is not None and sweep:
+    if code is not None and gate.sweep:
         we = weight_enumerator(code, method=args.method, threads=args.threads, budget=budget)
         if p.d_min_proved:
             record("d_min", we.d_min == p.d_min, swept=we.d_min, formula=p.d_min)
@@ -322,27 +362,34 @@ def cmd_verify(args) -> int:
         scalar_ok = all(c % (q - 1) == 0 for w, c in we.distribution.items() if w > 0)
         record("sum_and_scalar_rules", sums_ok and scalar_ok)
     elif code is not None:
-        record("d_min", None, reason="sweep locked; rerun with --slow", estimate=est)
+        record("d_min", None, reason="sweep locked; rerun with --slow", estimate=gate.estimate)
 
-    # line-count identity and the worst-case construction (line codes)
-    if k == 2:
+    # line-count identity and the worst-case construction (line codes); the
+    # forms are built only for a check that runs, as n may be large
+    if k == 2 and not gate.lines:
+        reason = (f"eta counts estimated at {_sci(gate.lines_estimate)} symbol operations; "
+                  "use --slow or raise --budget")
+        record("line_identity_random", None, reason=reason)
+        record("worst_case_theta", None, reason=reason)
+    if k == 2 and (gate.lines or code is not None):
         sigma = standard_symplectic(n, f)
-        rng = np.random.default_rng(seed)
-        bad = 0
-        for _ in range(args.trials):
-            theta = random_alternating_form(f, 2 * n, rng)
-            n1 = count_n1(sigma, theta)
-            eta = count_common_isotropic_lines(sigma, theta)
-            if (q + 1) * eta != formulas.line_identity_rhs(n, q, n1):
-                bad += 1
-        record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
-
         theta = worst_case_theta(sigma)
-        rep = _eta_report(sigma, theta, q, n)
-        n1, weight = rep["N1"], rep["N_minus_eta"]
-        ok = rep["eigen_dims"] == sorted((2, 2 * n - 2)) and n1 == formulas.n1_max(n, q)
-        record("worst_case_theta", ok and weight == formulas.dmin_line(n, q),
-               eigen_dims=rep["eigen_dims"], N1=n1, weight=weight)
+        if gate.lines:
+            rng = np.random.default_rng(seed)
+            bad = 0
+            for _ in range(args.trials):
+                random_theta = random_alternating_form(f, 2 * n, rng)
+                n1 = count_n1(sigma, random_theta)
+                eta = count_common_isotropic_lines(sigma, random_theta)
+                if (q + 1) * eta != formulas.line_identity_rhs(n, q, n1):
+                    bad += 1
+            record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
+
+            rep = _eta_report(sigma, theta, q, n)
+            n1, weight = rep["N1"], rep["N_minus_eta"]
+            ok = rep["eigen_dims"] == sorted((2, 2 * n - 2)) and n1 == formulas.n1_max(n, q)
+            record("worst_case_theta", ok and weight == formulas.dmin_line(n, q),
+                   eigen_dims=rep["eigen_dims"], N1=n1, weight=weight)
         if code is not None:
             _, cw_weight = codeword_from_form(code, theta)
             record("worst_case_codeword", cw_weight == formulas.dmin_line(n, q),
@@ -423,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", default="worst",
                     help="'worst', 'random', or a matrix text file path")
     _add_trials(sp)
-    sp.set_defaults(func=cmd_eta)
+    sp.set_defaults(func=cmd_eta, k=2)  # eta counts lines
 
     sp = sub.add_parser("verify", help="run every applicable check for (n,k,q)")
     for name in ("n", "k", "q"):

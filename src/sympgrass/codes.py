@@ -34,6 +34,7 @@ cost estimate (BudgetError) so CLI behavior stays predictable.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -43,21 +44,32 @@ import numpy as np
 from .forms import AlternatingForm
 from .gf import Field
 from .grassmann import isotropic_stack, plucker_batch
-from .linalg import inverse, read_matrix_text, rref, write_matrix_text
+from .linalg import inverse, rref, write_matrix_text
 
 DEFAULT_BUDGET = 10**11
 _SCAN_BLOCK_ROWS = 1 << 16  # largest block of the independent-row scan
 _PRODUCT_CHUNK_ELEMS = 1 << 22  # product entries per chunk of the generator step
 
 
+def _sci(x: int) -> str:
+    """x as 1.23e+45, for an integer of any size (a float overflows above
+    about 1e308, and str() refuses integers of more than 4300 digits)."""
+    if x < 10**300:
+        return f"{x:.2e}"
+    exp = int(math.log10(x))  # a float logarithm, off by one at worst
+    exp += (x >= 10 ** (exp + 1)) - (x < 10**exp)
+    return f"{x // 10 ** (exp - 2) / 100:.2f}e+{exp}"
+
+
 class BudgetError(RuntimeError):
-    """Raised when a sweep's estimated cost exceeds the allowed budget."""
+    """Raised when the estimated cost of a sweep or of eta counts exceeds the
+    allowed budget."""
 
     def __init__(self, estimated_ops: int, budget: int,
                  remedy: str = "raise --budget (or use --slow)"):
         super().__init__(
-            f"sweep estimated at {estimated_ops:.2e} symbol operations, "
-            f"over the budget of {budget:.2e}; {remedy} to run it"
+            f"estimated at {_sci(estimated_ops)} symbol operations, "
+            f"over the budget of {_sci(budget)}; {remedy} to run it"
         )
         self.estimated_ops = estimated_ops
         self.budget = budget
@@ -79,9 +91,6 @@ class WeightEnumerator:
 
     def total(self) -> int:
         return sum(self.distribution.values())
-
-    def nonzero_weights(self) -> list[int]:
-        return sorted(w for w, c in self.distribution.items() if w > 0 and c > 0)
 
 
 @dataclass(eq=False)
@@ -235,19 +244,6 @@ def _low_table(f: Field, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _combo_row(f: Field, rows: np.ndarray, h: int) -> np.ndarray:
-    """Combination of rows with base-q digits of h, last row = fastest digit."""
-    base = np.zeros(rows.shape[1], dtype=np.uint8)
-    idx = rows.shape[0] - 1
-    while h > 0 and idx >= 0:
-        lam = h % f.q
-        if lam:
-            base = f.arr_add(base, f.arr_mul(rows[idx], np.uint8(lam)))
-        h //= f.q
-        idx -= 1
-    return base
-
-
 def _pair_weights(f: Field, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """weights[b, a] of the codewords low[b] + high[a], as float32.
 
@@ -330,7 +326,11 @@ def _sweep_histogram(
     def run(task_chunk) -> np.ndarray:
         hist = np.zeros(big_n + 1, dtype=np.int64)
         for lead, h, n_hi, n_lo in task_chunk:
-            base = f.arr_add(gen[lead], _combo_row(f, gen[lead + 1 : big_k - t - r], h))
+            base = gen[lead]
+            if h:  # plus the outer rows combined with the base-q digits of h, last row fastest
+                outer = gen[lead + 1 : big_k - t - r]
+                digits = h // q ** np.arange(outer.shape[0] - 1, -1, -1) % q
+                base = f.arr_add(base, f.matmul(digits[None, :].astype(np.uint8), outer)[0])
             high = f.arr_add(chunk[:n_hi], base[None, :])
             w = _pair_weights(f, low[:n_lo], high)
             hist += np.bincount(w.ravel().astype(np.intp), minlength=big_n + 1)
@@ -515,16 +515,6 @@ def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator) -> Non
             )
 
 
-def min_distance(
-    code: LinearCode,
-    method: str = "codeword",
-    threads: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Smallest nonzero codeword weight, by an exhaustive sweep."""
-    return weight_enumerator(code, method=method, threads=threads, budget=budget).d_min
-
-
 def codeword_from_form(code: LinearCode, theta: AlternatingForm) -> tuple[np.ndarray, int]:
     """The codeword of W(n,2) cut out by an alternating form, with its weight.
 
@@ -542,7 +532,8 @@ def codeword_from_form(code: LinearCode, theta: AlternatingForm) -> tuple[np.nda
 
 
 # ---------------------------------------------------------------------------
-# generator matrix files: header "q K N", then K rows of N encodings
+# generator matrix files: header "q K N", then K rows of N encodings, read
+# back by linalg.read_matrix_text(path, GENERATOR_HEADER)
 
 GENERATOR_HEADER = "q rows cols"
 
@@ -550,7 +541,3 @@ GENERATOR_HEADER = "q rows cols"
 def write_generator(dest, code: LinearCode) -> None:
     write_matrix_text(dest, code.field, code.generator, GENERATOR_HEADER)
 
-
-def read_generator(src) -> LinearCode:
-    f, gen = read_matrix_text(src, GENERATOR_HEADER)
-    return LinearCode(field=f, n=None, k=None, N=gen.shape[1], K=gen.shape[0], generator=gen)

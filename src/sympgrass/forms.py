@@ -1,9 +1,9 @@
 """Alternating bilinear forms on V(2n, q).
 
 Houses the fixed standard symplectic form (Gram matrix [[0, I], [-I, 0]]),
-arbitrary alternating forms, perp/radical computations, the eigenspace
-analysis of M^-1 S for a pair of forms, and the point/line counts that
-drive the minimum-distance verification for the line codes.
+arbitrary alternating forms, perps, the eigenspace analysis of M^-1 S for
+a pair of forms, and the point/line counts that drive the minimum-distance
+verification for the line codes.
 
 N1 comes from the eigenspaces.  eta, the number of lines isotropic for
 both forms, is an exact count that builds no line and does not use N1, so
@@ -109,11 +109,6 @@ def standard_symplectic(n: int, field: Field) -> AlternatingForm:
     return AlternatingForm(field, g)
 
 
-def radical(form: AlternatingForm) -> Subspace:
-    """Vectors orthogonal to the whole space; zero iff non-degenerate."""
-    return kernel(form.field, form.gram)
-
-
 def perp(form: AlternatingForm, s: Subspace) -> Subspace:
     """{x : form(x, y) = 0 for all y in s}."""
     f = form.field
@@ -121,15 +116,6 @@ def perp(form: AlternatingForm, s: Subspace) -> Subspace:
         return Subspace.full(f, form.dim)
     constraints = f.matmul(s.basis, form.gram.T)
     return kernel(f, constraints)
-
-
-def is_totally_isotropic(form: AlternatingForm, s: Subspace) -> bool:
-    """True iff the form vanishes on every pair of basis vectors of s."""
-    f = form.field
-    if s.dim == 0:
-        return True
-    vals = f.matmul(f.matmul(s.basis, form.gram), s.basis.T)
-    return not vals.any()
 
 
 def eigen_analysis(sigma: AlternatingForm, theta: AlternatingForm) -> EigenDecomposition:
@@ -259,10 +245,3 @@ def random_alternating_form(field: Field, dim: int, rng: np.random.Generator) ->
             g[i, j] = v
             g[j, i] = field.neg(v)
     return AlternatingForm(field, g)
-
-
-def subtract_scaled(theta: AlternatingForm, sigma: AlternatingForm, lam: int) -> AlternatingForm:
-    """The form theta - lam * sigma."""
-    f = theta.field
-    scaled = f.arr_mul(sigma.gram, np.uint8(lam))
-    return AlternatingForm(f, f.arr_sub(theta.gram, scaled))

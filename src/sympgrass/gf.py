@@ -176,18 +176,6 @@ class Field:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in GF({self.q})")
         return int(self.inv_table[a])
 
-    def pow(self, a: int, m: int) -> int:
-        self._check(a)
-        if m < 0:
-            a, m = self.inv(a), -m
-        out = 1
-        while m:
-            if m & 1:
-                out = int(self.mul_table[out, a])
-            a = int(self.mul_table[a, a])
-            m >>= 1
-        return out
-
     def elements(self) -> range:
         return range(self.q)
 

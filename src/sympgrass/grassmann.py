@@ -24,10 +24,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .forms import AlternatingForm, is_totally_isotropic, perp, standard_symplectic
-from .gf import GF, Field
+from .forms import AlternatingForm, perp, standard_symplectic
+from .gf import Field
 from .linalg import (
-    DEFAULT_BATCH_ROWS,
     Subspace,
     _digit_block,
     iter_subspace_batches,
@@ -184,14 +183,12 @@ def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, grams: np.ndar
     return np.concatenate(pieces, axis=0)
 
 
-def iter_isotropic_batches(
-    f: Field, grams: np.ndarray, k: int, max_rows: int = DEFAULT_BATCH_ROWS
-) -> Iterator[np.ndarray]:
+def iter_isotropic_batches(f: Field, grams: np.ndarray, k: int) -> Iterator[np.ndarray]:
     """Subspaces of dimension k totally isotropic for every given alternating form.
 
     grams is one Gram matrix (d, d) or a stack (forms, d, d).  Yields
-    canonical RREF bases stacked as (B, k, d) batches, cell by cell in
-    lexicographic pivot-pattern order.
+    canonical RREF bases stacked as (B, k, d) arrays, one per nonempty cell,
+    in lexicographic pivot-pattern order.
     """
     grams = np.asarray(grams, dtype=np.uint8)
     d = grams.shape[-1]
@@ -205,10 +202,8 @@ def iter_isotropic_batches(
             surv = _filter_extend(f, surv, cands, grams)
             if surv.shape[0] == 0:
                 break
-        if surv.shape[0] == 0:
-            continue
-        for s in range(0, surv.shape[0], max_rows):
-            yield surv[s : s + max_rows]
+        if surv.shape[0]:
+            yield surv
 
 
 def enumerate_isotropic(n: int, k: int, field: Field) -> Iterator[Subspace]:
@@ -221,19 +216,14 @@ def enumerate_isotropic(n: int, k: int, field: Field) -> Iterator[Subspace]:
             yield Subspace(field, 2 * n, mat)
 
 
-def count_isotropic(n: int, k: int, field: Field) -> int:
-    """Stream length of the isotropic enumeration (no stacking)."""
+@lru_cache(maxsize=32)
+def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
+    """All isotropic k-subspace bases stacked as one read-only (N, k, 2n)
+    array, cached per (n, k, q): a Field hashes by its order."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     gram = standard_symplectic(n, field).gram
-    return sum(batch.shape[0] for batch in iter_isotropic_batches(field, gram, k))
-
-
-@lru_cache(maxsize=32)
-def _isotropic_stack_cached(n: int, k: int, q: int) -> np.ndarray:
-    f = GF(q)
-    gram = standard_symplectic(n, f).gram
-    batches = list(iter_isotropic_batches(f, gram, k))
+    batches = list(iter_isotropic_batches(field, gram, k))
     arr = (
         np.concatenate(batches, axis=0)
         if batches
@@ -243,11 +233,10 @@ def _isotropic_stack_cached(n: int, k: int, q: int) -> np.ndarray:
     return arr
 
 
-def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
-    """All isotropic k-subspace bases stacked as one (N, k, 2n) array (cached)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _isotropic_stack_cached(n, k, field.q)
+def count_isotropic(n: int, k: int, field: Field) -> int:
+    """Number of points of the symplectic Grassmannian; fills the
+    isotropic_stack cache that build_code reads."""
+    return isotropic_stack(n, k, field).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +299,3 @@ def grassmann_lines(n: int, k: int, field: Field) -> Iterator[GrassmannLine]:
             for w_rows in field.matmul(combo_batch, t.basis):
                 yield GrassmannLine(Subspace.from_rows(field, w_rows), t)
 
-
-def grassmann_lines_through(
-    n: int, k: int, field: Field, x: Subspace
-) -> Iterator[GrassmannLine]:
-    """All lines containing the point x (an isotropic k-subspace)."""
-    sigma = standard_symplectic(n, field)
-    if x.dim != k or x.ambient_dim != 2 * n:
-        raise ValueError("x must be a k-subspace of V(2n, q)")
-    if not is_totally_isotropic(sigma, x):
-        raise ValueError("x must be totally isotropic")
-    if k == n:
-        for w_batch in iter_subspace_batches(field, n, n - 1):
-            for w_rows in field.matmul(w_batch, x.basis):
-                yield GrassmannLine(Subspace.from_rows(field, w_rows), None)
-        return
-    comp = _complement_rows(field, x, perp(sigma, x))
-    extras = field.matmul(projective_points_array(field, comp.shape[0]), comp)
-    t_list = [Subspace.from_rows(field, np.vstack([x.basis, row])) for row in extras]
-    for w_batch in iter_subspace_batches(field, k, k - 1):
-        for w_rows in field.matmul(w_batch, x.basis):
-            w = Subspace.from_rows(field, w_rows)
-            for t in t_list:
-                yield GrassmannLine(w, t)

@@ -22,24 +22,11 @@ import numpy as np
 
 from .gf import GF, Field
 
-DEFAULT_BATCH_ROWS = 1 << 18
+_BATCH_ROWS = 1 << 18  # matrices per batch of a Schubert cell
 
 
 # ---------------------------------------------------------------------------
 # row reduction
-
-
-def _next_pivot_col(r_mat: np.ndarray, r: int, c0: int) -> int | None:
-    """Leftmost column >= c0 with a nonzero entry in rows >= r, scanned in windows."""
-    ncols = r_mat.shape[1]
-    pos = c0
-    while pos < ncols:
-        stop = min(pos + 4096, ncols)
-        nz = np.nonzero(r_mat[r:, pos:stop].any(axis=0))[0]
-        if nz.size:
-            return pos + int(nz[0])
-        pos = stop
-    return None
 
 
 def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
@@ -52,10 +39,10 @@ def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     r = 0
     c0 = 0
     while r < nrows and c0 < ncols:
-        found = _next_pivot_col(r_mat, r, c0)
-        if found is None:
+        nz = np.nonzero(r_mat[r:, c0:].any(axis=0))[0]
+        if nz.size == 0:
             break
-        c = found
+        c = c0 + int(nz[0])
         i = r + int(np.nonzero(r_mat[r:, c])[0][0])
         if i != r:
             r_mat[[r, i]] = r_mat[[i, r]]
@@ -152,17 +139,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains_vector(self, v: np.ndarray) -> bool:
-        v = np.asarray(v, dtype=np.uint8).copy()
-        pivots = [int(np.nonzero(row)[0][0]) for row in self.basis]
-        for row, c in zip(self.basis, pivots):
-            if v[c]:
-                v = self.field.arr_sub(v, self.field.arr_mul(row, v[c]))
-        return not v.any()
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -201,20 +177,16 @@ def _digit_block(start: int, stop: int, nslots: int, q: int) -> np.ndarray:
     return ((idx // powers) % q).astype(np.uint8)
 
 
-def iter_cell_batches(
-    f: Field,
-    pivots: Sequence[int],
-    ncols: int,
-    max_rows: int = DEFAULT_BATCH_ROWS,
-) -> Iterator[np.ndarray]:
-    """All RREF matrices with the given pivot columns, in (B, k, ncols) batches."""
+def iter_cell_batches(f: Field, pivots: Sequence[int], ncols: int) -> Iterator[np.ndarray]:
+    """All RREF matrices with the given pivot columns, in (B, k, ncols) batches
+    of at most _BATCH_ROWS."""
     k = len(pivots)
     slots = _cell_free_slots(pivots, ncols)
     total = f.q ** len(slots)
     rows_idx = np.array([s[0] for s in slots], dtype=np.intp)
     cols_idx = np.array([s[1] for s in slots], dtype=np.intp)
-    for start in range(0, total, max_rows):
-        stop = min(start + max_rows, total)
+    for start in range(0, total, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, total)
         digits = _digit_block(start, stop, len(slots), f.q)
         mats = np.zeros((stop - start, k, ncols), dtype=np.uint8)
         for i, c in enumerate(pivots):
@@ -224,9 +196,7 @@ def iter_cell_batches(
         yield mats
 
 
-def iter_subspace_batches(
-    f: Field, ambient_dim: int, k: int, max_rows: int = DEFAULT_BATCH_ROWS
-) -> Iterator[np.ndarray]:
+def iter_subspace_batches(f: Field, ambient_dim: int, k: int) -> Iterator[np.ndarray]:
     """All k-subspaces of V(ambient_dim, q) as batches of RREF bases."""
     if not 0 <= k <= ambient_dim:
         raise ValueError(f"need 0 <= k <= ambient_dim, got k={k}, d={ambient_dim}")
@@ -234,14 +204,7 @@ def iter_subspace_batches(
         yield np.zeros((1, 0, ambient_dim), dtype=np.uint8)
         return
     for pivots in combinations(range(ambient_dim), k):
-        yield from iter_cell_batches(f, pivots, ambient_dim, max_rows)
-
-
-def enumerate_subspaces(ambient_dim: int, k: int, field: Field) -> Iterator[Subspace]:
-    """Each k-subspace exactly once, as canonical Subspace objects."""
-    for batch in iter_subspace_batches(field, ambient_dim, k):
-        for mat in batch:
-            yield Subspace(field, ambient_dim, mat)
+        yield from iter_cell_batches(f, pivots, ambient_dim)
 
 
 def projective_points_array(f: Field, ambient_dim: int) -> np.ndarray:
@@ -251,12 +214,6 @@ def projective_points_array(f: Field, ambient_dim: int) -> np.ndarray:
     """
     chunks = [batch[:, 0, :] for batch in iter_subspace_batches(f, ambient_dim, 1)]
     return np.concatenate(chunks, axis=0)
-
-
-def enumerate_projective_points(ambient_dim: int, field: Field) -> Iterator[np.ndarray]:
-    """Normalized representatives (first nonzero coordinate 1), each point once."""
-    for batch in iter_subspace_batches(field, ambient_dim, 1):
-        yield from batch[:, 0, :]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 Everything here deliberately avoids the package's vectorized code paths:
 field arithmetic is naive polynomial arithmetic written from scratch,
 subspaces are sets of vectors, determinants use the Leibniz sum, and
-weight sweeps walk messages one by one.  The one exception is
-count_n1_direct, which takes a different route through the package's own
-linear algebra than the eigenspace count it checks.
+weight sweeps walk messages one by one.  The exceptions are the reference
+implementations at the end, which use the package's own arithmetic:
+count_n1_direct takes a different route through its linear algebra than
+the eigenspace count it checks, and is_totally_isotropic, contains_vector
+and enumerate_subspaces are the definitions that the pruned enumerations
+are compared against.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 # same fixed moduli as the package contract (little-endian coefficients)
 ORACLE_MODULI = {
@@ -212,6 +217,35 @@ def oracle_common_isotropic_lines(q, gram_s, gram_t):
     return pairs // per_line
 
 
+def is_totally_isotropic(form, s):
+    """True iff the form vanishes on every pair of basis vectors of the Subspace s."""
+    f = form.field
+    if s.dim == 0:
+        return True
+    vals = f.matmul(f.matmul(s.basis, form.gram), s.basis.T)
+    return not vals.any()
+
+
+def contains_vector(s, v):
+    """True iff the vector v lies in the Subspace s (reduced against its RREF basis)."""
+    f = s.field
+    v = np.asarray(v, dtype=np.uint8).copy()
+    pivots = [int(np.nonzero(row)[0][0]) for row in s.basis]
+    for row, c in zip(s.basis, pivots):
+        if v[c]:
+            v = f.arr_sub(v, f.arr_mul(row, v[c]))
+    return not v.any()
+
+
+def enumerate_subspaces(ambient_dim, k, field):
+    """Each k-subspace of V(ambient_dim, q) exactly once, as canonical Subspaces."""
+    from sympgrass.linalg import Subspace, iter_subspace_batches
+
+    for batch in iter_subspace_batches(field, ambient_dim, k):
+        for mat in batch:
+            yield Subspace(field, ambient_dim, mat)
+
+
 def count_n1_direct(sigma, theta):
     """Independent N1 count: compare the two perp subspaces point by point."""
     from sympgrass.linalg import kernel, projective_points_array
@@ -224,6 +258,6 @@ def count_n1_direct(sigma, theta):
         row = p.reshape(1, -1)
         p_sig = kernel(f, f.matmul(row, sigma.gram.T))
         p_th = kernel(f, f.matmul(row, theta.gram.T))
-        if p_th.contains_subspace(p_sig):
+        if all(contains_vector(p_th, row) for row in p_sig.basis):
             count += 1
     return count

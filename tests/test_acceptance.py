@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sympgrass import cli, formulas
-from sympgrass.codes import build_code, min_distance, weight_enumerator
+from sympgrass.codes import build_code, weight_enumerator
 from sympgrass.forms import (
     count_common_isotropic_lines,
     count_n1,
@@ -78,7 +78,7 @@ def test_criterion_03_line_dmin_fast(n, q):
     """Full-sweep minimum distance of W(n,2) equals q^(4n-5) - q^(2n-3)."""
     t0 = time.perf_counter()
     code = build_code(n, 2, GF(q))
-    d = min_distance(code)
+    d = weight_enumerator(code).d_min
     elapsed = time.perf_counter() - t0
     expected = formulas.dmin_line(n, q)
     ok = d == expected and elapsed < 60
@@ -90,7 +90,7 @@ def test_criterion_03_line_dmin_fast(n, q):
 def test_criterion_03_line_dmin_33_slow():
     t0 = time.perf_counter()
     code = build_code(3, 2, GF(3))
-    d = min_distance(code)
+    d = weight_enumerator(code).d_min
     elapsed = time.perf_counter() - t0
     ok = d == 2160 and elapsed < 600
     report("3 d_min W(3,2) q=3 [slow]", ok, f"d={d} in {elapsed:.1f}s")
@@ -101,7 +101,7 @@ def test_criterion_03_line_dmin_33_slow():
 def test_criterion_03_line_dmin_42_slow():
     t0 = time.perf_counter()
     code = build_code(4, 2, GF(2))
-    d = min_distance(code, budget=10**13)  # 2^27 codewords of length 5355
+    d = weight_enumerator(code, budget=10**13).d_min  # 2^27 codewords of length 5355
     elapsed = time.perf_counter() - t0
     ok = d == 2016 and elapsed < 1800
     report("3 d_min W(4,2) q=2 [slow]", ok, f"d={d} in {elapsed:.1f}s")
@@ -245,14 +245,14 @@ def test_criterion_09_bounds():
     bound holds but is not sharp for ranks 2 and 3."""
     lower_ok = []
     for n, q in [(2, 2), (2, 3), (3, 2)]:
-        d = min_distance(build_code(n, 2, GF(q)))
+        d = weight_enumerator(build_code(n, 2, GF(q))).d_min
         g = formulas.grassmann_bound_line(n, q)
         lower_ok.append(g <= d)
         if (n, q) == (2, 2):
             assert (g, d) == (4, 6)  # the worked example: bound 4, true value 6
     upper_ok = []
     for n, q in [(2, 2), (2, 3), (3, 2)]:
-        d = min_distance(build_code(n, n, GF(q)))
+        d = weight_enumerator(build_code(n, n, GF(q))).d_min
         upper_ok.append(d < formulas.pz_upper(n, q))
     ok = all(lower_ok) and all(upper_ok)
     report("9 bounds", ok, "lower holds, upper not sharp")

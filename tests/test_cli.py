@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from sympgrass import cli, forms
+from sympgrass import cli, codes, formulas, forms, grassmann
 from sympgrass.cli import build_parser, main
 from sympgrass.gf import GF
 
@@ -243,5 +243,76 @@ def test_weights_long_sweep_needs_slow(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "weights", "3", "2", "3")
     assert code == 3 and "--slow" in err
     args = build_parser().parse_args(["weights", "3", "2", "3", "--slow"])
-    _, _, est, budget, admitted = cli._gate(args)  # the sweep itself is not run
-    assert cli.SLOW_THRESHOLD < est <= budget and admitted
+    gate = cli._gate(args)  # the sweep itself is not run
+    assert cli.SLOW_THRESHOLD < gate.estimate <= gate.budget and gate.sweep
+
+
+def test_verify_enumerates_points_once(capsys, monkeypatch):
+    # the length check fills the point-set cache that build_code reads
+    calls = []
+    orig = grassmann.iter_isotropic_batches
+
+    def counted(f, grams, k):
+        calls.append(k)
+        return orig(f, grams, k)
+
+    grassmann.isotropic_stack.cache_clear()
+    monkeypatch.setattr(grassmann, "iter_isotropic_batches", counted)
+    code, report, _ = run_cli(capsys, "verify", "3", "2", "2", "--trials", "1")
+    assert code == 0 and report["results"]["overall_pass"] is True
+    assert calls.count(2) == 1
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("reached work the gate should have refused")
+
+
+def test_gate_caps_n(capsys, monkeypatch, tmp_path):
+    # no closed form is evaluated for an n over the cap
+    for name in ("length", "dimension", "gaussian_binomial"):
+        monkeypatch.setattr(formulas, name, refuse)
+    for argv in (["params", "100000000", "2", "2"], ["bounds", "100000000", "2", "2"],
+                 ["weights", "3000", "2", "2"], ["verify", "3000", "2", "2"],
+                 ["build", "1000000", "1", "2", "--output", str(tmp_path / "gen.txt")],
+                 ["eta", "100000000", "2"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "largest supported n" in err, argv
+
+
+def test_gate_refuses_huge_point_sets_by_n(capsys, monkeypatch):
+    # N = 2^600 - 1 is refused on N alone, and the message formats it
+    monkeypatch.setattr(cli, "build_code", refuse)
+    monkeypatch.setattr(codes, "_estimate_ops", refuse)
+    monkeypatch.setattr(cli, "_estimate_ops", refuse)
+    code, _, err = run_cli(capsys, "weights", "300", "1", "2")
+    assert code == 3 and "4.15e+180" in err
+    assert "e+1505" in str(codes.BudgetError(2**5000, 10**11))
+
+
+def test_eta_refuses_over_the_budget(capsys, monkeypatch):
+    # eta 12 2: 4.7e13 candidate lines per count; eta 3 2 with 10^8 trials
+    for mod in (cli, forms):
+        monkeypatch.setattr(mod, "count_common_isotropic_lines", refuse)
+    monkeypatch.setattr(cli, "standard_symplectic", refuse)
+    assert run_cli(capsys, "eta", "12", "2")[0] == 3
+    assert run_cli(capsys, "eta", "9", "3", "--theta", "random")[0] == 3
+    assert run_cli(capsys, "eta", "3", "2", "--theta", "random",
+                   "--trials", "100000000")[0] == 3
+
+
+def test_verify_skips_line_checks_over_the_threshold(capsys, monkeypatch):
+    # W(7,2) q=2: 26 eta counts of 4.5e7 candidates are over SLOW_THRESHOLD,
+    # and the 22 million points are not a verification target
+    for mod in (cli, forms):
+        monkeypatch.setattr(mod, "count_common_isotropic_lines", refuse)
+    monkeypatch.setattr(cli, "build_code", refuse)
+    monkeypatch.setattr(cli, "count_isotropic", refuse)
+    code, report, err = run_cli(capsys, "verify", "7", "2", "2")
+    assert code == 0
+    checks = report["results"]["checks"]
+    for name in ("line_identity_random", "worst_case_theta"):
+        assert checks[name]["pass"] is None and "--slow" in checks[name]["reason"], name
+    assert "worst_case_codeword" not in checks
+    args = build_parser().parse_args(["verify", "7", "2", "2", "--slow"])
+    gate = cli._gate(args)  # admitted with --slow; not run here
+    assert cli.SLOW_THRESHOLD < gate.lines_estimate <= gate.budget and gate.lines

@@ -12,12 +12,9 @@ from sympgrass.forms import (
     count_common_isotropic_lines,
     count_n1,
     eigen_analysis,
-    is_totally_isotropic,
     perp,
-    radical,
     random_alternating_form,
     standard_symplectic,
-    subtract_scaled,
     worst_case_theta,
 )
 from sympgrass.gf import GF
@@ -25,6 +22,7 @@ from sympgrass.linalg import Subspace, inverse, kernel, projective_points_array
 
 from oracles import (
     count_n1_direct,
+    is_totally_isotropic,
     oracle_bilinear,
     oracle_common_isotropic_lines,
     standard_gram,
@@ -35,6 +33,17 @@ def e(i, d):
     v = np.zeros(d, dtype=np.uint8)
     v[i] = 1
     return v
+
+
+def radical(form):
+    """Vectors orthogonal to the whole space: the kernel of the Gram matrix."""
+    return kernel(form.field, form.gram)
+
+
+def subtract_scaled(theta, sigma, lam):
+    """The form theta - lam * sigma."""
+    f = theta.field
+    return AlternatingForm(f, f.arr_sub(theta.gram, f.arr_mul(sigma.gram, np.uint8(lam))))
 
 
 def all_alternating_forms(f, d):
