@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -18,16 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formulas
-from .codes import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    _estimate_ops,
-    _sci,
-    build_code,
-    codeword_from_form,
-    weight_enumerator,
-    write_generator,
-)
+from .codes import build_code, codeword_from_form, weight_enumerator, write_generator
 from .forms import (
     count_common_isotropic_lines,
     count_n1,
@@ -42,6 +34,7 @@ from .gf import GF
 from .grassmann import count_isotropic
 from .linalg import read_matrix_text
 
+DEFAULT_BUDGET = 10**11
 SLOW_BUDGET = 10**13
 SLOW_THRESHOLD = 10**9  # sweeps estimated above this run only with --slow
 BUILD_POINTS = 5_000_000  # larger point sets are refused (exit 3)
@@ -82,6 +75,37 @@ def _check_nkq(n: int, k: int, q: int) -> None:
     _field(q)
 
 
+def _exponent(x: int) -> int:
+    """floor(log10(x)) for a positive integer of any size."""
+    exp = int(math.log10(x))  # a float logarithm, off by one at worst
+    return exp + (x >= 10 ** (exp + 1)) - (x < 10**exp)
+
+
+def _sci(x: int) -> str:
+    """x as 1.23e+45, for an integer of any size (a float overflows above
+    about 1e308, and str() refuses integers of more than 4300 digits)."""
+    if x < 10**300:
+        return f"{x:.2e}"
+    exp = _exponent(x)
+    return f"{x // 10 ** (exp - 2) / 100:.2f}e+{exp}"
+
+
+class BudgetError(RuntimeError):
+    """A run refused before anything is built (exit 3)."""
+
+
+def _over_budget(estimate: int, budget: int,
+                 remedy: str = "raise --budget (or use --slow)") -> BudgetError:
+    return BudgetError(f"estimated at {_sci(estimate)} symbol operations, "
+                       f"over the budget of {_sci(budget)}; {remedy} to run it")
+
+
+def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
+    """Symbol operations of a sweep: N per codeword the method visits."""
+    n_codewords = q**big_k if method == "codeword" else (q**big_k - 1) // (q - 1)
+    return n_codewords * big_n
+
+
 def _eta_ops(n: int, q: int, counts: int) -> int:
     """Symbol operations of `counts` eta counts, the sweep estimate's unit:
     each tests one candidate per 2-subspace of V(2n, q), a product of length
@@ -109,10 +133,16 @@ def _gate(args) -> Gate:
     admitted, and eta its counts over the budget (BudgetError, exit 3);
     verify and bounds skip what is not admitted.  q^K is only computed for a point
     set that could be built, so that no n makes the estimate itself costly.
+    N bounds every closed form a report prints, so an N too long to print
+    is a usage error.
     """
     n, k, q, command = args.n, args.k, args.q, args.subcommand
     _check_nkq(n, k, q)
     big_n = formulas.length(n, k, q)
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if max_digits and _exponent(big_n) >= max_digits:
+        raise UsageError(f"W({n},{k}) over GF({q}): N has {_exponent(big_n) + 1} digits, over "
+                         f"Python's limit of {max_digits} digits for printing an integer")
     big_k = formulas.dimension(n, k)
     slow = getattr(args, "slow", False)
     budget = getattr(args, "budget", None)
@@ -126,18 +156,19 @@ def _gate(args) -> Gate:
     if command == "eta":
         lines_est = _eta_ops(n, q, args.trials if args.theta == "random" else 1)
         if lines_est > budget:
-            raise BudgetError(lines_est, budget, remedy="lower n, q or --trials")
+            raise _over_budget(lines_est, budget, remedy="lower n, q or --trials")
     elif command == "verify" and k == 2:
         lines_est = _eta_ops(n, q, args.trials + 1)  # the random trials and the worst case
     if command in ("build", "weights") and big_n > BUILD_POINTS:
-        raise BudgetError(big_n, BUILD_POINTS)
+        raise BudgetError(f"W({n},{k}) over GF({q}) has {_sci(big_n)} points, over the "
+                          f"BUILD_POINTS limit of {_sci(BUILD_POINTS)}; no option lifts it")
     est = None
     if big_n <= BUILD_POINTS:
         est = _estimate_ops(q, big_k, big_n, getattr(args, "method", "codeword"))
     if command == "weights" and est > budget:
-        raise BudgetError(est, budget)
+        raise _over_budget(est, budget)
     if command == "weights" and not slow and est > SLOW_THRESHOLD:
-        raise BudgetError(est, SLOW_THRESHOLD, remedy="use --slow")
+        raise _over_budget(est, SLOW_THRESHOLD, remedy="use --slow")
     return Gate(big_n, big_k, est, budget, admitted(est), lines_est, admitted(lines_est))
 
 
@@ -147,7 +178,7 @@ def _gate(args) -> Gate:
 
 def cmd_params(args) -> int:
     t0 = time.perf_counter()
-    _check_nkq(args.n, args.k, args.q)
+    _gate(args)
     p = formulas.code_params(args.n, args.k, args.q)
     results = {
         "N": p.N,
@@ -183,7 +214,7 @@ def cmd_weights(args) -> int:
     t0 = time.perf_counter()
     budget = _gate(args).budget
     code = build_code(args.n, args.k, _field(args.q))
-    we = weight_enumerator(code, method=args.method, threads=args.threads, budget=budget)
+    we = weight_enumerator(code, method=args.method, threads=args.threads)
     seconds = time.perf_counter() - t0
 
     verdicts = {}
@@ -350,7 +381,7 @@ def cmd_verify(args) -> int:
     # minimum distance / weight table sweeps
     p = formulas.code_params(n, k, q)
     if code is not None and gate.sweep:
-        we = weight_enumerator(code, method=args.method, threads=args.threads, budget=budget)
+        we = weight_enumerator(code, method=args.method, threads=args.threads)
         if p.d_min_proved:
             record("d_min", we.d_min == p.d_min, swept=we.d_min, formula=p.d_min)
         else:

@@ -27,14 +27,10 @@ once) and high digits (a row of a chunk of combinations of the rows before
 them); encoding each symbol as q - 1 float32 indicators turns the weights
 of all low x high pairs into one BLAS product of the encoded rows
 (_pair_weights), exact while 2N < 2^24.
-
-Sweeps above a configurable operation budget are refused up front with a
-cost estimate (BudgetError) so CLI behavior stays predictable.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -46,33 +42,8 @@ from .gf import Field
 from .grassmann import isotropic_stack, plucker_batch
 from .linalg import inverse, rref, write_matrix_text
 
-DEFAULT_BUDGET = 10**11
 _SCAN_BLOCK_ROWS = 1 << 16  # largest block of the independent-row scan
 _PRODUCT_CHUNK_ELEMS = 1 << 22  # product entries per chunk of the generator step
-
-
-def _sci(x: int) -> str:
-    """x as 1.23e+45, for an integer of any size (a float overflows above
-    about 1e308, and str() refuses integers of more than 4300 digits)."""
-    if x < 10**300:
-        return f"{x:.2e}"
-    exp = int(math.log10(x))  # a float logarithm, off by one at worst
-    exp += (x >= 10 ** (exp + 1)) - (x < 10**exp)
-    return f"{x // 10 ** (exp - 2) / 100:.2f}e+{exp}"
-
-
-class BudgetError(RuntimeError):
-    """Raised when the estimated cost of a sweep or of eta counts exceeds the
-    allowed budget."""
-
-    def __init__(self, estimated_ops: int, budget: int,
-                 remedy: str = "raise --budget (or use --slow)"):
-        super().__init__(
-            f"estimated at {_sci(estimated_ops)} symbol operations, "
-            f"over the budget of {_sci(budget)}; {remedy} to run it"
-        )
-        self.estimated_ops = estimated_ops
-        self.budget = budget
 
 
 @dataclass
@@ -271,11 +242,6 @@ def _pair_weights(f: Field, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
-    n_codewords = q**big_k if method == "codeword" else (q**big_k - 1) // (q - 1)
-    return n_codewords * big_n
-
-
 def _run_tasks(run, tasks, threads: int) -> np.ndarray:
     """Sum of the histograms run(chunk) over chunks of tasks, shared over threads."""
     if threads <= 1 or len(tasks) < 2:
@@ -458,7 +424,6 @@ def weight_enumerator(
     code: LinearCode,
     method: str = "codeword",
     threads: int = 1,
-    budget: int = DEFAULT_BUDGET,
 ) -> WeightEnumerator:
     """Exact weight distribution of the code.
 
@@ -469,9 +434,6 @@ def weight_enumerator(
     code raises ValueError before any product is taken.
     """
     f = code.field
-    est = _estimate_ops(f.q, code.K, code.N, method)
-    if est > budget:
-        raise BudgetError(est, budget)
     hist = _sweep_histogram(f, code.generator, method, threads)
     we = WeightEnumerator.from_histogram(hist)
     if we.total() != f.q**code.K:

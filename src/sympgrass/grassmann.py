@@ -1,8 +1,11 @@
 """Totally isotropic subspace enumeration and the Plücker embedding.
 
-Isotropic k-subspaces are generated cell by cell (fixed pivot columns),
-extending partial RREF frames one row at a time and pruning extensions
-that break isotropy against any earlier row.  All filtering is batched
+iter_isotropic_batches is the package's one walker over RREF Schubert
+cells.  Isotropic k-subspaces are generated cell by cell (fixed pivot
+columns), extending partial RREF frames one row at a time and pruning
+extensions that break isotropy against any earlier row; under the zero
+form nothing is pruned, so it also lists every k-subspace of the small
+spaces that the Grassmannian lines are built from.  All filtering is batched
 in numpy, so the enumeration keeps up with the largest verification
 sizes (about a million subspaces in seconds).
 
@@ -26,14 +29,7 @@ import numpy as np
 
 from .forms import AlternatingForm, perp, standard_symplectic
 from .gf import Field
-from .linalg import (
-    Subspace,
-    _digit_block,
-    iter_subspace_batches,
-    normalize_projective,
-    projective_points_array,
-    rref,
-)
+from .linalg import Subspace, rref
 
 _FILTER_CHUNK_ELEMS = 8_000_000
 _PLUCKER_CHUNK_ELEMS = 1 << 21  # minors per chunk of points
@@ -116,15 +112,22 @@ def plucker_batch(f: Field, mats: np.ndarray) -> np.ndarray:
 
 
 def plucker(s: Subspace) -> np.ndarray:
-    """Normalized Plücker point of a subspace: its k x k minors, lex order."""
+    """Plücker point of a subspace: the k x k minors of its RREF basis, lex
+    order, which come out normalized."""
     if s.dim == 0:
         raise ValueError("the zero subspace has no Plücker point")
-    coords = plucker_batch(s.field, s.basis[None, :, :])[0]
-    return normalize_projective(s.field, coords)
+    return plucker_batch(s.field, s.basis[None])[0]
 
 
 # ---------------------------------------------------------------------------
 # isotropic enumeration
+
+
+def _digit_block(count: int, nslots: int, q: int) -> np.ndarray:
+    """Base-q digits of 0..count-1, little-endian, as (count, nslots) uint8."""
+    idx = np.arange(count, dtype=np.int64)[:, None]
+    powers = q ** np.arange(nslots, dtype=np.int64)[None, :]
+    return ((idx // powers) % q).astype(np.uint8)
 
 
 @lru_cache(maxsize=256)
@@ -139,7 +142,7 @@ def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np
     rows = np.zeros((total, ncols), dtype=np.uint8)
     rows[:, c] = 1
     if free:
-        rows[:, np.asarray(free, dtype=np.intp)] = _digit_block(0, total, len(free), f.q)
+        rows[:, np.asarray(free, dtype=np.intp)] = _digit_block(total, len(free), f.q)
     rows.setflags(write=False)
     return rows
 
@@ -279,7 +282,8 @@ def line_points(line: GrassmannLine, sigma: AlternatingForm) -> list[Subspace]:
         comp = _complement_rows(f, line.W, perp(sigma, line.W))
     if comp.shape[0] != 2:
         raise AssertionError("line complement should be 2-dimensional")
-    extras = f.matmul(projective_points_array(f, 2), comp)
+    pencil = iter_isotropic_batches(f, np.zeros((2, 2), np.uint8), 1)
+    extras = f.matmul(np.concatenate([batch[:, 0] for batch in pencil]), comp)
     return [Subspace.from_rows(f, np.vstack([line.W.basis, row])) for row in extras]
 
 
@@ -294,8 +298,13 @@ def grassmann_lines(n: int, k: int, field: Field) -> Iterator[GrassmannLine]:
         for w in enumerate_isotropic(n, n - 1, field):
             yield GrassmannLine(w, None)
         return
+    zero_form = np.zeros((k + 1, k + 1), np.uint8)
     for t in enumerate_isotropic(n, k + 1, field):
-        for combo_batch in iter_subspace_batches(field, k + 1, k - 1):
+        if k == 1:
+            yield GrassmannLine(Subspace.zero(field, 2 * n), t)
+            continue
+        # every subspace is totally isotropic for the zero form
+        for combo_batch in iter_isotropic_batches(field, zero_form, k - 1):
             for w_rows in field.matmul(combo_batch, t.basis):
                 yield GrassmannLine(Subspace.from_rows(field, w_rows), t)
 

@@ -2,27 +2,17 @@
 
 Matrices are numpy uint8 arrays of element encodings, shape (rows, cols),
 paired with the Field they live over.  Subspaces of V(d, q) are stored by
-their unique reduced-row-echelon basis, which makes equality entrywise
-and enumeration duplicate-free.
-
-Subspace enumeration walks Schubert cells: choose pivot columns, then
-sweep the free entries.  Cells are generated in batches of stacked
-(B, k, d) arrays so downstream consumers (isotropy filters, minors) can
-stay vectorized.
+their unique reduced-row-echelon basis, which makes equality entrywise.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .gf import GF, Field
-
-_BATCH_ROWS = 1 << 18  # matrices per batch of a Schubert cell
 
 
 # ---------------------------------------------------------------------------
@@ -92,18 +82,6 @@ def inverse(f: Field, m: np.ndarray) -> np.ndarray:
     return r_mat[:, n:].copy()
 
 
-def normalize_projective(f: Field, v: np.ndarray) -> np.ndarray:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    v = np.asarray(v, dtype=np.uint8)
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        raise ValueError("cannot normalize the zero vector")
-    lead = int(v[nz[0]])
-    if lead == 1:
-        return v.copy()
-    return f.arr_mul(v, np.uint8(f.inv(lead)))
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -153,67 +131,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, q={self.field.q})"
-
-
-# ---------------------------------------------------------------------------
-# Schubert-cell enumeration
-
-
-def _cell_free_slots(pivots: Sequence[int], ncols: int) -> list[tuple[int, int]]:
-    """Free (row, col) positions of the RREF cell, row-major order."""
-    pset = set(pivots)
-    slots = []
-    for i, c in enumerate(pivots):
-        for j in range(c + 1, ncols):
-            if j not in pset:
-                slots.append((i, j))
-    return slots
-
-
-def _digit_block(start: int, stop: int, nslots: int, q: int) -> np.ndarray:
-    """Base-q digits of [start, stop), little-endian, as (stop-start, nslots) uint8."""
-    idx = np.arange(start, stop, dtype=np.int64)[:, None]
-    powers = q ** np.arange(nslots, dtype=np.int64)[None, :]
-    return ((idx // powers) % q).astype(np.uint8)
-
-
-def iter_cell_batches(f: Field, pivots: Sequence[int], ncols: int) -> Iterator[np.ndarray]:
-    """All RREF matrices with the given pivot columns, in (B, k, ncols) batches
-    of at most _BATCH_ROWS."""
-    k = len(pivots)
-    slots = _cell_free_slots(pivots, ncols)
-    total = f.q ** len(slots)
-    rows_idx = np.array([s[0] for s in slots], dtype=np.intp)
-    cols_idx = np.array([s[1] for s in slots], dtype=np.intp)
-    for start in range(0, total, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, total)
-        digits = _digit_block(start, stop, len(slots), f.q)
-        mats = np.zeros((stop - start, k, ncols), dtype=np.uint8)
-        for i, c in enumerate(pivots):
-            mats[:, i, c] = 1
-        if slots:
-            mats[:, rows_idx, cols_idx] = digits
-        yield mats
-
-
-def iter_subspace_batches(f: Field, ambient_dim: int, k: int) -> Iterator[np.ndarray]:
-    """All k-subspaces of V(ambient_dim, q) as batches of RREF bases."""
-    if not 0 <= k <= ambient_dim:
-        raise ValueError(f"need 0 <= k <= ambient_dim, got k={k}, d={ambient_dim}")
-    if k == 0:
-        yield np.zeros((1, 0, ambient_dim), dtype=np.uint8)
-        return
-    for pivots in combinations(range(ambient_dim), k):
-        yield from iter_cell_batches(f, pivots, ambient_dim)
-
-
-def projective_points_array(f: Field, ambient_dim: int) -> np.ndarray:
-    """All normalized projective points of PG(ambient_dim - 1, q), stacked.
-
-    Row order: leading coordinate position ascending, then free digits.
-    """
-    chunks = [batch[:, 0, :] for batch in iter_subspace_batches(f, ambient_dim, 1)]
-    return np.concatenate(chunks, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ subspaces are sets of vectors, determinants use the Leibniz sum, and
 weight sweeps walk messages one by one.  The exceptions are the reference
 implementations at the end, which use the package's own arithmetic:
 count_n1_direct takes a different route through its linear algebra than
-the eigenspace count it checks, and is_totally_isotropic, contains_vector
-and enumerate_subspaces are the definitions that the pruned enumerations
-are compared against.
+the eigenspace count it checks, and is_totally_isotropic and
+contains_vector are the definitions that the pruned enumerations are
+compared against.  enumerate_subspaces walks every RREF cell with numpy
+alone; it shares no code with the package's pruned cell walker.
 """
 
 from functools import lru_cache
@@ -237,24 +238,56 @@ def contains_vector(s, v):
     return not v.any()
 
 
-def enumerate_subspaces(ambient_dim, k, field):
-    """Each k-subspace of V(ambient_dim, q) exactly once, as canonical Subspaces."""
-    from sympgrass.linalg import Subspace, iter_subspace_batches
+_BATCH_ROWS = 1 << 18  # matrices per batch of a Schubert cell
 
-    for batch in iter_subspace_batches(field, ambient_dim, k):
-        for mat in batch:
-            yield Subspace(field, ambient_dim, mat)
+
+def _cell_batches(q, pivots, d):
+    """All RREF k x d matrices with the given pivot columns, in (B, k, d)
+    batches of at most _BATCH_ROWS; the free entries, row-major, are the
+    base-q digits of a counter, first entry fastest."""
+    pset = set(pivots)
+    slots = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, d) if j not in pset]
+    rows_idx = np.array([s[0] for s in slots], dtype=np.intp)
+    cols_idx = np.array([s[1] for s in slots], dtype=np.intp)
+    powers = q ** np.arange(len(slots), dtype=np.int64)
+    total = q ** len(slots)
+    for start in range(0, total, _BATCH_ROWS):
+        stop = min(start + _BATCH_ROWS, total)
+        mats = np.zeros((stop - start, len(pivots), d), dtype=np.uint8)
+        mats[:, np.arange(len(pivots)), list(pivots)] = 1
+        if slots:
+            idx = np.arange(start, stop, dtype=np.int64)[:, None]
+            mats[:, rows_idx, cols_idx] = (idx // powers % q).astype(np.uint8)
+        yield mats
+
+
+def enumerate_subspaces(ambient_dim, k, field):
+    """Each k-subspace of V(ambient_dim, q) exactly once, as (B, k, d) batches
+    of canonical RREF bases: every pivot pattern in lex order, every value of
+    its free entries, no filter."""
+    if not 0 <= k <= ambient_dim:
+        raise ValueError(f"need 0 <= k <= ambient_dim, got k={k}, d={ambient_dim}")
+    if k == 0:
+        yield np.zeros((1, 0, ambient_dim), dtype=np.uint8)
+        return
+    for pivots in combinations(range(ambient_dim), k):
+        yield from _cell_batches(field.q, pivots, ambient_dim)
+
+
+def projective_points(field, d):
+    """The normalized points of PG(d - 1, q), one per row."""
+    return np.concatenate([batch[:, 0] for batch in enumerate_subspaces(d, 1, field)])
 
 
 def count_n1_direct(sigma, theta):
     """Independent N1 count: compare the two perp subspaces point by point."""
-    from sympgrass.linalg import kernel, projective_points_array
+    from sympgrass.linalg import kernel
 
     f = sigma.field
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")
     count = 0
-    for p in projective_points_array(f, sigma.dim):
+    for p in projective_points(f, sigma.dim):
         row = p.reshape(1, -1)
         p_sig = kernel(f, f.matmul(row, sigma.gram.T))
         p_th = kernel(f, f.matmul(row, theta.gram.T))

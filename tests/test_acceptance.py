@@ -101,7 +101,7 @@ def test_criterion_03_line_dmin_33_slow():
 def test_criterion_03_line_dmin_42_slow():
     t0 = time.perf_counter()
     code = build_code(4, 2, GF(2))
-    d = weight_enumerator(code, budget=10**13).d_min  # 2^27 codewords of length 5355
+    d = weight_enumerator(code).d_min  # 2^27 codewords of length 5355
     elapsed = time.perf_counter() - t0
     ok = d == 2016 and elapsed < 1800
     report("3 d_min W(4,2) q=2 [slow]", ok, f"d={d} in {elapsed:.1f}s")

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from sympgrass import cli, codes, formulas, forms, grassmann
+from sympgrass import cli, formulas, forms, grassmann
 from sympgrass.cli import build_parser, main
 from sympgrass.gf import GF
 
@@ -279,14 +279,29 @@ def test_gate_caps_n(capsys, monkeypatch, tmp_path):
         assert code == 2 and "largest supported n" in err, argv
 
 
-def test_gate_refuses_huge_point_sets_by_n(capsys, monkeypatch):
-    # N = 2^600 - 1 is refused on N alone, and the message formats it
+def test_gate_refuses_huge_point_sets_by_n(capsys, monkeypatch, tmp_path):
+    # N = 2^600 - 1 is refused on N alone; the message counts points and
+    # names the fixed limit, which no option lifts
     monkeypatch.setattr(cli, "build_code", refuse)
-    monkeypatch.setattr(codes, "_estimate_ops", refuse)
     monkeypatch.setattr(cli, "_estimate_ops", refuse)
-    code, _, err = run_cli(capsys, "weights", "300", "1", "2")
-    assert code == 3 and "4.15e+180" in err
-    assert "e+1505" in str(codes.BudgetError(2**5000, 10**11))
+    for argv in (["weights", "300", "1", "2"],
+                 ["build", "300", "1", "2", "--output", str(tmp_path / "gen.txt")]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and "4.15e+180" in err and "points" in err, argv
+        assert "BUILD_POINTS" in err and "--budget" not in err, argv
+    assert "e+1505" in str(cli._over_budget(2**5000, 10**11))
+
+
+def test_closed_forms_too_long_to_print(capsys, monkeypatch):
+    # W(300,300) q=16: N has 54 367 digits, over Python's 4300-digit limit
+    for command in ("params", "bounds"):
+        code, report, err = run_cli(capsys, command, "300", "300", "16")
+        assert code == 2 and report is None, command
+        assert "W(300,300) over GF(16)" in err and "54367 digits" in err, command
+    # N of W(300,2) q=16 has about 1440 digits and still prints
+    monkeypatch.setattr(cli, "build_code", refuse)
+    code, report, _ = run_cli(capsys, "bounds", "300", "2", "16")
+    assert code == 0 and report["results"]["N"] == formulas.length(300, 2, 16)
 
 
 def test_eta_refuses_over_the_budget(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Code construction, weight sweeps, budget guard, file formats."""
+"""Code construction, weight sweeps, file formats."""
 
 import io
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sympgrass import codes, formulas
 from sympgrass.codes import (
-    BudgetError,
     LinearCode,
     WeightEnumerator,
     build_code,
@@ -220,7 +219,7 @@ def small_generators(draw):
             col = list(draw(st.sampled_from(cols)))
         elif kind == "scaled" and cols:
             lam = draw(st.integers(1, q - 1))
-            col = [f.mul(lam, x) for x in draw(st.sampled_from(cols))]
+            col = [int(f.mul_table[lam, x]) for x in draw(st.sampled_from(cols))]
         else:
             col = [draw(st.integers(0, q - 1)) for _ in range(big_k)]
         cols.append(col)
@@ -290,14 +289,6 @@ def test_float32_exactness_guard_codeword(monkeypatch):
     # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
         codes._sweep_histogram(GF(2), wide[:, 1:], "codeword", 1)
-
-
-def test_budget_guard():
-    code = build_code(4, 2, GF(2))  # 2^27 x 5355 is over the default budget
-    with pytest.raises(BudgetError) as err:
-        weight_enumerator(code)
-    assert err.value.estimated_ops == 2**27 * 5355
-    # raising the budget explicitly admits the sweep (not run here)
 
 
 def test_codeword_from_sigma_is_zero():

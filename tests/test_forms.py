@@ -18,13 +18,14 @@ from sympgrass.forms import (
     worst_case_theta,
 )
 from sympgrass.gf import GF
-from sympgrass.linalg import Subspace, inverse, kernel, projective_points_array
+from sympgrass.linalg import Subspace, inverse, kernel
 
 from oracles import (
     count_n1_direct,
     is_totally_isotropic,
     oracle_bilinear,
     oracle_common_isotropic_lines,
+    projective_points,
     standard_gram,
 )
 
@@ -230,7 +231,7 @@ def test_perp_inclusion_iff_eigenvector_exhaustive(n, q):
     for every alternating theta and every projective point."""
     f = GF(q)
     sig = standard_symplectic(n, f)
-    pts = projective_points_array(f, 2 * n)
+    pts = projective_points(f, 2 * n)
     perp_bases = [
         kernel(f, f.matmul(p[None, :], sig.gram.T)).basis for p in pts
     ]
@@ -242,7 +243,7 @@ def test_perp_inclusion_iff_eigenvector_exhaustive(n, q):
 def test_perp_inclusion_iff_eigenvector_32_sampled():
     f = GF(2)
     sig = standard_symplectic(3, f)
-    pts = projective_points_array(f, 6)
+    pts = projective_points(f, 6)
     perp_bases = [kernel(f, f.matmul(p[None, :], sig.gram.T)).basis for p in pts]
     rng = np.random.default_rng(23)
     for _ in range(150):
@@ -255,7 +256,7 @@ def test_perp_inclusion_iff_eigenvector_32_sampled():
 def test_perp_inclusion_iff_eigenvector_32_exhaustive():
     f = GF(2)
     sig = standard_symplectic(3, f)
-    pts = projective_points_array(f, 6)
+    pts = projective_points(f, 6)
     perp_bases = [kernel(f, f.matmul(p[None, :], sig.gram.T)).basis for p in pts]
     for theta in all_alternating_forms(f, 6):
         eigen, direct = _eigen_membership_and_direct(f, sig, theta, pts, perp_bases)

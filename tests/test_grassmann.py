@@ -11,6 +11,7 @@ from sympgrass.grassmann import (
     enumerate_isotropic,
     grassmann_lines,
     isotropic_stack,
+    iter_isotropic_batches,
     k_subsets,
     line_points,
     plucker,
@@ -114,12 +115,26 @@ def test_isotropic_matches_filter_oracle(n, k, q):
     f = GF(q)
     sig = standard_symplectic(n, f)
     expected = {
-        s.basis.tobytes()
-        for s in enumerate_subspaces(2 * n, k, f)
-        if is_totally_isotropic(sig, s)
+        mat.tobytes()
+        for batch in enumerate_subspaces(2 * n, k, f)
+        for mat in batch
+        if is_totally_isotropic(sig, Subspace(f, 2 * n, mat))
     }
     got = {s.basis.tobytes() for s in enumerate_isotropic(n, k, f)}
     assert got == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_zero_form_enumerates_every_subspace_once(q):
+    # under the zero form nothing is pruned: the k-subspaces of V(d, q), each once
+    f = GF(q)
+    for d in range(1, 6):
+        for k in range(1, d + 1):
+            got = [mat.tobytes() for batch in
+                   iter_isotropic_batches(f, np.zeros((d, d), np.uint8), k) for mat in batch]
+            expected = {mat.tobytes() for batch in enumerate_subspaces(d, k, f) for mat in batch}
+            assert len(got) == len(set(got)) == formulas.gaussian_binomial(d, k, q), (d, k)
+            assert set(got) == expected, (d, k)
 
 
 def test_isotropic_counts_match_formula_medium():

@@ -1,9 +1,11 @@
 """Every definition in src/sympgrass has a caller outside the unit tests.
 
-A top-level function or class, or a non-dunder method, that nothing in
-src/, bench/*.py or the acceptance suite refers to (by a name or an
-attribute) is code that only tests reach; it belongs in tests/oracles.py or
-nowhere.  formulas is exempt: its closed forms are the paper's claims.
+A top-level function or class that nothing in src/, bench/*.py or the
+acceptance suite refers to (by a name or an attribute), or a non-dunder
+method that nothing there reaches as an attribute (x.name, numpy's np.name
+excepted), is code that only tests reach; it belongs in tests/oracles.py or
+nowhere.  A method is not used by a local variable or a numpy function of
+the same name.  formulas is exempt: its closed forms are the paper's claims.
 """
 
 import ast
@@ -15,43 +17,51 @@ EXEMPT = {"formulas"}
 
 
 def definitions():
-    """(module, qualified name, name) of every definition the guard covers."""
+    """(module, qualified name, name, is a method) of every definition the
+    guard covers."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem in EXEMPT:
             continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path.stem, node.name, node.name
+                yield path.stem, node.name, node.name, False
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not (
                         sub.name.startswith("__") and sub.name.endswith("__")
                     ):
-                        yield path.stem, f"{node.name}.{sub.name}", sub.name
+                        yield path.stem, f"{node.name}.{sub.name}", sub.name, True
 
 
-def references() -> set[str]:
-    """Every name and attribute used in src/, bench/*.py and the acceptance suite."""
+def references() -> tuple[set[str], set[str]]:
+    """(names, attributes) used in src/, bench/*.py and the acceptance suite;
+    the attributes leave out those of np."""
     paths = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"),
              ROOT / "tests" / "test_acceptance.py"]
-    names = set()
+    names, attrs = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+            elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id == "np"
+            ):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def unused_definitions() -> list[str]:
+    names, attrs = references()
+    return [f"{module}.{qualname}" for module, qualname, name, method in definitions()
+            if name not in attrs and (method or name not in names)]
 
 
 def test_no_definition_is_reached_only_by_tests():
-    used = references()
-    unused = [f"{module}.{qualname}" for module, qualname, name in definitions()
-              if name not in used]
+    unused = unused_definitions()
     assert not unused, f"no caller outside the unit tests: {', '.join(unused)}"
 
 
 def test_the_guard_sees_the_package():
-    found = {f"{module}.{qualname}" for module, qualname, _ in definitions()}
+    found = {f"{module}.{qualname}" for module, qualname, _, _ in definitions()}
     assert {"codes.build_code", "gf.Field.matmul", "cli.main"} <= found
     assert not any(name.startswith("formulas.") for name in found)

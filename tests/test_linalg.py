@@ -1,4 +1,5 @@
-"""Row reduction, kernels, subspace enumeration, serialization."""
+"""Row reduction, kernels, the oracle subspace walker, the projective
+points of the isotropic enumeration, serialization."""
 
 import io
 
@@ -7,13 +8,11 @@ import pytest
 
 from sympgrass.formulas import gaussian_binomial
 from sympgrass.gf import GF
+from sympgrass.grassmann import iter_isotropic_batches
 from sympgrass.linalg import (
     Subspace,
     inverse,
-    iter_subspace_batches,
     kernel,
-    normalize_projective,
-    projective_points_array,
     rank,
     read_matrix_text,
     rref,
@@ -121,20 +120,26 @@ def test_subspace_canonical_equality():
     assert a != c
 
 
+def subspace_bases(d, k, f):
+    """The oracle walker's RREF bases, one at a time."""
+    for batch in enumerate_subspaces(d, k, f):
+        yield from batch
+
+
 def test_enumerate_subspaces_counts_small():
     for d, k, q in [(2, 1, 2), (4, 2, 2), (4, 2, 3), (5, 3, 2), (4, 0, 3)]:
         f = GF(q)
-        got = sum(1 for _ in enumerate_subspaces(d, k, f))
+        got = sum(1 for _ in subspace_bases(d, k, f))
         assert got == gaussian_binomial(d, k, q)
 
 
 def test_enumerate_subspaces_unique_and_canonical():
     f = GF(3)
     seen = set()
-    for s in enumerate_subspaces(4, 2, f):
-        r, rk, _ = rref(f, s.basis)
-        assert rk == 2 and np.array_equal(r[:2], s.basis)
-        seen.add(s.basis.tobytes())
+    for basis in subspace_bases(4, 2, f):
+        r, rk, _ = rref(f, basis)
+        assert rk == 2 and np.array_equal(r[:2], basis)
+        seen.add(basis.tobytes())
     assert len(seen) == gaussian_binomial(4, 2, 3)
 
 
@@ -145,15 +150,15 @@ def test_enumerate_subspaces_matches_brute_force_spans():
     f = GF(2)
     expected = oracle_subspaces(2, 4, 2)
     got = set()
-    for s in enumerate_subspaces(4, 2, f):
-        got.add(span_of(2, [tuple(int(x) for x in row) for row in s.basis], 4))
+    for basis in subspace_bases(4, 2, f):
+        got.add(span_of(2, [tuple(int(x) for x in row) for row in basis], 4))
     assert got == expected
 
 
 def test_zero_dimensional_subspace():
     f = GF(3)
-    subs = list(enumerate_subspaces(4, 0, f))
-    assert len(subs) == 1 and subs[0].dim == 0
+    subs = list(subspace_bases(4, 0, f))
+    assert len(subs) == 1 and subs[0].shape == (0, 4)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +167,7 @@ def test_zero_dimensional_subspace():
 )
 def test_enumeration_count_medium(d, k, q):
     f = GF(q)
-    got = sum(b.shape[0] for b in iter_subspace_batches(f, d, k))
+    got = sum(b.shape[0] for b in enumerate_subspaces(d, k, f))
     assert got == gaussian_binomial(d, k, q)
 
 
@@ -173,30 +178,28 @@ def test_enumeration_count_full_range(q):
     for d in range(1, 9):
         for k in range(0, min(d, 4) + 1):
             f = GF(q)
-            got = sum(b.shape[0] for b in iter_subspace_batches(f, d, k))
+            got = sum(b.shape[0] for b in enumerate_subspaces(d, k, f))
             assert got == gaussian_binomial(d, k, q), (d, k, q)
 
 
+def projective_points(f, d):
+    """The points of PG(d - 1, q) from the isotropic enumeration under the
+    zero form (k = 1: no filter runs)."""
+    batches = iter_isotropic_batches(f, np.zeros((d, d), np.uint8), 1)
+    return np.concatenate([b[:, 0] for b in batches])
+
+
 def test_projective_points_d2_q2():
-    pts = [tuple(int(x) for x in v) for v in projective_points_array(GF(2), 2)]
+    pts = [tuple(int(x) for x in v) for v in projective_points(GF(2), 2)]
     assert sorted(pts) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_projective_points_counts():
-    assert projective_points_array(GF(3), 4).shape == (40, 4)
-    assert projective_points_array(GF(5), 1).shape == (1, 1)
-    for v in projective_points_array(GF(4), 3):
+    assert projective_points(GF(3), 4).shape == (40, 4)
+    assert projective_points(GF(5), 1).shape == (1, 1)
+    for v in projective_points(GF(4), 3):
         nz = np.nonzero(v)[0]
         assert v[nz[0]] == 1  # normalized
-
-
-def test_normalize_projective():
-    f = GF(5)
-    v = np.array([0, 3, 1], dtype=np.uint8)
-    w = normalize_projective(f, v)
-    assert w[1] == 1 and w[2] == f.mul(f.inv(3), 1)
-    with pytest.raises(ValueError):
-        normalize_projective(f, np.zeros(3, dtype=np.uint8))
 
 
 def test_matrix_text_round_trip():
