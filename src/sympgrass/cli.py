@@ -107,9 +107,9 @@ def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
 
 
 def _eta_ops(n: int, q: int, counts: int) -> int:
-    """Symbol operations of `counts` eta counts, the sweep estimate's unit:
-    each tests one candidate per 2-subspace of V(2n, q), a product of length
-    2n under each of the two forms."""
+    """A conservative bound on `counts` eta counts in the sweep estimate's
+    unit, 4n symbol operations per 2-subspace of V(2n, q), kept so that the
+    gate admits the same runs; eta does far less (eta 8 2: 2.3e10, 0.07 s)."""
     return counts * 4 * n * formulas.gaussian_binomial(2 * n, 2, q)
 
 

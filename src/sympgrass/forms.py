@@ -161,15 +161,18 @@ def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
 def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm) -> int:
     """eta: the lines (2-subspaces) totally isotropic for both forms.
 
-    Counted, not built: every such line has one RREF basis, whose first row
-    is a projective point p with pivot c0 and zero in the second pivot column
-    c1 > c0, and whose second row is one of cell (c0, c1)'s candidate rows
-    orthogonal to p under both forms (a single vector is isotropic for every
-    alternating form).  So eta is the sum, over the points p and the columns
-    c1 > c0 where p is zero, of the number of such candidate rows: the same
-    pairs the two-form enumeration of lines visits, each counted once, and
-    nothing depends on N1.  Memory is bounded by one chunk of the isotropy
-    filter's product (grassmann._FILTER_CHUNK_ELEMS float32 elements).
+    Counted, not built, from each point's rank profile.  Such a line has one
+    RREF basis: a projective point p with pivot c0 and zero in the second
+    pivot column c1 > c0, then a row r = e_c1 + (entries after c1) with
+    a.r = b.r = 0, where a = p G_sigma and b = p G_theta (a single vector is
+    isotropic for every alternating form).  With z the last column where a or
+    b is nonzero and m the last column j with a_j b_z != a_z b_j (-1 if none),
+    the columns >= c of [a; b] have rank rho_c = [c <= z] + [c <= m], so
+    [a; b] x = 0 has q^(s_c) solutions on them, s_c = d - c - rho_c, and cell
+    (p, c1) has (q^(s_c1) - q^(s_(c1+1))) / (q - 1) rows r: 0 if c1 is z or
+    m, where rho drops, else q^(d - 1 - c1 - [c1 < z] - [c1 < m]).  eta sums
+    these over p and the columns c1 > c0 where p is zero, the pairs the
+    two-form enumeration of lines visits; nothing depends on N1.
 
     sigma must be non-degenerate and n >= 2.
     """
@@ -182,54 +185,45 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
         raise ValueError("lines need n >= 2")
     if theta.dim != sigma.dim or theta.field != f:
         raise ValueError("forms must live on the same space")
-    grams = np.stack([sigma.gram, theta.gram])
     d = sigma.dim
-    eta = 0
-    # every point of a batch has the same pivot, so one batch is (part of) one cell c0
+    cols = np.arange(d)
+    tally = np.zeros(d, dtype=np.int64)  # (p, c1) pairs per exponent of q
+
+    def last(mask):  # last True column of each row, -1 if none
+        return ((mask * (cols + 1)).max(axis=1) - 1)[:, None]
+
     for points in grassmann.iter_isotropic_batches(f, sigma.gram, 1):
-        c0 = int((points[0, 0] != 0).argmax())
-        for c1 in range(c0 + 1, d):
-            firsts = points[points[:, 0, c1] == 0]
-            cands = grassmann._row_candidates(f, (c0, c1), d, 1)
-            for _, ok in grassmann._orthogonal_chunks(f, firsts, cands, grams):
-                eta += int(np.count_nonzero(ok))
-    return eta
+        p = points[:, 0]
+        c0 = (p != 0).argmax(axis=1)[:, None]
+        # exact: Field.matmul's inner dimension is d, and it raises rather than round
+        a, b = np.split(f.matmul(p, np.hstack([sigma.gram, theta.gram])), 2, axis=1)
+        z = last((a | b) != 0)
+        az, bz = np.take_along_axis(a, z, 1), np.take_along_axis(b, z, 1)
+        m = last(f.arr_mul(a, bz) != f.arr_mul(b, az))
+        cells = (cols > c0) & (p == 0) & (cols != z) & (cols != m)
+        exps = d - 1 - cols - (cols < z) - (cols < m)
+        tally += np.bincount(exps[cells], minlength=d)
+    # summed in Python ints, so eta is exact for any n
+    return sum(int(t) * f.q**e for e, t in enumerate(tally))
 
 
 def worst_case_theta(sigma: AlternatingForm) -> AlternatingForm:
-    """The rank-2 form theta attaining the maximum N1: sigma restricted to a
-    non-isotropic line, zero on its sigma-perp complement.
+    """The rank-2 form theta attaining the maximum N1: sigma on a
+    non-isotropic line <e_i, e_j>, zero on its sigma-perp complement.
 
-    Needs n >= 2 (for n = 1 every such theta is a scalar multiple of sigma).
+    With (i, j) the first pair, row by row, with s = G[i, j] != 0, that is
+    theta = (G[:, i] G[:, j]^T - G[:, j] G[:, i]^T) / s.  Needs n >= 2 (for
+    n = 1 every such theta is a scalar multiple of sigma).
     """
     f = sigma.field
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")
-    d = sigma.dim
     if sigma.n < 2:
         raise ValueError("worst-case construction needs n >= 2")
-    # first standard basis pair spanning a non-isotropic line
-    pair = None
-    for i in range(d):
-        for j in range(i + 1, d):
-            if sigma.gram[i, j] != 0:
-                pair = (i, j)
-                break
-        if pair:
-            break
-    assert pair is not None  # non-degeneracy guarantees one
-    i, j = pair
-    line = Subspace.from_rows(f, np.eye(d, dtype=np.uint8)[[i, j]])
-    comp = perp(sigma, line)
-    assert comp.dim == d - 2
-    # change of basis C: rows = line basis then complement basis
-    c_mat = np.concatenate([line.basis, comp.basis], axis=0)
-    c_inv = inverse(f, c_mat)
-    mask = np.zeros((d, d), dtype=np.uint8)
-    mask[0, 0] = mask[1, 1] = 1
-    proj = f.matmul(f.matmul(c_inv, mask), c_mat)
-    s_gram = f.matmul(f.matmul(proj, sigma.gram), proj.T)
-    theta = AlternatingForm(f, s_gram)
+    g = sigma.gram
+    i, j = np.argwhere(np.triu(g != 0, 1))[0]  # non-degeneracy guarantees one
+    rows = f.arr_mul(np.stack([g[:, j], f.arr_neg(g[:, i])]), np.uint8(f.inv(int(g[i, j]))))
+    theta = AlternatingForm(f, f.matmul(g[:, [i, j]], rows))
     assert theta.rank == 2
     return theta
 

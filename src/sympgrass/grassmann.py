@@ -134,7 +134,7 @@ def _digit_block(count: int, nslots: int, q: int) -> np.ndarray:
 def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np.ndarray:
     """All admissible RREF row-i vectors for the given pivot pattern (cached
     and read-only: every enumeration over the same field and dimension, such
-    as one eta count per form, asks for the same tables)."""
+    as eta's k = 1 point enumeration, asks for the same tables)."""
     c = pivots[i]
     pset = set(pivots)
     free = [j for j in range(c + 1, ncols) if j not in pset]

@@ -295,7 +295,9 @@ def test_eta_against_brute_force_22():
     assert etas[0] == 9
 
 
-@pytest.mark.parametrize("n,q,trials", [(2, 2, 40), (2, 3, 40), (3, 2, 40), (2, 4, 25)])
+@pytest.mark.parametrize(
+    "n,q,trials", [(2, 2, 40), (2, 3, 40), (3, 2, 40), (2, 4, 25), (5, 3, 5), (8, 2, 3)]
+)
 def test_line_identity_random(n, q, trials):
     f = GF(q)
     sig = standard_symplectic(n, f)
@@ -318,7 +320,18 @@ def test_eta_scalar_invariance():
             assert count_common_isotropic_lines(sig, subtract_scaled(theta, sig, lam)) == base
 
 
-ETA_CASES = [(2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [(3, q) for q in (2, 3, 4, 5)]
+QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+ETA_CASES = [(2, q) for q in QS] + [(3, q) for q in (2, 3, 4, 5)] + [(4, 2)]
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(2, q) for q in QS] + [(3, q) for q in QS if q <= 9] + [(4, q) for q in QS if q <= 5]
+    + [(5, 2), (5, 3), (6, 2), (7, 2), (8, 2)],
+)
+def test_eta_worst_case_equals_eta_max(n, q):
+    sig = standard_symplectic(n, GF(q))
+    assert count_common_isotropic_lines(sig, worst_case_theta(sig)) == formulas.eta_max(n, q)
 
 
 def _theta(sig, kind, lam, seed):
@@ -329,12 +342,15 @@ def _theta(sig, kind, lam, seed):
         return AlternatingForm(f, f.arr_mul(sig.gram, np.uint8(lam)))
     if kind == "worst":
         return worst_case_theta(sig)
+    if kind == "wedge":  # u v^T - v u^T, of rank 0 or 2
+        u, v = np.random.default_rng(seed).integers(0, f.q, size=(2, sig.dim, 1), dtype=np.uint8)
+        return AlternatingForm(f, f.arr_sub(f.matmul(u, v.T), f.matmul(v, u.T)))
     return random_alternating_form(f, sig.dim, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("n,q", ETA_CASES)
 @settings(max_examples=6, derandomize=True, database=None, deadline=None)
-@given(kind=st.sampled_from(("zero", "scaled", "worst", "random")),
+@given(kind=st.sampled_from(("zero", "scaled", "worst", "random", "wedge")),
        lam=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
 def test_eta_counts_the_lines_it_would_build(n, q, kind, lam, seed):
     # the counted eta equals the number of frames the two-form enumeration

@@ -1,4 +1,5 @@
-"""Every definition in src/sympgrass has a caller outside the unit tests.
+"""Every definition in src/sympgrass has a caller outside the unit tests,
+and no module reaches into another module's private names.
 
 A top-level function or class that nothing in src/, bench/*.py or the
 acceptance suite refers to (by a name or an attribute), or a non-dunder
@@ -6,6 +7,10 @@ method that nothing there reaches as an attribute (x.name, numpy's np.name
 excepted), is code that only tests reach; it belongs in tests/oracles.py or
 nowhere.  A method is not used by a local variable or a numpy function of
 the same name.  formulas is exempt: its closed forms are the paper's claims.
+
+A module's _names are its own: no module of the package reads
+other_module._name or imports `from .other import _name` (dunders excepted),
+so that each layout decision is known to one module.
 """
 
 import ast
@@ -65,3 +70,35 @@ def test_the_guard_sees_the_package():
     found = {f"{module}.{qualname}" for module, qualname, _, _ in definitions()}
     assert {"codes.build_code", "gf.Field.matmul", "cli.main"} <= found
     assert not any(name.startswith("formulas.") for name in found)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_cross_module_uses() -> list[str]:
+    """'module: other._name' for every private name a package module takes
+    from another package module."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}  # local name -> package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                for alias in node.names:
+                    if alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [f"{path.stem}: from .{node.module} import {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and _private(node.attr)):
+                found.append(f"{path.stem}: {aliases[node.value.id]}.{node.attr}")
+    return sorted(set(found))
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = private_cross_module_uses()
+    assert not found, f"private names used across modules: {', '.join(found)}"
