@@ -23,8 +23,7 @@ from .codes import build_code, codeword_from_form, weight_enumerator, write_gene
 from .forms import (
     count_common_isotropic_lines,
     count_n1,
-    eigen_analysis,
-    n1_from_eigenspaces,
+    eigen_profile,
     random_alternating_form,
     standard_symplectic,
     worst_case_theta,
@@ -257,8 +256,8 @@ def cmd_weights(args) -> int:
 
 
 def _eta_report(sigma, theta, q: int, n: int) -> dict:
-    dec = eigen_analysis(sigma, theta)
-    n1 = n1_from_eigenspaces(dec, q)
+    profile = eigen_profile(sigma, theta)
+    n1 = sum((q**d - 1) // (q - 1) for d in profile.values())
     eta = count_common_isotropic_lines(sigma, theta)
     rhs = formulas.line_identity_rhs(n, q, n1)
     residual = (q + 1) * eta - rhs
@@ -268,9 +267,9 @@ def _eta_report(sigma, theta, q: int, n: int) -> dict:
         "eta": eta,
         "N": big_n,
         "N_minus_eta": big_n - eta,
-        "eigen_dims": sorted(dec.dims),
-        "eigenvalues": sorted(lam for lam, _ in dec.pairs),
-        "diagonalizable": dec.diagonalizable,
+        "eigen_dims": sorted(profile.values()),
+        "eigenvalues": sorted(profile),
+        "diagonalizable": sum(profile.values()) == 2 * n,
         "e1_residual": residual,
     }
 
@@ -392,8 +391,13 @@ def cmd_verify(args) -> int:
         sums_ok = we.total() == q**code.K
         scalar_ok = all(c % (q - 1) == 0 for w, c in we.distribution.items() if w > 0)
         record("sum_and_scalar_rules", sums_ok and scalar_ok)
-    elif code is not None:
-        record("d_min", None, reason="sweep locked; rerun with --slow", estimate=gate.estimate)
+    elif code is not None:  # name each limit the estimate crosses and what lifts it
+        over = [f"the budget of {_sci(budget)} (raise --budget)"] if gate.estimate > budget else []
+        if not args.slow and gate.estimate > SLOW_THRESHOLD:
+            over.append(f"the SLOW_THRESHOLD of {_sci(SLOW_THRESHOLD)} (rerun with --slow)")
+        record("d_min", None, estimate=gate.estimate,
+               reason=f"sweep estimated at {_sci(gate.estimate)} symbol operations, over "
+               + " and ".join(over))
 
     # line-count identity and the worst-case construction (line codes); the
     # forms are built only for a check that runs, as n may be large
@@ -453,7 +457,7 @@ def _threads(text: str) -> int:
 def _add_common(sp):
     sp.add_argument("--threads", type=_threads, default=1,
                     help="worker threads for sweeps (capped at the core count)")
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", type=_positive, default=None,
                     help=f"sweep operation budget (default {DEFAULT_BUDGET:.0e})")
     sp.add_argument("--slow", action="store_true",
                     help="unlock the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2, "

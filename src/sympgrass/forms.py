@@ -1,11 +1,12 @@
 """Alternating bilinear forms on V(2n, q).
 
 Houses the fixed standard symplectic form (Gram matrix [[0, I], [-I, 0]]),
-arbitrary alternating forms, perps, the eigenspace analysis of M^-1 S for
-a pair of forms, and the point/line counts that drive the minimum-distance
-verification for the line codes.
+arbitrary alternating forms, perps, the eigen profile of a pair of forms
+(the kernel dimension of theta - lam sigma for each lam in GF(q)), and the
+point/line counts that drive the minimum-distance verification for the
+line codes.
 
-N1 comes from the eigenspaces.  eta, the number of lines isotropic for
+N1 comes from the eigen profile.  eta, the number of lines isotropic for
 both forms, is an exact count that builds no line and does not use N1, so
 the double-counting identity that ties the two stays a check.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .linalg import Subspace, inverse, kernel, rank
+from .linalg import Subspace, kernel, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +85,6 @@ class AlternatingForm:
         return f"AlternatingForm(dim={self.dim}, rank={self.rank}, q={self.field.q})"
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenspaces of M^-1 S over GF(q), one entry per eigenvalue that occurs."""
-
-    pairs: tuple[tuple[int, Subspace], ...]
-    diagonalizable: bool
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for _, s in self.pairs)
-
-
 def standard_symplectic(n: int, field: Field) -> AlternatingForm:
     """The fixed non-degenerate form with Gram matrix [[0, I_n], [-I_n, 0]]."""
     if n < 1:
@@ -118,44 +107,33 @@ def perp(form: AlternatingForm, s: Subspace) -> Subspace:
     return kernel(f, constraints)
 
 
-def eigen_analysis(sigma: AlternatingForm, theta: AlternatingForm) -> EigenDecomposition:
-    """Eigenspaces of M^-1 S, found by sweeping all q candidate eigenvalues.
+def eigen_profile(sigma: AlternatingForm, theta: AlternatingForm) -> dict[int, int]:
+    """{lam: d_lam} for each lam in GF(q) with d_lam = 2n - rank(theta - lam sigma) > 0.
 
-    M is sigma's Gram matrix (must be non-degenerate), S is theta's.
+    sigma must be non-degenerate.  Then theta - lam sigma = sigma (M^-1 S - lam I),
+    with M and S the Gram matrices, so d_lam is the dimension of the eigenspace
+    of M^-1 S for lam, and these eigenspaces meet trivially.
     """
     f = sigma.field
     if sigma.dim != theta.dim or f != theta.field:
         raise ValueError("forms must live on the same space")
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")
-    a = f.matmul(inverse(f, sigma.gram), theta.gram)
-    d = sigma.dim
-    pairs = []
-    total = 0
+    profile = {}
     for lam in f.elements():
-        shifted = a.copy()
-        for i in range(d):
-            shifted[i, i] = f.sub(int(shifted[i, i]), lam)
-        eig = kernel(f, shifted)
-        if eig.dim > 0:
-            pairs.append((lam, eig))
-            total += eig.dim
-    return EigenDecomposition(tuple(pairs), diagonalizable=(total == d))
-
-
-def n1_from_eigenspaces(dec: EigenDecomposition, q: int) -> int:
-    """N1 from the eigenspaces of M^-1 S: the projective points they hold.
-
-    Eigenspaces for distinct eigenvalues meet trivially, so the union count
-    is a plain sum.
-    """
-    return sum((q**d - 1) // (q - 1) for d in dec.dims)
+        shifted = f.arr_sub(theta.gram, f.arr_mul(sigma.gram, np.uint8(lam)))
+        d_lam = sigma.dim - rank(f, shifted)
+        if d_lam:
+            profile[lam] = d_lam
+    return profile
 
 
 def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
-    """Projective points p with sigma-perp of p contained in theta-perp of p,
-    counted through the eigenspaces of M^-1 S."""
-    return n1_from_eigenspaces(eigen_analysis(sigma, theta), sigma.field.q)
+    """Projective points p with sigma-perp of p contained in theta-perp of p:
+    the points of the eigenspaces of M^-1 S, which meet trivially, so the
+    count is a plain sum over the eigen profile."""
+    q = sigma.field.q
+    return sum((q**d - 1) // (q - 1) for d in eigen_profile(sigma, theta).values())
 
 
 def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm) -> int:

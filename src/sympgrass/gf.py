@@ -154,10 +154,6 @@ class Field:
             if not 0 <= v < self.q:
                 raise ValueError(f"{v} is not an element encoding of GF({self.q})")
 
-    def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.add_table[a, self.neg_table[b]])
-
     def neg(self, a: int) -> int:
         self._check(a)
         return int(self.neg_table[a])

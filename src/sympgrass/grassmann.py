@@ -288,7 +288,15 @@ def line_points(line: GrassmannLine, sigma: AlternatingForm) -> list[Subspace]:
 
 
 def grassmann_lines(n: int, k: int, field: Field) -> Iterator[GrassmannLine]:
-    """All lines of the symplectic Grassmannian of k-subspaces."""
+    """The lines of the polar Grassmann geometry of totally isotropic k-subspaces.
+
+    Each line is a pencil {X : W ⊂ X ⊂ T} of q + 1 subspaces, dim W = k - 1 and
+    dim T = k + 1.  For k < n, T is a totally isotropic (k+1)-subspace; for
+    k = n, T is W's sigma-perp, left as None (line_points takes the perp).
+    For k < n these are not all the projective lines inside the embedded
+    point set: a pencil with T not isotropic but inside W's perp is one too.
+    W(3,2) at q = 2 yields 945 pencils, while its point set holds 2205 lines.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k == n:

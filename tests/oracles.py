@@ -5,8 +5,8 @@ field arithmetic is naive polynomial arithmetic written from scratch,
 subspaces are sets of vectors, determinants use the Leibniz sum, and
 weight sweeps walk messages one by one.  The exceptions are the reference
 implementations at the end, which use the package's own arithmetic:
-count_n1_direct takes a different route through its linear algebra than
-the eigenspace count it checks, and is_totally_isotropic and
+count_n1_direct and eigen_analysis take other routes through its linear
+algebra than the rank profile they check, and is_totally_isotropic and
 contains_vector are the definitions that the pruned enumerations are
 compared against.  enumerate_subspaces walks every RREF cell with numpy
 alone; it shares no code with the package's pruned cell walker.
@@ -294,3 +294,26 @@ def count_n1_direct(sigma, theta):
         if all(contains_vector(p_th, row) for row in p_sig.basis):
             count += 1
     return count
+
+
+def eigen_analysis(sigma, theta):
+    """Eigenspaces of M^-1 S, M and S the Gram matrices of sigma and theta,
+    found by sweeping all q candidate eigenvalues: the reference for
+    forms.eigen_profile.  Returns ((lam, Subspace), ...) for each eigenvalue
+    that occurs, and whether the eigenspaces together span the space."""
+    from sympgrass.linalg import inverse, kernel, rank
+
+    f = sigma.field
+    if sigma.dim != theta.dim or f != theta.field:
+        raise ValueError("forms must live on the same space")
+    if not sigma.is_nondegenerate():
+        raise ValueError("sigma must be non-degenerate")
+    a = f.matmul(inverse(f, sigma.gram), theta.gram)
+    d = sigma.dim
+    pairs = []
+    for lam in f.elements():
+        eig = kernel(f, f.arr_sub(a, f.arr_mul(np.eye(d, dtype=np.uint8), np.uint8(lam))))
+        if eig.dim > 0:
+            pairs.append((lam, eig))
+    bases = [np.zeros((0, d), dtype=np.uint8)] + [s.basis for _, s in pairs]
+    return tuple(pairs), rank(f, np.concatenate(bases)) == d

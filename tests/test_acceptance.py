@@ -18,7 +18,7 @@ from sympgrass.codes import build_code, weight_enumerator
 from sympgrass.forms import (
     count_common_isotropic_lines,
     count_n1,
-    eigen_analysis,
+    eigen_profile,
     random_alternating_form,
     standard_symplectic,
     worst_case_theta,
@@ -209,14 +209,14 @@ def test_criterion_07_worst_case_construction(n, q):
     f = GF(q)
     sigma = standard_symplectic(n, f)
     theta = worst_case_theta(sigma)
-    dec = eigen_analysis(sigma, theta)
-    dims_ok = sorted(dec.dims) == sorted((2, 2 * n - 2))
+    dims = sorted(eigen_profile(sigma, theta).values())
+    dims_ok = dims == sorted((2, 2 * n - 2))
     n1 = count_n1(sigma, theta)
     eta = count_common_isotropic_lines(sigma, theta)
     weight = formulas.length(n, 2, q) - eta
     ok = dims_ok and n1 == formulas.n1_max(n, q) and weight == formulas.dmin_line(n, q)
     report(f"7 worst case ({n},{q})", ok, f"N1={n1} weight={weight}")
-    assert dims_ok, dec.dims
+    assert dims_ok, dims
     assert n1 == formulas.n1_max(n, q)
     assert weight == formulas.dmin_line(n, q)
 

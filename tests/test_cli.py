@@ -9,6 +9,8 @@ from sympgrass import cli, formulas, forms, grassmann
 from sympgrass.cli import build_parser, main
 from sympgrass.gf import GF
 
+from oracles import eigen_analysis
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -90,6 +92,7 @@ def test_eta_worst(capsys):
     assert res["N1"] == 6 and res["eta"] == 9 and res["N_minus_eta"] == 6
     assert res["e1_residual"] == 0
     assert res["eigen_dims"] == [2, 2]
+    assert res["eigenvalues"] == [0, 1] and res["diagonalizable"] is True
 
 
 def test_eta_random_deterministic(capsys):
@@ -104,14 +107,14 @@ def test_eta_random_deterministic(capsys):
 
 def test_eta_analyses_each_form_once(capsys, monkeypatch):
     calls = []
-    orig = forms.eigen_analysis
+    orig = forms.eigen_profile
 
     def counted(sigma, theta):
         calls.append(theta)
         return orig(sigma, theta)
 
-    monkeypatch.setattr(forms, "eigen_analysis", counted)
-    monkeypatch.setattr(cli, "eigen_analysis", counted)
+    monkeypatch.setattr(forms, "eigen_profile", counted)
+    monkeypatch.setattr(cli, "eigen_profile", counted)
     code, report, _ = run_cli(capsys, "eta", "3", "4", "--theta", "random",
                               "--seed", "7", "--trials", "20")
     assert code == 0 and len(calls) == 20
@@ -123,6 +126,11 @@ def test_eta_analyses_each_form_once(capsys, monkeypatch):
         theta = forms.random_alternating_form(f, 6, rng)
         assert trial["N1"] == forms.count_n1(sigma, theta)
         assert trial["eta"] == forms.count_common_isotropic_lines(sigma, theta)
+        # the eigen fields against the eigenspaces found through sigma's inverse
+        pairs, diagonalizable = eigen_analysis(sigma, theta)
+        assert trial["eigenvalues"] == [lam for lam, _ in pairs]
+        assert trial["eigen_dims"] == sorted(space.dim for _, space in pairs)
+        assert trial["diagonalizable"] == diagonalizable
     assert report["results"]["all_residuals_zero"] is True
 
 
@@ -189,6 +197,26 @@ def test_verify_skips_locked_sweep(capsys):
     assert checks["d_min"]["pass"] is None  # skipped, not failed
 
 
+def test_verify_names_the_limit_a_skipped_sweep_crosses(capsys):
+    # with --slow set, a sweep over --budget is skipped for the budget alone
+    code, report, _ = run_cli(capsys, "verify", "2", "2", "3", "--slow", "--budget", "1000")
+    assert code == 0
+    reason = report["results"]["checks"]["d_min"]["reason"]
+    assert "9.72e+03" in reason and "budget of 1.00e+03" in reason and "--budget" in reason
+    assert "--slow" not in reason
+    # W(3,2) q=3, 1.74e10: over SLOW_THRESHOLD, so --slow names only the budget
+    code, report, _ = run_cli(capsys, "verify", "3", "2", "3", "--trials", "1",
+                              "--slow", "--budget", "1000000000")
+    reason = report["results"]["checks"]["d_min"]["reason"]
+    assert code == 0 and "budget of 1.00e+09" in reason
+    assert "--slow" not in reason and "SLOW_THRESHOLD" not in reason
+    # without --slow it is within the default budget but over SLOW_THRESHOLD
+    code, report, _ = run_cli(capsys, "verify", "3", "2", "3", "--trials", "1")
+    reason = report["results"]["checks"]["d_min"]["reason"]
+    assert code == 0 and "SLOW_THRESHOLD" in reason and "--slow" in reason
+    assert "--budget" not in reason
+
+
 def test_verify_json_deterministic(capsys):
     _, rep1, _ = run_cli(capsys, "verify", "2", "2", "3", "--trials", "8", "--seed", "5")
     _, rep2, _ = run_cli(capsys, "verify", "2", "2", "3", "--trials", "8", "--seed", "5")
@@ -219,6 +247,8 @@ def test_threads_and_trials_validated(capsys):
     assert run_cli(capsys, "eta", "2", "3", "--theta", "random", "--trials", "0")[0] == 2
     assert run_cli(capsys, "verify", "2", "2", "2", "--trials", "0")[0] == 2
     assert run_cli(capsys, "weights", "2", "2", "2", "--seed", "1")[0] == 2  # no such option
+    assert run_cli(capsys, "weights", "2", "2", "3", "--budget", "-1")[0] == 2
+    assert run_cli(capsys, "verify", "2", "2", "3", "--budget", "0")[0] == 2
 
 
 def test_gate_refuses_before_building(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Alternating forms: perps, radicals, eigen analysis, point/line counts."""
+"""Alternating forms: perps, radicals, eigen profiles, point/line counts."""
 
 from itertools import combinations, product
 
@@ -11,17 +11,18 @@ from sympgrass.forms import (
     AlternatingForm,
     count_common_isotropic_lines,
     count_n1,
-    eigen_analysis,
+    eigen_profile,
     perp,
     random_alternating_form,
     standard_symplectic,
     worst_case_theta,
 )
 from sympgrass.gf import GF
-from sympgrass.linalg import Subspace, inverse, kernel
+from sympgrass.linalg import Subspace, inverse, kernel, rank
 
 from oracles import (
     count_n1_direct,
+    eigen_analysis,
     is_totally_isotropic,
     oracle_bilinear,
     oracle_common_isotropic_lines,
@@ -156,21 +157,23 @@ def test_isotropy_examples():
             assert is_totally_isotropic(sig, iso)
 
 
-def test_eigen_analysis_trivial_cases():
+def test_eigen_profile_trivial_cases():
     f = GF(3)
     sig = standard_symplectic(2, f)
-    dec = eigen_analysis(sig, sig)
-    assert dec.dims == (4,) and dec.pairs[0][0] == 1 and dec.diagonalizable
+    assert eigen_profile(sig, sig) == {1: 4}
     zero = AlternatingForm(f, np.zeros((4, 4), dtype=np.uint8))
-    dec = eigen_analysis(sig, zero)
-    assert dec.dims == (4,) and dec.pairs[0][0] == 0
+    assert eigen_profile(sig, zero) == {0: 4}
 
 
-def test_eigen_analysis_rejects_degenerate_sigma():
+def test_eigen_profile_rejects_degenerate_sigma():
     f = GF(2)
     zero = AlternatingForm(f, np.zeros((4, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        eigen_analysis(zero, zero)
+    with pytest.raises(ValueError, match="non-degenerate"):
+        eigen_profile(zero, zero)
+    with pytest.raises(ValueError, match="same space"):
+        eigen_profile(standard_symplectic(2, f), standard_symplectic(3, f))
+    with pytest.raises(ValueError, match="same space"):
+        eigen_profile(standard_symplectic(2, f), standard_symplectic(2, GF(3)))
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -179,8 +182,7 @@ def test_worst_case_theta_eigen_structure(n, q):
     sig = standard_symplectic(n, f)
     th = worst_case_theta(sig)
     assert th.rank == 2
-    dec = eigen_analysis(sig, th)
-    assert sorted(dec.dims) == sorted((2, 2 * n - 2))
+    assert sorted(eigen_profile(sig, th).values()) == sorted((2, 2 * n - 2))
     assert count_n1(sig, th) == formulas.n1_max(n, q)
     # radical of theta equals the sigma-perp of the chosen line
     line = Subspace.from_rows(f, np.stack([e(0, 2 * n), e(n, 2 * n)]))
@@ -372,6 +374,21 @@ def test_eta_counts_the_lines_it_would_build(n, q, kind, lam, seed):
             assert (q + 1) * eta == rhs
 
 
+@pytest.mark.parametrize("n,q", [(2, q) for q in QS] + [(3, q) for q in QS if q <= 5])
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(("zero", "scaled", "worst", "random")),
+       lam=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+def test_eigen_profile_matches_the_eigenspaces(n, q, kind, lam, seed):
+    # the kernel dimensions of theta - lam sigma against the eigenspaces of
+    # M^-1 S found through the inverse of sigma's Gram matrix
+    sig = standard_symplectic(n, GF(q))
+    th = _theta(sig, kind, 1 + lam % (q - 1), seed)
+    profile = eigen_profile(sig, th)
+    pairs, diagonalizable = eigen_analysis(sig, th)
+    assert profile == {mu: space.dim for mu, space in pairs}  # eigenvalues and dimensions
+    assert (sum(profile.values()) == 2 * n) == diagonalizable
+
+
 def test_row_candidates_are_cached_read_only():
     f = GF(3)
     rows = grassmann._row_candidates(f, (0, 2), 4, 1)
@@ -408,16 +425,17 @@ def test_random_forms_even_rank_and_reproducible():
 
 
 def test_eigenspaces_pairwise_trivial():
+    # the reference eigenspaces meet trivially, so N1 and diagonalizability
+    # can be read from the sum of their dimensions
     f = GF(3)
     sig = standard_symplectic(2, f)
     rng = np.random.default_rng(31)
     for _ in range(10):
         theta = random_alternating_form(f, 4, rng)
-        dec = eigen_analysis(sig, theta)
-        assert sum(dec.dims) <= 4
-        assert dec.diagonalizable == (sum(dec.dims) == 4)
-        for (_, s1), (_, s2) in combinations(dec.pairs, 2):
+        pairs, diagonalizable = eigen_analysis(sig, theta)
+        dims = [s.dim for _, s in pairs]
+        assert sum(dims) <= 4
+        assert diagonalizable == (sum(dims) == 4)
+        for (_, s1), (_, s2) in combinations(pairs, 2):
             stacked = np.concatenate([s1.basis, s2.basis], axis=0)
-            from sympgrass.linalg import rank as _rank
-
-            assert _rank(f, stacked) == s1.dim + s2.dim
+            assert rank(f, stacked) == s1.dim + s2.dim
