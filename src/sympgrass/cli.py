@@ -108,7 +108,7 @@ def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
 def _eta_ops(n: int, q: int, counts: int) -> int:
     """A conservative bound on `counts` eta counts in the sweep estimate's
     unit, 4n symbol operations per 2-subspace of V(2n, q), kept so that the
-    gate admits the same runs; eta does far less (eta 8 2: 2.3e10, 0.07 s)."""
+    gate admits the same runs; eta does far less (eta 8 2: 2.3e10, 0.1 s)."""
     return counts * 4 * n * formulas.gaussian_binomial(2 * n, 2, q)
 
 
@@ -352,6 +352,14 @@ def cmd_bounds(args) -> int:
     return 0 if ok else 1
 
 
+def _limits_crossed(estimate: int, budget: int, slow: bool) -> str:
+    """Each limit a skipped check's estimate crosses, with what lifts it."""
+    over = [f"the budget of {_sci(budget)} (raise --budget)"] if estimate > budget else []
+    if not slow and estimate > SLOW_THRESHOLD:
+        over.append(f"the SLOW_THRESHOLD of {_sci(SLOW_THRESHOLD)} (rerun with --slow)")
+    return " and ".join(over)
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     gate = _gate(args)
@@ -391,19 +399,16 @@ def cmd_verify(args) -> int:
         sums_ok = we.total() == q**code.K
         scalar_ok = all(c % (q - 1) == 0 for w, c in we.distribution.items() if w > 0)
         record("sum_and_scalar_rules", sums_ok and scalar_ok)
-    elif code is not None:  # name each limit the estimate crosses and what lifts it
-        over = [f"the budget of {_sci(budget)} (raise --budget)"] if gate.estimate > budget else []
-        if not args.slow and gate.estimate > SLOW_THRESHOLD:
-            over.append(f"the SLOW_THRESHOLD of {_sci(SLOW_THRESHOLD)} (rerun with --slow)")
+    elif code is not None:
         record("d_min", None, estimate=gate.estimate,
                reason=f"sweep estimated at {_sci(gate.estimate)} symbol operations, over "
-               + " and ".join(over))
+               + _limits_crossed(gate.estimate, budget, args.slow))
 
     # line-count identity and the worst-case construction (line codes); the
     # forms are built only for a check that runs, as n may be large
     if k == 2 and not gate.lines:
-        reason = (f"eta counts estimated at {_sci(gate.lines_estimate)} symbol operations; "
-                  "use --slow or raise --budget")
+        reason = (f"eta counts estimated at {_sci(gate.lines_estimate)} symbol operations, over "
+                  + _limits_crossed(gate.lines_estimate, budget, args.slow))
         record("line_identity_random", None, reason=reason)
         record("worst_case_theta", None, reason=reason)
     if k == 2 and (gate.lines or code is not None):

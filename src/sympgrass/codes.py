@@ -9,7 +9,8 @@ sample.  The canonical RREF is then recovered from the first K independent
 rows of pl[:, P] by one chunked product, which also carries the check.
 
 Every sweep's distribution is checked against q^K words and the first two
-power moments, which hold for any generator (see _check_power_moments).
+power moments, which hold for any generator, and a code built from the
+point set must be projective (see _check_power_moments).
 
 Weight enumeration has one engine per method, each for every q, and the
 two must produce identical distributions.  The codeword method is a
@@ -438,12 +439,14 @@ def weight_enumerator(
     we = WeightEnumerator.from_histogram(hist)
     if we.total() != f.q**code.K:
         raise AssertionError("sweep histogram does not sum to q^K; internal error")
-    _check_power_moments(f, code.generator, we)
+    _check_power_moments(f, code.generator, we, projective=code.n is not None)
     return we
 
 
-def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator) -> None:
-    """The first two power moments of a sweep over all q^K messages of gen.
+def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator,
+                         projective: bool) -> None:
+    """The first two power moments of a sweep over all q^K messages of gen,
+    and, for a projective code (one built from a point set), Z = N, Pp = 0.
 
     A nonzero column is nonzero in (q-1)q^(K-1) of the messages' codewords,
     and two columns are both nonzero in (q-1)q^(K-1) of them if they are
@@ -464,6 +467,11 @@ def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator) -> Non
         normed = f.arr_mul(cols, f.inv_table[lead][None, :])
         counts = np.unique(normed.T, axis=0, return_counts=True)[1]
     pp = sum(int(c) * (int(c) - 1) for c in counts)
+    if projective and (z, pp) != (gen.shape[1], 0):
+        raise AssertionError(
+            f"projectivity: {z} nonzero columns, expected N = {gen.shape[1]}; "
+            f"{pp} ordered pairs of proportional columns, expected 0"
+        )
     moments = (
         ("first", 1, z * (q - 1) * q ** (big_k + 1)),
         ("second", 2, (z + pp) * (q - 1) * q ** (big_k + 1)

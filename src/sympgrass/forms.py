@@ -136,6 +136,26 @@ def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
     return sum((q**d - 1) // (q - 1) for d in eigen_profile(sigma, theta).values())
 
 
+_ETA_SLAB = 1 << 16  # most points counted at once; bounds eta's temporaries
+
+
+def _slabs(batches):
+    """The points of (B, 1, d) batches, regrouped into (rows, d) slabs of at
+    most _ETA_SLAB rows: a larger batch is sliced into views, and smaller
+    consecutive ones are concatenated."""
+    pending, held = [], 0
+    for batch in batches:
+        for s in range(0, batch.shape[0], _ETA_SLAB):
+            part = batch[s : s + _ETA_SLAB, 0]
+            if held + part.shape[0] > _ETA_SLAB:
+                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+                pending, held = [], 0
+            pending.append(part)
+            held += part.shape[0]
+    if pending:
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
 def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm) -> int:
     """eta: the lines (2-subspaces) totally isotropic for both forms.
 
@@ -150,7 +170,10 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
     (p, c1) has (q^(s_c1) - q^(s_(c1+1))) / (q - 1) rows r: 0 if c1 is z or
     m, where rho drops, else q^(d - 1 - c1 - [c1 < z] - [c1 < m]).  eta sums
     these over p and the columns c1 > c0 where p is zero, the pairs the
-    two-form enumeration of lines visits; nothing depends on N1.
+    two-form enumeration of lines visits; nothing depends on N1.  Each point
+    is counted on its own, so the cells are regrouped into slabs of at most
+    _ETA_SLAB points (_slabs): one product and one bincount per slab, whose
+    temporaries take a few bytes per point and column, whatever n is.
 
     sigma must be non-degenerate and n >= 2.
     """
@@ -170,8 +193,7 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
     def last(mask):  # last True column of each row, -1 if none
         return ((mask * (cols + 1)).max(axis=1) - 1)[:, None]
 
-    for points in grassmann.iter_isotropic_batches(f, sigma.gram, 1):
-        p = points[:, 0]
+    for p in _slabs(grassmann.iter_isotropic_batches(f, sigma.gram, 1)):
         c0 = (p != 0).argmax(axis=1)[:, None]
         # exact: Field.matmul's inner dimension is d, and it raises rather than round
         a, b = np.split(f.matmul(p, np.hstack([sigma.gram, theta.gram])), 2, axis=1)

@@ -124,10 +124,15 @@ def plucker(s: Subspace) -> np.ndarray:
 
 
 def _digit_block(count: int, nslots: int, q: int) -> np.ndarray:
-    """Base-q digits of 0..count-1, little-endian, as (count, nslots) uint8."""
-    idx = np.arange(count, dtype=np.int64)[:, None]
-    powers = q ** np.arange(nslots, dtype=np.int64)[None, :]
-    return ((idx // powers) % q).astype(np.uint8)
+    """Base-q digits of 0..count-1, little-endian, as (count, nslots) uint8,
+    written a column at a time, so that the only int64 arrays are two of
+    count entries."""
+    out = np.empty((count, nslots), dtype=np.uint8)
+    rest = np.arange(count, dtype=np.int64)
+    for j in range(nslots):
+        out[:, j] = rest % q
+        rest //= q
+    return out
 
 
 @lru_cache(maxsize=256)

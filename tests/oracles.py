@@ -5,8 +5,11 @@ field arithmetic is naive polynomial arithmetic written from scratch,
 subspaces are sets of vectors, determinants use the Leibniz sum, and
 weight sweeps walk messages one by one.  The exceptions are the reference
 implementations at the end, which use the package's own arithmetic:
-count_n1_direct and eigen_analysis take other routes through its linear
-algebra than the rank profile they check, and is_totally_isotropic and
+rref_reference is the package's earlier row reduction (a nonzero-column
+search and an update of the rows with a nonzero factor per pivot), kept as
+the reference for linalg.rref; count_n1_direct and eigen_analysis take
+other routes through its linear algebra than the rank profile they check,
+and is_totally_isotropic and
 contains_vector are the definitions that the pruned enumerations are
 compared against.  enumerate_subspaces walks every RREF cell with numpy
 alone; it shares no code with the package's pruned cell walker.
@@ -317,3 +320,36 @@ def eigen_analysis(sigma, theta):
             pairs.append((lam, eig))
     bases = [np.zeros((0, d), dtype=np.uint8)] + [s.basis for _, s in pairs]
     return tuple(pairs), rank(f, np.concatenate(bases)) == d
+
+
+def rref_reference(f, m):
+    """Reduced row echelon form.  Returns (R, rank, pivot_columns)."""
+    r_mat = np.array(m, dtype=np.uint8, copy=True)
+    if r_mat.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    nrows, ncols = r_mat.shape
+    pivots: list[int] = []
+    r = 0
+    c0 = 0
+    while r < nrows and c0 < ncols:
+        nz = np.nonzero(r_mat[r:, c0:].any(axis=0))[0]
+        if nz.size == 0:
+            break
+        c = c0 + int(nz[0])
+        i = r + int(np.nonzero(r_mat[r:, c])[0][0])
+        if i != r:
+            r_mat[[r, i]] = r_mat[[i, r]]
+        pv = int(r_mat[r, c])
+        if pv != 1:
+            r_mat[r] = f.arr_mul(r_mat[r], np.uint8(f.inv(pv)))
+        others = np.nonzero(r_mat[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            factors = r_mat[others, c]
+            r_mat[others] = f.arr_sub(
+                r_mat[others], f.arr_mul(factors[:, None], r_mat[r][None, :])
+            )
+        pivots.append(c)
+        r += 1
+        c0 = c + 1
+    return r_mat, len(pivots), pivots

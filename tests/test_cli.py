@@ -201,9 +201,15 @@ def test_verify_names_the_limit_a_skipped_sweep_crosses(capsys):
     # with --slow set, a sweep over --budget is skipped for the budget alone
     code, report, _ = run_cli(capsys, "verify", "2", "2", "3", "--slow", "--budget", "1000")
     assert code == 0
-    reason = report["results"]["checks"]["d_min"]["reason"]
+    checks = report["results"]["checks"]
+    reason = checks["d_min"]["reason"]
     assert "9.72e+03" in reason and "budget of 1.00e+03" in reason and "--budget" in reason
     assert "--slow" not in reason
+    # and so are the line checks, whose reason names the same limit
+    for name in ("line_identity_random", "worst_case_theta"):
+        assert checks[name]["pass"] is None and checks[name]["reason"] == (
+            "eta counts estimated at 2.70e+04 symbol operations, over the budget of "
+            "1.00e+03 (raise --budget)"), name
     # W(3,2) q=3, 1.74e10: over SLOW_THRESHOLD, so --slow names only the budget
     code, report, _ = run_cli(capsys, "verify", "3", "2", "3", "--trials", "1",
                               "--slow", "--budget", "1000000000")
@@ -356,7 +362,10 @@ def test_verify_skips_line_checks_over_the_threshold(capsys, monkeypatch):
     assert code == 0
     checks = report["results"]["checks"]
     for name in ("line_identity_random", "worst_case_theta"):
-        assert checks[name]["pass"] is None and "--slow" in checks[name]["reason"], name
+        reason = checks[name]["reason"]
+        assert checks[name]["pass"] is None and reason == (
+            "eta counts estimated at 3.26e+10 symbol operations, over the SLOW_THRESHOLD "
+            "of 1.00e+09 (rerun with --slow)"), name
     assert "worst_case_codeword" not in checks
     args = build_parser().parse_args(["verify", "7", "2", "2", "--slow"])
     gate = cli._gate(args)  # admitted with --slow; not run here

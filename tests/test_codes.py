@@ -398,6 +398,30 @@ def test_power_moments_catch_a_wrong_histogram(monkeypatch, moment):
         weight_enumerator(build_code(2, 2, GF(3)))
 
 
+def test_projectivity_is_checked_for_codes_with_an_origin():
+    # ODD_GENERATOR has a zero column (4) and proportional ones (0, 5 and
+    # 2, 3, 6): as a subcode (n = None) it sweeps, with an origin it is refused
+    gen = ODD_GENERATOR.copy()
+    code = LinearCode(field=GF(3), n=2, k=1, N=7, K=5, generator=gen)
+    for method in ("codeword", "hyperplane"):
+        with pytest.raises(AssertionError) as exc:
+            weight_enumerator(code, method=method)
+        assert str(exc.value) == ("projectivity: 6 nonzero columns, expected N = 7; "
+                                  "8 ordered pairs of proportional columns, expected 0")
+    # a scaled copy of a column is proportional too; the zero column alone is caught
+    gen = build_code(2, 2, GF(3)).generator
+    scaled = np.concatenate([gen, GF(3).arr_mul(gen[:, :1], np.uint8(2))], axis=1)
+    zero = np.concatenate([gen, np.zeros((gen.shape[0], 1), np.uint8)], axis=1)
+    for extra, msg in ((scaled, "41 nonzero columns, expected N = 41; 2 ordered"),
+                       (zero, "40 nonzero columns, expected N = 41; 0 ordered")):
+        code = LinearCode(field=GF(3), n=2, k=2, N=41, K=gen.shape[0], generator=extra)
+        with pytest.raises(AssertionError, match=f"projectivity: {msg}"):
+            weight_enumerator(code)
+        subcode = LinearCode(field=GF(3), n=None, k=None, N=41, K=gen.shape[0],
+                             generator=extra.copy())
+        assert weight_enumerator(subcode).total() == 3 ** gen.shape[0]
+
+
 def test_weight_enumerator_dataclass_helpers():
     we = WeightEnumerator({0: 1, 3: 6, 5: 2})
     assert we.d_min == 3

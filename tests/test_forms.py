@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympgrass import formulas, grassmann
+from sympgrass import formulas, forms, grassmann
 from sympgrass.forms import (
     AlternatingForm,
     count_common_isotropic_lines,
@@ -17,7 +17,7 @@ from sympgrass.forms import (
     standard_symplectic,
     worst_case_theta,
 )
-from sympgrass.gf import GF
+from sympgrass.gf import GF, Field
 from sympgrass.linalg import Subspace, inverse, kernel, rank
 
 from oracles import (
@@ -356,9 +356,11 @@ def _theta(sig, kind, lam, seed):
        lam=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
 def test_eta_counts_the_lines_it_would_build(n, q, kind, lam, seed):
     # the counted eta equals the number of frames the two-form enumeration
-    # of lines yields and satisfies the line identity, once as shipped and
-    # once with filter chunks of one frame, so that every cell with more
-    # than one point splits into several chunks
+    # of lines yields and satisfies the line identity, once as shipped, once
+    # with filter chunks of one frame, so that every cell with more than one
+    # point splits into several chunks, and with eta's slabs cut to five
+    # points, so that cells are split and merged across slab edges, and to
+    # one point where PG(2n - 1, q) has at most 400 (one slab body per point)
     f = GF(q)
     sig = standard_symplectic(n, f)
     th = _theta(sig, kind, 1 + lam % (q - 1), seed)
@@ -372,6 +374,41 @@ def test_eta_counts_the_lines_it_would_build(n, q, kind, lam, seed):
             eta = count_common_isotropic_lines(sig, th)
             assert eta == frames
             assert (q + 1) * eta == rhs
+    for slab in (1, 5) if (q ** (2 * n) - 1) // (q - 1) <= 400 else (5,):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forms, "_ETA_SLAB", slab)
+            assert count_common_isotropic_lines(sig, th) == frames
+
+
+def test_eta_slabs_split_and_merge_cells():
+    # the 15 points of PG(3, 2) come in cells of 8, 4, 2 and 1 points; slabs
+    # of 5 cut the first cell into views and join the last two cells
+    f = GF(2)
+    cells = list(grassmann.iter_isotropic_batches(f, np.zeros((4, 4), np.uint8), 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_ETA_SLAB", 5)
+        slabs = list(forms._slabs(cells))
+    assert [s.shape[0] for s in slabs] == [5, 3, 4, 3]
+    assert np.shares_memory(slabs[0], cells[0]) and not slabs[0].flags.writeable
+    assert np.array_equal(np.concatenate(slabs), np.concatenate([c[:, 0] for c in cells]))
+
+
+def test_eta_takes_one_product_per_slab(monkeypatch):
+    # structural: the 364 points of PG(5, 3) fit in one slab, so eta takes
+    # one Field.matmul (the point enumeration of k = 1 takes none)
+    f = GF(3)
+    sig = standard_symplectic(3, f)
+    th = random_alternating_form(f, 6, np.random.default_rng(3))
+    calls = []
+    matmul = Field.matmul
+
+    def counting(self, a, b):
+        calls.append(np.shape(a))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(Field, "matmul", counting)
+    count_common_isotropic_lines(sig, th)
+    assert calls == [(364, 6)]
 
 
 @pytest.mark.parametrize("n,q", [(2, q) for q in QS] + [(3, q) for q in QS if q <= 5])

@@ -5,7 +5,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sympgrass import linalg
 from sympgrass.formulas import gaussian_binomial
 from sympgrass.gf import GF
 from sympgrass.grassmann import iter_isotropic_batches
@@ -19,7 +21,7 @@ from sympgrass.linalg import (
     write_matrix_text,
 )
 
-from oracles import contains_vector, enumerate_subspaces, oracle_subspaces
+from oracles import contains_vector, enumerate_subspaces, oracle_subspaces, rref_reference
 
 
 def test_rref_identity_fixed():
@@ -63,6 +65,46 @@ def test_rref_idempotent_and_row_space_preserved(q):
         assert np.array_equal(r, r2) and rk == rk2
         stacked = np.concatenate([m, r], axis=0)
         assert rank(f, stacked) == rk
+
+
+def _assert_is_rref(r, rk, piv):
+    assert len(piv) == rk and piv == sorted(set(piv))
+    assert not r[rk:].any()
+    for i, c in enumerate(piv):
+        assert not r[i, :c].any() and r[i, c] == 1
+        assert np.array_equal(r[:, c], np.eye(r.shape[0], dtype=np.uint8)[i])
+
+
+@pytest.mark.parametrize("sparse_update", [False, True])
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 16)),
+       rows=st.integers(0, 12), cols=st.integers(0, 12), inner=st.integers(0, 12),
+       zero_rows=st.integers(0, 2**12 - 1), zero_cols=st.integers(0, 2**12 - 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_rref_matches_the_reference(sparse_update, q, rows, cols, inner,
+                                    zero_rows, zero_cols, seed):
+    # a product of random rows x inner and inner x cols factors, tall, wide
+    # or square and of rank at most inner, with the rows and columns of the
+    # two bit masks zeroed; once with the whole-matrix update and once with
+    # the update of only the rows with a nonzero factor
+    f = GF(q)
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, q, size=(rows, inner), dtype=np.uint8)
+    right = rng.integers(0, q, size=(inner, cols), dtype=np.uint8)
+    m = f.matmul(left, right) if inner else np.zeros((rows, cols), dtype=np.uint8)
+    m[[i for i in range(rows) if zero_rows >> i & 1]] = 0
+    m[:, [j for j in range(cols) if zero_cols >> j & 1]] = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_SPARSE_UPDATE_ELEMS", 0 if sparse_update else 1 << 12)
+        r, rk, piv = rref(f, m)
+        want = rref_reference(f, m)
+        assert r.dtype == np.uint8 and r.shape == m.shape
+        assert r.tobytes() == want[0].tobytes() and (rk, piv) == want[1:]
+        assert rk <= min(rows, cols, inner)
+        _assert_is_rref(r, rk, piv)
+        r2, rk2, piv2 = rref(f, r)
+        assert np.array_equal(r2, r) and (rk2, piv2) == (rk, piv)
+        assert rank(f, np.concatenate([m, r])) == rk
 
 
 def test_kernel_identity_and_zero():
