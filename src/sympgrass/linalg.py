@@ -28,12 +28,14 @@ def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     nonzero unless all of them are, so one argmax finds a pivot, and a
     column without one jumps, by one search, to the next column with one.
     One update, with the pivot row's own factor set to zero, then clears
-    the rest of the pivot column: an update of the whole matrix, or, above
-    _SPARSE_UPDATE_ELEMS entries, of the rows with a nonzero factor, where
-    the rows skipped outweigh the call that finds them (the 56 x 918400
-    transposed Plücker matrix of W(4,3) q=3 reduces in 1.6 s, against 17 s
-    with whole-matrix updates).  The RREF is unique, so which row supplies
-    the pivot does not change the result.
+    the rest of the pivot column.  It takes every row, or, above
+    _SPARSE_UPDATE_ELEMS entries, only the rows with a nonzero factor: on a
+    large matrix the rows skipped outweigh the call that finds them (the
+    56 x 918400 transposed Plücker matrix of W(4,3) q=3 reduces in 1.6 s,
+    against 17 s updating every row), and on the small ones behind N1 that
+    call costs more than it saves (the bench's `lines` workload took a
+    third longer with rows selected in every matrix).  The RREF is unique,
+    so which row supplies the pivot does not change the result.
     """
     r_mat = np.array(m, dtype=np.uint8, copy=True)
     if r_mat.ndim != 2:
@@ -56,11 +58,8 @@ def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
         row = f.arr_mul(r_mat[r], np.uint8(f.inv(pv))) if pv != 1 else r_mat[r]
         factors = f.arr_neg(r_mat[:, c])
         factors[r] = 0
-        if sparse:
-            rows = np.flatnonzero(factors)
-            r_mat[rows] = f.arr_add(r_mat[rows], f.arr_mul(factors[rows, None], row))
-        else:
-            r_mat = f.arr_add(r_mat, f.arr_mul(factors[:, None], row))
+        rows = np.flatnonzero(factors) if sparse else slice(None)
+        r_mat[rows] = f.arr_add(r_mat[rows], f.arr_mul(factors[rows, None], row))
         r_mat[r] = row
         pivots.append(c)
         c += 1
