@@ -323,9 +323,7 @@ def _stage_matrix(f: Field, s: int) -> np.ndarray:
     significant."""
     q = f.q
     digits = np.arange(q**s)[:, None] // q ** np.arange(s - 1, -1, -1) % q
-    dot = np.zeros((q**s, q**s), dtype=np.uint8)  # dot[u, m] = m.u
-    for i in range(s):
-        dot = f.add_table[dot, f.mul_table[digits[:, None, i], digits[None, :, i]]]
+    dot = f.matmul(digits, digits.T)  # dot[u, m] = m.u
     u, m, c = np.ix_(np.arange(q**s), np.arange(q**s), np.arange(q))
     mat = np.zeros((q**s, q, q**s, q), dtype=np.float32)
     mat[u, c, m, f.add_table[c, dot[:, :, None]]] = 1
@@ -408,8 +406,7 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
         for i in range(0, len(block_ids), per_chunk):
             ids = block_ids[i : i + per_chunk]
             msgs = np.arange(ids[0] * n_block, (ids[-1] + 1) * n_block)
-            vals = (f.matmul((msgs[:, None] // powers % q).astype(np.uint8), outer)
-                    if big_k > t else np.zeros((msgs.size, big_n), dtype=np.uint8))
+            vals = f.matmul((msgs[:, None] // powers % q).astype(np.uint8), outer)
             for j in range(len(ids)):
                 tally = np.bincount((offsets + vals[j * n_block : (j + 1) * n_block]).ravel(),
                                     minlength=block)

@@ -71,16 +71,6 @@ class AlternatingForm:
         f = self.field
         return f.matmul(f.matmul(x, self.gram), y)[..., 0, 0]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlternatingForm)
-            and self.field == other.field
-            and bool(np.array_equal(self.gram, other.gram))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.gram.tobytes()))
-
     def __repr__(self) -> str:
         return f"AlternatingForm(dim={self.dim}, rank={self.rank}, q={self.field.q})"
 

@@ -3,13 +3,20 @@
 Elements are integers in [0, q).  For prime q the encoding is the residue
 itself; for q = p^e the base-p digits of the encoding are the coefficients
 of the element as a polynomial in x, little-endian (digit i = coefficient
-of x^i).  Extension fields are built modulo a fixed irreducible polynomial
+of x^i).  Extension fields are built modulo a fixed primitive polynomial
 so that encodings are reproducible across runs and file formats:
 
     q = 4  : x^2 + x + 1
     q = 8  : x^3 + x + 1
     q = 9  : x^2 + x + 2
     q = 16 : x^4 + x + 1
+
+Each modulus makes x a generator of GF(q)*, so the multiplication table is
+read from the powers of x: exp[i] = x^i, one digit shift per power, and
+a * b = exp[(log a + log b) mod (q - 1)]; a field whose powers of x miss an
+element raises AssertionError.  A prime field multiplies residues mod q.
+Negation is digitwise, and the inverse is read from the multiplication
+table.
 
 Scalar arithmetic is table-driven (full q x q tables).  Array helpers
 (`arr_add` etc.) operate elementwise on numpy arrays of encodings; for
@@ -34,86 +41,56 @@ larger products raise ValueError.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-# Irreducible polynomial coefficients (little-endian, degree e last), per q.
-_MODULI = {
-    4: (1, 1, 1),
-    8: (1, 1, 0, 1),
-    9: (2, 1, 1),
-    16: (1, 1, 0, 0, 1),
+# Each supported order q = p^e: its characteristic p and, for e > 1, the
+# coefficients of its modulus (little-endian, degree e last).
+_ORDERS = {
+    2: (2, None), 3: (3, None), 5: (5, None), 7: (7, None), 11: (11, None), 13: (13, None),
+    4: (2, (1, 1, 1)),
+    8: (2, (1, 1, 0, 1)),
+    9: (3, (2, 1, 1)),
+    16: (2, (1, 1, 0, 0, 1)),
 }
-
-_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in _PRIMES:
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return p, e
-            break
-    raise ValueError(f"q={q} is not a prime power <= 16")
-
-
-def _poly_mul_mod(a: int, b: int, p: int, e: int, modulus: tuple[int, ...] | None) -> int:
-    """Multiply two elements in digit encoding, reducing mod the fixed polynomial
-    (for e = 1 there is nothing to reduce and this is a * b mod p)."""
-    da = []
-    m = a
-    for _ in range(e):
-        da.append(m % p)
-        m //= p
-    db = []
-    m = b
-    for _ in range(e):
-        db.append(m % p)
-        m //= p
-    prod = [0] * (2 * e - 1)
-    for i, ca in enumerate(da):
-        if ca:
-            for j, cb in enumerate(db):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    # reduce: x^e = -(modulus[0] + ... + modulus[e-1] x^{e-1})
-    for d in range(2 * e - 2, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(e):
-                prod[d - e + j] = (prod[d - e + j] - c * modulus[j]) % p
-    out = 0
-    for d in range(e - 1, -1, -1):
-        out = out * p + prod[d]
-    return out
 
 
 class Field:
     """GF(q), q a prime power <= 16.  Immutable after construction."""
 
     def __init__(self, q: int):
-        p, e = _factor_prime_power(q)
-        if q > 16:
-            raise ValueError(f"q={q} exceeds the supported range (q <= 16)")
+        if q not in _ORDERS:
+            raise ValueError(f"q={q} is not a prime power <= 16")
+        p, modulus = _ORDERS[q]
+        e = 1 if modulus is None else len(modulus) - 1
         self.q = q
         self.p = p
         self.e = e
-        self.modulus: tuple[int, ...] | None = _MODULI[q] if e > 1 else None
+        self.modulus: tuple[int, ...] | None = modulus
 
-        # addition is digitwise mod p
+        # addition and negation are digitwise mod p
         self._powers = p ** np.arange(e, dtype=np.uint8)
         digits = np.arange(q, dtype=np.uint8)[:, None] // self._powers % p
         add = ((digits[:, None, :] + digits[None, :, :]) % p @ self._powers).astype(np.uint8)
-        mul = np.array(
-            [[_poly_mul_mod(a, b, p, e, self.modulus) for b in range(q)] for a in range(q)],
-            dtype=np.uint8,
-        )
+        if e == 1:
+            mul = (np.arange(q)[:, None] * np.arange(q)[None, :] % q).astype(np.uint8)
+        else:
+            # exp[i] encodes x^i: one shift of the digits per power, with
+            # x^e = -(m_0 + ... + m_(e-1) x^(e-1)) folded back in
+            low = np.asarray(modulus[:e])
+            power = np.eye(e, dtype=np.intp)[0]
+            exp = np.empty(q - 1, dtype=np.intp)
+            for i in range(q - 1):
+                exp[i] = power @ self._powers
+                power = (np.concatenate(([0], power[:-1])) - power[-1] * low) % p
+            if sorted(exp.tolist()) != list(range(1, q)):
+                raise AssertionError(f"x does not generate GF({q})*; bad modulus")
+            log = np.zeros(q, dtype=np.intp)
+            log[exp] = np.arange(q - 1)
+            mul = np.zeros((q, q), dtype=np.uint8)
+            mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self.add_table = add
         self.mul_table = mul
         self._add_packed = np.zeros(256, dtype=np.uint8)
@@ -121,24 +98,9 @@ class Field:
         pairs = (np.arange(q)[:, None] << 4 | np.arange(q)[None, :]).ravel()
         self._add_packed[pairs] = add.ravel()
         self._mul_packed[pairs] = mul.ravel()
-
-        neg = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            for b in range(q):
-                if add[a, b] == 0:
-                    neg[a] = b
-                    break
-        self.neg_table = neg
-
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a, b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise AssertionError(f"no inverse for {a} in GF({q}); bad modulus")
-        self.inv_table = inv
+        self.neg_table = ((p - digits) % p @ self._powers).astype(np.uint8)
+        # the one b with a * b = 1 (0 for a = 0, whose row holds no 1)
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(np.uint8)
 
         # row r of _mul_digits[b] holds the digits of x^r * b (x^r is encoded as p^r)
         xb = mul[self._powers][:, :, None] // self._powers % p
@@ -208,7 +170,8 @@ class Field:
     def matmul(self, a, b) -> np.ndarray:
         """Matrix product over GF(q) of uint8 encodings, with np.matmul shapes.
 
-        Both operands must be at least 2-d.  The float32 product is exact
+        Both operands must be at least 2-d; an empty inner dimension gives
+        zeros.  The float32 product is exact
         while k*e*(p-1)^2 < 2^24 (k the inner dimension); otherwise this
         raises ValueError.
         """
@@ -225,7 +188,8 @@ class Field:
         )
         b_dig = np.swapaxes(self._mul_digits[b], -3, -2).reshape(*b.shape[:-2], k * e, n * e)
         if b.ndim == 2:  # one BLAS product for a stacked left operand
-            prod = (a_dig.reshape(-1, k * e).astype(np.float32) @ b_dig).reshape(
+            rows = math.prod(a.shape[:-1])  # explicit, as -1 is ambiguous when k = 0
+            prod = (a_dig.reshape(rows, k * e).astype(np.float32) @ b_dig).reshape(
                 *a.shape[:-1], n * e
             )
         else:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .forms import AlternatingForm, perp, standard_symplectic
 from .gf import Field
-from .linalg import Subspace, rref
+from .linalg import Subspace
 
 _FILTER_CHUNK_ELEMS = 8_000_000
 _PLUCKER_CHUNK_ELEMS = 1 << 21  # minors per chunk of points
@@ -263,28 +263,25 @@ class GrassmannLine:
     T: Subspace | None
 
 
-def _complement_rows(f: Field, inner: Subspace, outer: Subspace) -> np.ndarray:
-    """Rows of outer's basis extending inner's basis to a basis of outer."""
-    rows = []
-    cur = inner.basis
-    cur_rank = cur.shape[0]
-    for row in outer.basis:
-        cand = np.concatenate([cur, row[None, :]], axis=0)
-        reduced, rk, _ = rref(f, cand)
-        if rk > cur_rank:
-            rows.append(row)
-            cur = reduced[:rk]
-            cur_rank = rk
-    return np.asarray(rows, dtype=np.uint8).reshape(len(rows), inner.ambient_dim)
+def _complement_rows(inner: Subspace, outer: Subspace) -> np.ndarray:
+    """Rows of outer's RREF basis extending inner's basis to a basis of outer.
+
+    Every nonzero vector of a subspace leads at one of its pivots, so
+    inner's pivots are among outer's, and outer's rows at the pivots inner
+    lacks complete inner: a vector of their span leads at one of those.
+    """
+    inner_pivots = set((inner.basis != 0).argmax(axis=1).tolist())
+    outer_pivots = (outer.basis != 0).argmax(axis=1).tolist()
+    return outer.basis[[i for i, c in enumerate(outer_pivots) if c not in inner_pivots]]
 
 
 def line_points(line: GrassmannLine, sigma: AlternatingForm) -> list[Subspace]:
     """The q+1 member subspaces of a line, canonicalized."""
     f = line.W.field
     if line.T is not None:
-        comp = _complement_rows(f, line.W, line.T)
+        comp = _complement_rows(line.W, line.T)
     else:
-        comp = _complement_rows(f, line.W, perp(sigma, line.W))
+        comp = _complement_rows(line.W, perp(sigma, line.W))
     if comp.shape[0] != 2:
         raise AssertionError("line complement should be 2-dimensional")
     pencil = iter_isotropic_batches(f, np.zeros((2, 2), np.uint8), 1)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 
@@ -244,6 +245,19 @@ def test_eta_rejects_malformed_theta_file(capsys, tmp_path):
     assert run_cli(capsys, "eta", "2", "3", "--theta", str(path))[0] == 2
     path.write_text(f"4 1000000000 3\n{rows}\n")  # header claims 10^9 columns
     assert run_cli(capsys, "eta", "2", "3", "--theta", str(path))[0] == 2
+
+
+def test_order_zero_is_a_usage_error(capsys, tmp_path):
+    # q = 0 once looped forever in the prime-power factorization
+    start = time.perf_counter()
+    assert run_cli(capsys, "params", "2", "2", "0")[0] == 2
+    assert run_cli(capsys, "verify", "2", "2", "0")[0] == 2
+    assert run_cli(capsys, "eta", "2", "0")[0] == 2
+    path = tmp_path / "theta.txt"
+    rows = "\n".join(" ".join(["0"] * 4) for _ in range(4))
+    path.write_text(f"4 4 0\n{rows}\n")
+    assert run_cli(capsys, "eta", "2", "2", "--theta", str(path))[0] == 2
+    assert time.perf_counter() - start < 1
 
 
 def test_threads_and_trials_validated(capsys):

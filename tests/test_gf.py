@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sympgrass.gf import GF
+from sympgrass import gf
+from sympgrass.gf import GF, Field
 
 from oracles import oracle_add, oracle_dot, oracle_matvec, oracle_mul
 
@@ -88,7 +90,7 @@ def test_array_ops_agree_with_tables(q):
 
 
 def test_invalid_orders_rejected():
-    for q in (1, 6, 10, 12, 14, 15, 17, 32):
+    for q in (-4, 0, 1, 6, 10, 12, 14, 15, 17, 32):
         with pytest.raises(ValueError):
             GF(q)
 
@@ -101,6 +103,13 @@ def test_out_of_range_elements_rejected():
         f.neg(7)
     with pytest.raises(ValueError):
         f.inv(4)
+
+
+def test_a_modulus_without_generator_x_is_refused(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2), but x has order 5
+    monkeypatch.setitem(gf._ORDERS, 16, (2, (1, 1, 1, 1, 1)))
+    with pytest.raises(AssertionError):
+        Field(16)
 
 
 def test_moduli_metadata():
@@ -157,3 +166,39 @@ def test_matmul_exactness_guard():
         GF(16).matmul(np.zeros((1, 1 << 22), dtype=np.uint8), np.zeros((1 << 22, 1), dtype=np.uint8))
     with pytest.raises(ValueError):
         GF(3).matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 0), (0, 5)),        # empty inner dimension
+    ((2, 3, 0), (0, 5)),     # stacked left operand
+    ((3, 0), (2, 0, 5)),     # stacked right operand
+    ((2, 3, 0), (2, 0, 5)),
+    ((0, 4), (4, 5)),        # empty outer dimensions
+    ((3, 4), (4, 0)),
+    ((2, 0, 4), (4, 3)),
+    ((3, 4), (2, 4, 0)),
+    ((0, 0), (0, 0)),
+])
+def test_matmul_on_empty_dimensions(q, a_shape, b_shape):
+    a = np.zeros(a_shape, dtype=np.uint8)
+    b = np.zeros(b_shape, dtype=np.uint8)
+    got = GF(q).matmul(a, b)
+    assert got.shape == np.matmul(a, b).shape
+    assert got.dtype == np.uint8 and not got.any()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from(ALL_Q), rows=st.integers(0, 6), inner=st.integers(0, 6),
+       mid=st.integers(0, 6), cols=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_matmul_associative_and_distributive(q, rows, inner, mid, cols, seed):
+    f = GF(q)
+    rng = np.random.default_rng(seed)
+    a, a2 = rng.integers(0, q, size=(2, rows, inner), dtype=np.uint8)
+    b, b2 = rng.integers(0, q, size=(2, inner, mid), dtype=np.uint8)
+    c = rng.integers(0, q, size=(mid, cols), dtype=np.uint8)
+    assert np.array_equal(f.matmul(f.matmul(a, b), c), f.matmul(a, f.matmul(b, c)))
+    assert np.array_equal(f.matmul(a, f.arr_add(b, b2)),
+                          f.arr_add(f.matmul(a, b), f.matmul(a, b2)))
+    assert np.array_equal(f.matmul(f.arr_add(a, a2), b),
+                          f.arr_add(f.matmul(a, b), f.matmul(a2, b)))

@@ -8,6 +8,9 @@ excepted), is code that only tests reach; it belongs in tests/oracles.py or
 nowhere.  A method is not used by a local variable or a numpy function of
 the same name.  formulas is exempt: its closed forms are the paper's claims.
 
+A module imports only names it uses: every name an import binds in a
+src/ module is referred to there (no linter is installed to catch it).
+
 A module's _names are its own: no module of the package reads
 other_module._name or imports `from .other import _name` (dunders excepted),
 so that each layout decision is known to one module.
@@ -102,3 +105,32 @@ def private_cross_module_uses() -> list[str]:
 def test_no_module_uses_another_modules_private_names():
     found = private_cross_module_uses()
     assert not found, f"private names used across modules: {', '.join(found)}"
+
+
+def unused_imports(package: Path = PACKAGE) -> list[str]:
+    """'module: name' for every name a package module imports but never
+    refers to (from __future__ imports excepted)."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}  # bound name -> how it was imported
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.name
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = alias.name
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.stem}: {name}" for name in imported if name not in used]
+    return sorted(found)
+
+
+def test_no_module_imports_an_unused_name():
+    unused = unused_imports()
+    assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+def test_the_import_guard_sees_an_unused_import(tmp_path):
+    (tmp_path / "mod.py").write_text("import os.path\nfrom .linalg import Subspace, rref\n\nSubspace\n")
+    assert unused_imports(tmp_path) == ["mod: os", "mod: rref"]

@@ -91,7 +91,7 @@ def test_rref_matches_the_reference(sparse_update, q, rows, cols, inner,
     rng = np.random.default_rng(seed)
     left = rng.integers(0, q, size=(rows, inner), dtype=np.uint8)
     right = rng.integers(0, q, size=(inner, cols), dtype=np.uint8)
-    m = f.matmul(left, right) if inner else np.zeros((rows, cols), dtype=np.uint8)
+    m = f.matmul(left, right)
     m[[i for i in range(rows) if zero_rows >> i & 1]] = 0
     m[:, [j for j in range(cols) if zero_cols >> j & 1]] = 0
     with pytest.MonkeyPatch.context() as mp:
@@ -136,6 +136,27 @@ def test_kernel_dimension_and_annihilation(q):
         if ker.dim:
             prod = f.matmul(m, ker.basis.T)
             assert not prod.any()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 16)),
+       rows=st.integers(0, 8), cols=st.integers(0, 8), inner=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_invariants(q, rows, cols, inner, seed):
+    # m of rank at most inner; its kernel is annihilated by m, has the
+    # complementary dimension and is held by a basis in RREF
+    f = GF(q)
+    rng = np.random.default_rng(seed)
+    m = f.matmul(rng.integers(0, q, size=(rows, inner), dtype=np.uint8),
+                 rng.integers(0, q, size=(inner, cols), dtype=np.uint8))
+    ker = kernel(f, m)
+    assert ker.ambient_dim == cols and ker.basis.shape == (ker.dim, cols)
+    assert not f.matmul(m, ker.basis.T).any()
+    assert ker.dim + rank(f, m) == cols
+    r, rk, piv = rref(f, ker.basis)
+    assert rk == ker.dim
+    _assert_is_rref(r, rk, piv)
+    assert np.array_equal(r, ker.basis)
 
 
 def test_inverse_round_trip():
