@@ -75,7 +75,7 @@ class Field:
         digits = np.arange(q, dtype=np.uint8)[:, None] // self._powers % p
         add = ((digits[:, None, :] + digits[None, :, :]) % p @ self._powers).astype(np.uint8)
         if e == 1:
-            mul = (np.arange(q)[:, None] * np.arange(q)[None, :] % q).astype(np.uint8)
+            mul = (np.outer(np.arange(q), np.arange(q)) % q).astype(np.uint8)
         else:
             # exp[i] encodes x^i: one shift of the digits per power, with
             # x^e = -(m_0 + ... + m_(e-1) x^(e-1)) folded back in
