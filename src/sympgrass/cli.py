@@ -9,6 +9,7 @@ JSON except for the elapsed-seconds field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -194,8 +195,9 @@ def cmd_params(args) -> int:
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     gate = _gate(args)
-    code = build_code(args.n, args.k, _field(args.q))
-    write_generator(args.output, code)
+    with open(args.output, "w") as fh:  # before the build, so a bad path fails at once
+        code = build_code(args.n, args.k, _field(args.q))
+        write_generator(fh, code)
     results = {
         "N": code.N,
         "K": code.K,
@@ -212,43 +214,44 @@ def cmd_build(args) -> int:
 def cmd_weights(args) -> int:
     t0 = time.perf_counter()
     budget = _gate(args).budget
-    code = build_code(args.n, args.k, _field(args.q))
-    we = weight_enumerator(code, method=args.method, threads=args.threads)
-    seconds = time.perf_counter() - t0
+    # opened before the sweep, so that an unwritable --output fails at once
+    with open(args.output, "w") if args.output else contextlib.nullcontext() as fh:
+        code = build_code(args.n, args.k, _field(args.q))
+        we = weight_enumerator(code, method=args.method, threads=args.threads)
+        seconds = time.perf_counter() - t0
 
-    verdicts = {}
-    table = formulas.known_table(args.n, args.k, args.q)
-    if table is not None:
-        verdicts["table_match"] = we.distribution == table
-        _log(f"table comparison: {'MATCH' if verdicts['table_match'] else 'MISMATCH'}")
-    else:
-        verdicts["table_match"] = None
-        _log("no full weight table is proved for this code; comparing d_min only")
-    p = formulas.code_params(args.n, args.k, args.q)
-    if p.d_min_proved:
-        verdicts["dmin_match"] = we.d_min == p.d_min
-        _log(f"d_min={we.d_min} vs formula {p.d_min}: "
-             f"{'MATCH' if verdicts['dmin_match'] else 'MISMATCH'}")
-    else:
-        verdicts["dmin_match"] = None
-        _log(f"d_min={we.d_min} (no proved formula for this case)")
+        verdicts = {}
+        table = formulas.known_table(args.n, args.k, args.q)
+        if table is not None:
+            verdicts["table_match"] = we.distribution == table
+            _log(f"table comparison: {'MATCH' if verdicts['table_match'] else 'MISMATCH'}")
+        else:
+            verdicts["table_match"] = None
+            _log("no full weight table is proved for this code; comparing d_min only")
+        p = formulas.code_params(args.n, args.k, args.q)
+        if p.d_min_proved:
+            verdicts["dmin_match"] = we.d_min == p.d_min
+            _log(f"d_min={we.d_min} vs formula {p.d_min}: "
+                 f"{'MATCH' if verdicts['dmin_match'] else 'MISMATCH'}")
+        else:
+            verdicts["dmin_match"] = None
+            _log(f"d_min={we.d_min} (no proved formula for this case)")
 
-    results = {
-        "n": args.n,
-        "k": args.k,
-        "q": args.q,
-        "N": code.N,
-        "K": code.K,
-        "distribution": {str(w): c for w, c in sorted(we.distribution.items())},
-        "d_min": we.d_min,
-        "method": args.method,
-        "seconds": round(seconds, 6),
-    }
-    results.update(verdicts)
-    if args.output:
-        with open(args.output, "w") as fh:
+        results = {
+            "n": args.n,
+            "k": args.k,
+            "q": args.q,
+            "N": code.N,
+            "K": code.K,
+            "distribution": {str(w): c for w, c in sorted(we.distribution.items())},
+            "d_min": we.d_min,
+            "method": args.method,
+            "seconds": round(seconds, 6),
+        }
+        results.update(verdicts)
+        if fh:
             json.dump(results, fh, sort_keys=True, indent=2)
-        _log(f"wrote enumerator report to {args.output}")
+            _log(f"wrote enumerator report to {args.output}")
     _emit("weights", {"n": args.n, "k": args.k, "q": args.q, "method": args.method,
                       "threads": args.threads, "budget": budget}, results, seconds)
     failed = any(v is False for v in verdicts.values())

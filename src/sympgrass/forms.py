@@ -1,7 +1,7 @@
 """Alternating bilinear forms on V(2n, q).
 
 Houses the fixed standard symplectic form (Gram matrix [[0, I], [-I, 0]]),
-arbitrary alternating forms, perps, the eigen profile of a pair of forms
+arbitrary alternating forms, the eigen profile of a pair of forms
 (the kernel dimension of theta - lam sigma for each lam in GF(q)), and the
 point/line counts that drive the minimum-distance verification for the
 line codes.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .linalg import Subspace, kernel, rank
+from .linalg import rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,15 +86,6 @@ def standard_symplectic(n: int, field: Field) -> AlternatingForm:
         g[i, n + i] = one
         g[n + i, i] = minus_one
     return AlternatingForm(field, g)
-
-
-def perp(form: AlternatingForm, s: Subspace) -> Subspace:
-    """{x : form(x, y) = 0 for all y in s}."""
-    f = form.field
-    if s.dim == 0:
-        return Subspace.full(f, form.dim)
-    constraints = f.matmul(s.basis, form.gram.T)
-    return kernel(f, constraints)
 
 
 def eigen_profile(sigma: AlternatingForm, theta: AlternatingForm) -> dict[int, int]:

@@ -3,11 +3,9 @@
 iter_isotropic_batches is the package's one walker over RREF Schubert
 cells.  Isotropic k-subspaces are generated cell by cell (fixed pivot
 columns), extending partial RREF frames one row at a time and pruning
-extensions that break isotropy against any earlier row; under the zero
-form nothing is pruned, so it also lists every k-subspace of the small
-spaces that the Grassmannian lines are built from.  All filtering is batched
-in numpy, so the enumeration keeps up with the largest verification
-sizes (about a million subspaces in seconds).
+extensions that break isotropy against any earlier row.  All filtering
+is batched in numpy, so the enumeration keeps up with the largest
+verification sizes (about a million subspaces in seconds).
 
 Plücker coordinates are the k x k minors over lexicographically ordered
 column subsets.  For an RREF basis the minor on the pivot columns equals
@@ -20,16 +18,14 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
-from .forms import AlternatingForm, perp, standard_symplectic
+from .forms import standard_symplectic
 from .gf import Field
-from .linalg import Subspace
 
 _FILTER_CHUNK_ELEMS = 8_000_000
 _PLUCKER_CHUNK_ELEMS = 1 << 21  # minors per chunk of points
@@ -111,14 +107,6 @@ def plucker_batch(f: Field, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def plucker(s: Subspace) -> np.ndarray:
-    """Plücker point of a subspace: the k x k minors of its RREF basis, lex
-    order, which come out normalized."""
-    if s.dim == 0:
-        raise ValueError("the zero subspace has no Plücker point")
-    return plucker_batch(s.field, s.basis[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # isotropic enumeration
 
@@ -152,40 +140,32 @@ def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np
     return rows
 
 
-def _orthogonal_chunks(
-    f: Field, surv: np.ndarray, cands: np.ndarray, grams: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Which candidate rows are orthogonal to whole frames, chunk by chunk.
+def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """Extend the (B, r, d) frames surv by every candidate row orthogonal to
+    all of their rows under every form of the (forms, d, d) stack grams.
 
-    Yields (part, ok) for consecutive chunks of the (B, r, d) frames surv:
-    ok[b, t] is true iff cands[t] is orthogonal to every row of part[b] under
-    every form of the (forms, d, d) stack grams.  Column (g, t) of duals is
-    G_g @ cand_t, so row x is orthogonal to cand_t under form g iff
-    x @ duals[:, (g, t)] = 0.  A chunk's float32 product inside f.matmul
-    holds at most _FILTER_CHUNK_ELEMS elements (32 MB), whatever B is.
+    Column (g, t) of duals is G_g @ cand_t, so row x is orthogonal to cand_t
+    under form g iff x @ duals[:, (g, t)] = 0.  The frames are extended chunk
+    by chunk, so that a chunk's float32 product inside f.matmul holds at most
+    _FILTER_CHUNK_ELEMS elements (32 MB), whatever B is; each chunk's
+    products are freed when its extension returns, before the next chunk or
+    the result is allocated.
     """
     n_surv, r, d = surv.shape
     n_cand = cands.shape[0]
     duals = f.matmul(grams, cands.T).transpose(1, 0, 2).reshape(d, -1)
     chunk = max(1, _FILTER_CHUNK_ELEMS // (r * duals.shape[1] * f.e))
-    for s in range(0, n_surv, chunk):
-        part = surv[s : s + chunk]
+
+    def extend(part):
         vals = f.matmul(part, duals).reshape(part.shape[0], -1, n_cand)
         # OR of the rows x forms slices: zero iff every value is zero
         acc = vals[:, 0]
         for j in range(1, vals.shape[1]):
             acc = acc | vals[:, j]
-        yield part, acc == 0
+        ib, it = np.nonzero(acc == 0)
+        return np.concatenate([part[ib], cands[it][:, None, :]], axis=1)
 
-
-def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """Extend partial frames by every candidate row orthogonal to all of them."""
-    _, r, d = surv.shape
-    pieces = []
-    for part, ok in _orthogonal_chunks(f, surv, cands, grams):
-        ib, it = np.nonzero(ok)
-        if ib.size:
-            pieces.append(np.concatenate([part[ib], cands[it][:, None, :]], axis=1))
+    pieces = [extend(surv[s : s + chunk]) for s in range(0, n_surv, chunk)]
     if not pieces:
         return np.zeros((0, r + 1, d), dtype=np.uint8)
     return np.concatenate(pieces, axis=0)
@@ -214,16 +194,6 @@ def iter_isotropic_batches(f: Field, grams: np.ndarray, k: int) -> Iterator[np.n
             yield surv
 
 
-def enumerate_isotropic(n: int, k: int, field: Field) -> Iterator[Subspace]:
-    """Points of the symplectic Grassmannian for the standard form, each once."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    gram = standard_symplectic(n, field).gram
-    for batch in iter_isotropic_batches(field, gram, k):
-        for mat in batch:
-            yield Subspace(field, 2 * n, mat)
-
-
 @lru_cache(maxsize=32)
 def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
     """All isotropic k-subspace bases stacked as one read-only (N, k, 2n)
@@ -245,76 +215,4 @@ def count_isotropic(n: int, k: int, field: Field) -> int:
     """Number of points of the symplectic Grassmannian; fills the
     isotropic_stack cache that build_code reads."""
     return isotropic_stack(n, k, field).shape[0]
-
-
-# ---------------------------------------------------------------------------
-# lines of the symplectic Grassmannian
-
-
-@dataclass(frozen=True)
-class GrassmannLine:
-    """A line: subspaces X with W <= X <= T (k < n), or W <= X <= W-perp (k = n).
-
-    For k = n there is no upper bound subspace to store; T is None and the
-    q+1 members are the isotropic n-spaces over W.
-    """
-
-    W: Subspace
-    T: Subspace | None
-
-
-def _complement_rows(inner: Subspace, outer: Subspace) -> np.ndarray:
-    """Rows of outer's RREF basis extending inner's basis to a basis of outer.
-
-    Every nonzero vector of a subspace leads at one of its pivots, so
-    inner's pivots are among outer's, and outer's rows at the pivots inner
-    lacks complete inner: a vector of their span leads at one of those.
-    """
-    inner_pivots = set((inner.basis != 0).argmax(axis=1).tolist())
-    outer_pivots = (outer.basis != 0).argmax(axis=1).tolist()
-    return outer.basis[[i for i, c in enumerate(outer_pivots) if c not in inner_pivots]]
-
-
-def line_points(line: GrassmannLine, sigma: AlternatingForm) -> list[Subspace]:
-    """The q+1 member subspaces of a line, canonicalized."""
-    f = line.W.field
-    if line.T is not None:
-        comp = _complement_rows(line.W, line.T)
-    else:
-        comp = _complement_rows(line.W, perp(sigma, line.W))
-    if comp.shape[0] != 2:
-        raise AssertionError("line complement should be 2-dimensional")
-    pencil = iter_isotropic_batches(f, np.zeros((2, 2), np.uint8), 1)
-    extras = f.matmul(np.concatenate([batch[:, 0] for batch in pencil]), comp)
-    return [Subspace.from_rows(f, np.vstack([line.W.basis, row])) for row in extras]
-
-
-def grassmann_lines(n: int, k: int, field: Field) -> Iterator[GrassmannLine]:
-    """The lines of the polar Grassmann geometry of totally isotropic k-subspaces.
-
-    Each line is a pencil {X : W ⊂ X ⊂ T} of q + 1 subspaces, dim W = k - 1 and
-    dim T = k + 1.  For k < n, T is a totally isotropic (k+1)-subspace; for
-    k = n, T is W's sigma-perp, left as None (line_points takes the perp).
-    For k < n these are not all the projective lines inside the embedded
-    point set: a pencil with T not isotropic but inside W's perp is one too.
-    W(3,2) at q = 2 yields 945 pencils, while its point set holds 2205 lines.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k == n:
-        if n == 1:
-            yield GrassmannLine(Subspace.zero(field, 2), None)
-            return
-        for w in enumerate_isotropic(n, n - 1, field):
-            yield GrassmannLine(w, None)
-        return
-    zero_form = np.zeros((k + 1, k + 1), np.uint8)
-    for t in enumerate_isotropic(n, k + 1, field):
-        if k == 1:
-            yield GrassmannLine(Subspace.zero(field, 2 * n), t)
-            continue
-        # every subspace is totally isotropic for the zero form
-        for combo_batch in iter_isotropic_batches(field, zero_form, k - 1):
-            for w_rows in field.matmul(combo_batch, t.basis):
-                yield GrassmannLine(Subspace.from_rows(field, w_rows), t)
 

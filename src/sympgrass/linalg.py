@@ -1,14 +1,13 @@
 """Dense matrix algebra over GF(q).
 
 Matrices are numpy uint8 arrays of element encodings, shape (rows, cols),
-paired with the Field they live over.  Subspaces of V(d, q) are stored by
-their unique reduced-row-echelon basis, which makes equality entrywise.
+paired with the Field they live over: row reduction, rank and inverse, and
+the text matrix files.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,20 +69,6 @@ def rank(f: Field, m: np.ndarray) -> int:
     return rref(f, m)[1]
 
 
-def kernel(f: Field, m: np.ndarray) -> "Subspace":
-    """Right kernel {x : m x^T = 0} as a Subspace of F_q^cols."""
-    m = np.asarray(m, dtype=np.uint8)
-    ncols = m.shape[1]
-    r_mat, rk, pivots = rref(f, m)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return Subspace(f, ncols, np.zeros((0, ncols), dtype=np.uint8))
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = f.neg_table[r_mat[:rk][:, free]].T
-    return Subspace.from_rows(f, basis)
-
-
 def inverse(f: Field, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.uint8)
     n = m.shape[0]
@@ -94,57 +79,6 @@ def inverse(f: Field, m: np.ndarray) -> np.ndarray:
     if len(pivots) < n or any(c >= n for c in pivots):
         raise ValueError("matrix is singular")
     return r_mat[:, n:].copy()
-
-
-# ---------------------------------------------------------------------------
-# subspaces
-
-
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A subspace of V(ambient_dim, q), held as its canonical RREF basis."""
-
-    field: Field
-    ambient_dim: int
-    basis: np.ndarray  # (dim, ambient_dim) in RREF, read-only
-
-    def __post_init__(self):
-        self.basis.setflags(write=False)
-
-    @staticmethod
-    def from_rows(f: Field, rows: np.ndarray) -> "Subspace":
-        rows = np.asarray(rows, dtype=np.uint8)
-        if rows.ndim != 2:
-            raise ValueError("expected a 2-d array of row vectors")
-        r_mat, rk, _ = rref(f, rows)
-        return Subspace(f, rows.shape[1], r_mat[:rk].copy())
-
-    @staticmethod
-    def zero(f: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(f, ambient_dim, np.zeros((0, ambient_dim), dtype=np.uint8))
-
-    @staticmethod
-    def full(f: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(f, ambient_dim, np.eye(ambient_dim, dtype=np.uint8))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and self.basis.shape == other.basis.shape
-            and bool(np.array_equal(self.basis, other.basis))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.ambient_dim, self.basis.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, q={self.field.q})"
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ weight sweeps walk messages one by one.  The exceptions are the reference
 implementations at the end, which use the package's own arithmetic:
 rref_reference is the package's earlier row reduction (a nonzero-column
 search and an update of the rows with a nonzero factor per pivot), kept as
-the reference for linalg.rref; count_n1_direct and eigen_analysis take
-other routes through its linear algebra than the rank profile they check,
-and is_totally_isotropic and
+the reference for linalg.rref; kernel is built on it, so count_n1_direct
+and eigen_analysis, which take other routes than the rank profile they
+check, share no row reduction with it; is_totally_isotropic and
 contains_vector are the definitions that the pruned enumerations are
 compared against.  enumerate_subspaces walks every RREF cell with numpy
 alone; it shares no code with the package's pruned cell walker.
+polar_pencils builds the lines of the polar Grassmannian from the
+package's enumerator, for the Plücker embedding's line check.
 """
 
 from functools import lru_cache
@@ -221,21 +223,17 @@ def oracle_common_isotropic_lines(q, gram_s, gram_t):
     return pairs // per_line
 
 
-def is_totally_isotropic(form, s):
-    """True iff the form vanishes on every pair of basis vectors of the Subspace s."""
+def is_totally_isotropic(form, basis):
+    """True iff the form vanishes on every pair of rows of the (dim, d) basis."""
     f = form.field
-    if s.dim == 0:
-        return True
-    vals = f.matmul(f.matmul(s.basis, form.gram), s.basis.T)
-    return not vals.any()
+    return not f.matmul(f.matmul(basis, form.gram), basis.T).any()
 
 
-def contains_vector(s, v):
-    """True iff the vector v lies in the Subspace s (reduced against its RREF basis)."""
-    f = s.field
+def contains_vector(f, basis, v):
+    """True iff the vector v lies in the span of the RREF basis."""
     v = np.asarray(v, dtype=np.uint8).copy()
-    pivots = [int(np.nonzero(row)[0][0]) for row in s.basis]
-    for row, c in zip(s.basis, pivots):
+    for row in basis:
+        c = int(np.nonzero(row)[0][0])
         if v[c]:
             v = f.arr_sub(v, f.arr_mul(row, v[c]))
     return not v.any()
@@ -284,8 +282,6 @@ def projective_points(field, d):
 
 def count_n1_direct(sigma, theta):
     """Independent N1 count: compare the two perp subspaces point by point."""
-    from sympgrass.linalg import kernel
-
     f = sigma.field
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")
@@ -294,7 +290,7 @@ def count_n1_direct(sigma, theta):
         row = p.reshape(1, -1)
         p_sig = kernel(f, f.matmul(row, sigma.gram.T))
         p_th = kernel(f, f.matmul(row, theta.gram.T))
-        if all(contains_vector(p_th, row) for row in p_sig.basis):
+        if all(contains_vector(f, p_th, v) for v in p_sig):
             count += 1
     return count
 
@@ -302,24 +298,25 @@ def count_n1_direct(sigma, theta):
 def eigen_analysis(sigma, theta):
     """Eigenspaces of M^-1 S, M and S the Gram matrices of sigma and theta,
     found by sweeping all q candidate eigenvalues: the reference for
-    forms.eigen_profile.  Returns ((lam, Subspace), ...) for each eigenvalue
-    that occurs, and whether the eigenspaces together span the space."""
-    from sympgrass.linalg import inverse, kernel, rank
-
+    forms.eigen_profile.  Returns ((lam, RREF basis), ...) for each
+    eigenvalue that occurs, and whether the eigenspaces together span the
+    space."""
     f = sigma.field
     if sigma.dim != theta.dim or f != theta.field:
         raise ValueError("forms must live on the same space")
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")
-    a = f.matmul(inverse(f, sigma.gram), theta.gram)
     d = sigma.dim
+    eye = np.eye(d, dtype=np.uint8)
+    m_inv = rref_reference(f, np.concatenate([sigma.gram, eye], axis=1))[0][:, d:]
+    a = f.matmul(m_inv, theta.gram)
     pairs = []
     for lam in f.elements():
-        eig = kernel(f, f.arr_sub(a, f.arr_mul(np.eye(d, dtype=np.uint8), np.uint8(lam))))
-        if eig.dim > 0:
+        eig = kernel(f, f.arr_sub(a, f.arr_mul(eye, np.uint8(lam))))
+        if eig.shape[0] > 0:
             pairs.append((lam, eig))
-    bases = [np.zeros((0, d), dtype=np.uint8)] + [s.basis for _, s in pairs]
-    return tuple(pairs), rank(f, np.concatenate(bases)) == d
+    bases = [np.zeros((0, d), dtype=np.uint8)] + [basis for _, basis in pairs]
+    return tuple(pairs), rref_reference(f, np.concatenate(bases))[1] == d
 
 
 def rref_reference(f, m):
@@ -353,3 +350,79 @@ def rref_reference(f, m):
         r += 1
         c0 = c + 1
     return r_mat, len(pivots), pivots
+
+
+def kernel(f, m):
+    """RREF basis of the right kernel {x : m x^T = 0}, as a (dim, cols) array."""
+    m = np.asarray(m, dtype=np.uint8)
+    ncols = m.shape[1]
+    r_mat, rk, pivots = rref_reference(f, m)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = f.neg_table[r_mat[:rk][:, free]].T
+    return rref_reference(f, basis)[0]
+
+
+def perp(form, basis):
+    """RREF basis of {x : form(x, y) = 0 for every row y of basis}."""
+    f = form.field
+    return kernel(f, f.matmul(basis, form.gram.T))
+
+
+def _pencil(f, inner, outer):
+    """The q + 1 spaces between the RREF bases inner and outer, of ranks r
+    and r + 2 with inner inside outer, as a (q+1, r+1, d) stack: inner's rows
+    and one point [1, lam] or [0, 1] of PG(1, q) in outer's rows at the
+    pivots inner lacks.  Every nonzero vector of a subspace leads at one of
+    its pivots, so inner's pivots are among outer's and those two rows
+    complete inner to outer."""
+    inner_pivots = set((inner != 0).argmax(axis=1).tolist())
+    lacks = [i for i, c in enumerate((outer != 0).argmax(axis=1)) if c not in inner_pivots]
+    points = np.array([[1, lam] for lam in f.elements()] + [[0, 1]], dtype=np.uint8)
+    extra = f.matmul(points, outer[lacks])[:, None]
+    return np.concatenate([np.broadcast_to(inner, (f.q + 1, *inner.shape)), extra], axis=1)
+
+
+def polar_pencils(n, k, f):
+    """Each line of the polar Grassmannian of totally isotropic k-spaces of
+    V(2n, q) for the standard form, as a (q+1, k, 2n) stack of member bases.
+
+    A line is a pencil {X : W < X < T}, dim W = k - 1 and dim T = k + 1.
+    For k < n, T runs over the isotropic (k+1)-spaces and W = C @ T over
+    the (k-1)-spaces of T, with C walked in F^(k+1) under the zero form, so
+    each member is [C; v] @ T for v in the pencil of _pencil(C, I).  For
+    k = n, W runs over the isotropic
+    (n-1)-spaces and T is W's perp.  The members are not canonical bases;
+    the rank of their Plücker rows does not depend on that.  For k < n these
+    are not all the projective lines inside the embedded point set: a
+    pencil with T not isotropic but inside W's perp is one too.  W(3,2) at
+    q = 2 has 945 pencils, while its point set holds 2205 lines.
+    """
+    from sympgrass.forms import standard_symplectic
+    from sympgrass.grassmann import isotropic_stack, iter_isotropic_batches
+
+    if k < n:
+        if k > 1:  # every subspace is isotropic for the zero form
+            zero_form = np.zeros((k + 1, k + 1), dtype=np.uint8)
+            inner = np.concatenate(list(iter_isotropic_batches(f, zero_form, k - 1)))
+        else:
+            inner = np.zeros((1, 0, k + 1), dtype=np.uint8)
+        coeffs = [_pencil(f, c, np.eye(k + 1, dtype=np.uint8)) for c in inner]
+        for t in isotropic_stack(n, k + 1, f):
+            for c in coeffs:
+                yield f.matmul(c, t)
+        return
+    sigma = standard_symplectic(n, f)
+    ws = isotropic_stack(n, n - 1, f) if n > 1 else np.zeros((1, 0, 2 * n), dtype=np.uint8)
+    for w in ws:
+        yield _pencil(f, w, perp(sigma, w))
+
+
+def polar_line_count(n, k, q):
+    """The number of lines polar_pencils(n, k, GF(q)) yields, in closed form."""
+    from sympgrass import formulas
+
+    if k == n:
+        return formulas.length(n, n - 1, q) if n >= 2 else 1
+    return formulas.length(n, k + 1, q) * formulas.gaussian_binomial(k + 1, k - 1, q)

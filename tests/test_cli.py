@@ -130,7 +130,7 @@ def test_eta_analyses_each_form_once(capsys, monkeypatch):
         # the eigen fields against the eigenspaces found through sigma's inverse
         pairs, diagonalizable = eigen_analysis(sigma, theta)
         assert trial["eigenvalues"] == [lam for lam, _ in pairs]
-        assert trial["eigen_dims"] == sorted(space.dim for _, space in pairs)
+        assert trial["eigen_dims"] == sorted(space.shape[0] for _, space in pairs)
         assert trial["diagonalizable"] == diagonalizable
     assert report["results"]["all_residuals_zero"] is True
 
@@ -236,6 +236,21 @@ def test_weights_output_file(capsys, tmp_path):
     assert code == 0
     written = json.loads(out.read_text())
     assert written["distribution"] == report["results"]["distribution"]
+
+
+def test_unwritable_output_fails_before_the_work(capsys, tmp_path):
+    # --output is opened after the gate and before the build: a bad path
+    # exits 2 at once (these runs take seconds), and a refusal (exit 3)
+    # creates no file
+    missing = str(tmp_path / "no_such_dir" / "x")
+    start = time.perf_counter()
+    assert run_cli(capsys, "weights", "4", "2", "2", "--slow", "--output", missing)[0] == 2
+    assert run_cli(capsys, "build", "4", "3", "3", "--output", missing)[0] == 2
+    assert time.perf_counter() - start < 1
+    out = tmp_path / "out"
+    assert run_cli(capsys, "weights", "4", "2", "2", "--output", str(out))[0] == 3
+    assert run_cli(capsys, "build", "5", "3", "3", "--output", str(out))[0] == 3
+    assert not out.exists()
 
 
 def test_eta_rejects_malformed_theta_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Isotropic enumeration, Plücker coordinates, Grassmannian lines."""
+"""Isotropic enumeration, Plücker coordinates, and the Plücker images of
+the lines of the polar Grassmannian."""
 
 import numpy as np
 import pytest
@@ -8,18 +9,22 @@ from sympgrass.forms import standard_symplectic
 from sympgrass.gf import GF
 from sympgrass.grassmann import (
     count_isotropic,
-    enumerate_isotropic,
-    grassmann_lines,
     isotropic_stack,
     iter_isotropic_batches,
     k_subsets,
-    line_points,
-    plucker,
     plucker_batch,
 )
-from sympgrass.linalg import Subspace, rank, rref
+from sympgrass.linalg import rank, rref
 
-from oracles import contains_vector, enumerate_subspaces, is_totally_isotropic, oracle_det
+from oracles import (
+    contains_vector,
+    enumerate_subspaces,
+    is_totally_isotropic,
+    oracle_det,
+    polar_line_count,
+    polar_pencils,
+    rref_reference,
+)
 
 
 def test_k_subsets_lex_order():
@@ -57,8 +62,7 @@ def test_plucker_coordinate_basis_plane():
     # span{e_1, e_2} in V(4, q): the single minor at subset {1,2} is 1
     for q in (2, 3, 5):
         f = GF(q)
-        s = Subspace.from_rows(f, np.eye(4, dtype=np.uint8)[:2])
-        coords = plucker(s)
+        coords = plucker_batch(f, np.eye(4, dtype=np.uint8)[None, :2])[0]
         want = np.zeros(6, dtype=np.uint8)
         want[0] = 1  # subset (0,1) is first in lex order
         assert np.array_equal(coords, want)
@@ -67,10 +71,7 @@ def test_plucker_coordinate_basis_plane():
 def test_plucker_spec_example_v42():
     # span{e_1, e_2 + e_3} in V(4,2): ones exactly at subsets {1,2} and {1,3}
     f = GF(2)
-    s = Subspace.from_rows(
-        f, np.array([[1, 0, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
-    )
-    coords = plucker(s)
+    coords = plucker_batch(f, np.array([[[1, 0, 0, 0], [0, 1, 1, 0]]], dtype=np.uint8))[0]
     subs = k_subsets(4, 2)
     nz = {subs[i] for i in np.nonzero(coords)[0]}
     assert nz == {(0, 1), (0, 2)}
@@ -78,22 +79,21 @@ def test_plucker_spec_example_v42():
 
 
 def test_plucker_basis_independent():
-    # scrambled spanning rows canonicalize to the same subspace, same point
+    # a change of basis by [[2, 1], [1, 0]] scales every minor by its
+    # determinant, -1 = 2 over GF(3): the same projective point
     f = GF(3)
     rows = np.array([[1, 2, 0, 1], [0, 1, 1, 2]], dtype=np.uint8)
-    s1 = Subspace.from_rows(f, rows)
     mixed = np.array(
         [f.arr_add(f.arr_mul(rows[0], np.uint8(2)), rows[1]), rows[0]], dtype=np.uint8
     )
-    s2 = Subspace.from_rows(f, mixed)
-    assert s1 == s2
-    assert np.array_equal(plucker(s1), plucker(s2))
+    coords, scrambled = plucker_batch(f, np.stack([rows, mixed]))
+    assert coords.any()
+    assert np.array_equal(scrambled, f.arr_mul(coords, np.uint8(2)))
 
 
 def test_plucker_normalized_leading_one():
     f = GF(3)
-    for s in enumerate_isotropic(2, 2, f):
-        coords = plucker(s)
+    for coords in plucker_batch(f, isotropic_stack(2, 2, f)):
         nz = np.nonzero(coords)[0]
         assert coords[nz[0]] == 1
 
@@ -118,9 +118,9 @@ def test_isotropic_matches_filter_oracle(n, k, q):
         mat.tobytes()
         for batch in enumerate_subspaces(2 * n, k, f)
         for mat in batch
-        if is_totally_isotropic(sig, Subspace(f, 2 * n, mat))
+        if is_totally_isotropic(sig, mat)
     }
-    got = {s.basis.tobytes() for s in enumerate_isotropic(n, k, f)}
+    got = {mat.tobytes() for mat in isotropic_stack(n, k, f)}
     assert got == expected
 
 
@@ -143,21 +143,23 @@ def test_isotropic_counts_match_formula_medium():
 
 
 def test_isotropic_stack_matches_stream():
+    # one cached, read-only array of the walker's batches, in their order
     f = GF(2)
     stack = isotropic_stack(3, 2, f)
-    stream = [s.basis for s in enumerate_isotropic(3, 2, f)]
-    assert stack.shape[0] == len(stream)
-    for i, mat in enumerate(stream):
-        assert np.array_equal(stack[i], mat)
+    stream = np.concatenate(list(iter_isotropic_batches(f, standard_symplectic(3, f).gram, 2)))
+    assert np.array_equal(stack, stream)
+    assert isotropic_stack(3, 2, GF(2)) is stack
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1
 
 
 def test_isotropic_bases_are_rref_and_isotropic():
     f = GF(3)
     sig = standard_symplectic(2, f)
-    for s in enumerate_isotropic(2, 2, f):
-        r, rk, _ = rref(f, s.basis)
-        assert rk == 2 and np.array_equal(r[:2], s.basis)
-        assert is_totally_isotropic(sig, s)
+    for basis in isotropic_stack(2, 2, f):
+        r, rk, _ = rref(f, basis)
+        assert rk == 2 and np.array_equal(r[:2], basis)
+        assert is_totally_isotropic(sig, basis)
 
 
 def test_plucker_injective_on_points():
@@ -169,72 +171,69 @@ def test_plucker_injective_on_points():
 
 
 # ---------------------------------------------------------------------------
-# lines
+# lines: pencils {X : W < X < T} built by tests/oracles.polar_pencils
 
 
-def expected_line_count(n, k, q):
-    if k == n:
-        return formulas.length(n, n - 1, q) if n >= 2 else 1
-    return formulas.length(n, k + 1, q) * formulas.gaussian_binomial(k + 1, k - 1, q)
+def canonical(f, members):
+    """The RREF bases of a stack of members, as bytes."""
+    return [rref_reference(f, m)[0].tobytes() for m in members]
 
 
 @pytest.mark.parametrize("n,k,q", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2), (2, 1, 2)])
 def test_line_counts(n, k, q):
-    f = GF(q)
-    got = sum(1 for _ in grassmann_lines(n, k, f))
-    assert got == expected_line_count(n, k, q)
+    assert sum(1 for _ in polar_pencils(n, k, GF(q))) == polar_line_count(n, k, q)
 
 
 @pytest.mark.parametrize("n,k,q", [(2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 1, 3)])
 def test_line_points_structure(n, k, q):
+    # q + 1 distinct isotropic k-spaces, each holding W (the first k - 1
+    # rows) and together spanning the (k+1)-space T, isotropic for k < n
     f = GF(q)
     sig = standard_symplectic(n, f)
-    for i, line in enumerate(grassmann_lines(n, k, f)):
-        pts = line_points(line, sig)
-        assert len(pts) == q + 1
-        assert len({p.basis.tobytes() for p in pts}) == q + 1
-        for p in pts:
-            assert p.dim == k
-            assert all(contains_vector(p, row) for row in line.W.basis)
-            assert is_totally_isotropic(sig, p)
-            if line.T is not None:
-                assert all(contains_vector(line.T, row) for row in p.basis)
+    for i, members in enumerate(polar_pencils(n, k, f)):
+        assert members.shape == (q + 1, k, 2 * n)
+        assert len(set(canonical(f, members))) == q + 1
+        for m in members:
+            r, rk, _ = rref_reference(f, m)
+            assert rk == k
+            assert all(contains_vector(f, r[:rk], row) for row in members[0, : k - 1])
+            assert is_totally_isotropic(sig, m)
+        t, rk, _ = rref_reference(f, members.reshape(-1, 2 * n))
+        assert rk == k + 1
+        if k < n:
+            assert is_totally_isotropic(sig, t[:rk])
         if i >= 60:
             break
 
 
 def lines_through(n, k, f, x):
-    """The lines among all lines of the Grassmannian whose points hold x."""
-    sig = standard_symplectic(n, f)
-    return [line for line in grassmann_lines(n, k, f) if x in line_points(line, sig)]
+    """The lines whose members hold the RREF basis x."""
+    return [m for m in polar_pencils(n, k, f) if x.tobytes() in canonical(f, m)]
 
 
 def test_lines_through_point_dual_polar_22():
     # dual polar space of rank 2: q + 1 lines through each point
     f = GF(2)
-    x = next(iter(enumerate_isotropic(2, 2, f)))
-    assert len(lines_through(2, 2, f, x)) == 3
+    assert len(lines_through(2, 2, f, isotropic_stack(2, 2, f)[0])) == 3
 
 
 def test_lines_through_point_32():
     # [k choose k-1]_q * (q^(2n-2k)-1)/(q-1) lines through a point
     f = GF(2)
-    x = next(iter(enumerate_isotropic(3, 2, f)))
-    lines = lines_through(3, 2, f, x)
+    lines = lines_through(3, 2, f, isotropic_stack(3, 2, f)[0])
     expect = formulas.gaussian_binomial(2, 1, 2) * (2**2 - 1)
     assert len(lines) == expect
     sig = standard_symplectic(3, f)
-    for line in lines:
-        assert is_totally_isotropic(sig, line.T)
+    for members in lines:
+        assert is_totally_isotropic(sig, members.reshape(-1, 6))
 
 
 def test_lines_through_k1():
     # k = 1 pencils: one line per isotropic plane through the point
     f = GF(2)
-    x = next(iter(enumerate_isotropic(2, 1, f)))
-    lines = lines_through(2, 1, f, x)
+    lines = lines_through(2, 1, f, isotropic_stack(2, 1, f)[0])
     assert len(lines) == (2**2 - 1) // (2 - 1)
-    assert all(line.W.dim == 0 for line in lines)
+    assert all(rank(f, members.reshape(-1, 4)) == 2 for members in lines)
 
 
 def test_line_point_incidence_double_count():
@@ -242,26 +241,14 @@ def test_line_point_incidence_double_count():
     # point being on as many lines as the first
     f = GF(2)
     n, k = 3, 3
-    total_lines = sum(1 for _ in grassmann_lines(n, k, f))
-    x = next(iter(enumerate_isotropic(n, k, f)))
-    through = len(lines_through(n, k, f, x))
-    assert total_lines * 3 == formulas.length(n, k, 2) * through
-
-
-@pytest.mark.parametrize("n,k,q", [(2, 2, 2), (2, 2, 3)])
-def test_embedding_maps_lines_to_lines(n, k, q):
-    f = GF(q)
-    sig = standard_symplectic(n, f)
-    for line in grassmann_lines(n, k, f):
-        pts = line_points(line, sig)
-        coords = np.stack([plucker(p) for p in pts])
-        assert rank(f, coords) == 2
+    through = len(lines_through(n, k, f, isotropic_stack(n, k, f)[0]))
+    assert polar_line_count(n, k, 2) * 3 == formulas.length(n, k, 2) * through
 
 
 def test_invalid_args_rejected():
     f = GF(2)
     with pytest.raises(ValueError):
-        list(enumerate_isotropic(2, 3, f))
+        isotropic_stack(2, 3, f)
     with pytest.raises(ValueError):
         count_isotropic(0, 1, f)
 

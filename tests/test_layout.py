@@ -1,11 +1,11 @@
-"""Every definition in src/sympgrass has a caller outside the unit tests,
-and no module reaches into another module's private names.
+"""Every definition in src/sympgrass has a caller outside the tests, and no
+module reaches into another module's private names.
 
-A top-level function or class that nothing in src/, bench/*.py or the
-acceptance suite refers to (by a name or an attribute), or a non-dunder
-method that nothing there reaches as an attribute (x.name, numpy's np.name
-excepted), is code that only tests reach; it belongs in tests/oracles.py or
-nowhere.  A method is not used by a local variable or a numpy function of
+A top-level function or class that nothing in src/ or bench/*.py refers to
+(by a name or an attribute), or a non-dunder method that nothing there
+reaches as an attribute (x.name, numpy's np.name excepted), is code that
+only tests reach, the acceptance suite included; it belongs in
+tests/oracles.py or nowhere.  A method is not used by a local variable or a numpy function of
 the same name.  formulas is exempt: its closed forms are the paper's claims.
 
 A module imports only names it uses: every name an import binds in a
@@ -42,10 +42,9 @@ def definitions():
 
 
 def references() -> tuple[set[str], set[str]]:
-    """(names, attributes) used in src/, bench/*.py and the acceptance suite;
-    the attributes leave out those of np."""
-    paths = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"),
-             ROOT / "tests" / "test_acceptance.py"]
+    """(names, attributes) used in src/ and bench/*.py; the attributes leave
+    out those of np."""
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]
     names, attrs = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -66,7 +65,7 @@ def unused_definitions() -> list[str]:
 
 def test_no_definition_is_reached_only_by_tests():
     unused = unused_definitions()
-    assert not unused, f"no caller outside the unit tests: {', '.join(unused)}"
+    assert not unused, f"no caller outside the tests: {', '.join(unused)}"
 
 
 def test_the_guard_sees_the_package():
@@ -132,5 +131,5 @@ def test_no_module_imports_an_unused_name():
 
 
 def test_the_import_guard_sees_an_unused_import(tmp_path):
-    (tmp_path / "mod.py").write_text("import os.path\nfrom .linalg import Subspace, rref\n\nSubspace\n")
+    (tmp_path / "mod.py").write_text("import os.path\nfrom .linalg import inverse, rref\n\ninverse\n")
     assert unused_imports(tmp_path) == ["mod: os", "mod: rref"]
