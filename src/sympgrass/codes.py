@@ -1,12 +1,12 @@
 """Projective codes from the Plücker point set, with exact exhaustive sweeps.
 
-The generator matrix of W(n,k) is the nonzero rows of the RREF of the
-transpose of the N x C(2n,k) Plücker matrix pl, byte for byte, but the
-transpose is never row-reduced (transposed_rref).  A stride sample of pl's
-rows gives pivot columns P and the relation pl[:, not P] = pl[:, P] @ X;
-the relation is checked on all N rows, and a row that breaks it joins the
-sample.  The canonical RREF is then recovered from the first K independent
-rows of pl[:, P] by one chunked product, which also carries the check.
+W(n,k) is the span of the coordinate functionals on the point set, the
+columns of the N x C(2n,k) Plücker matrix pl.  Its generator is those
+functionals at the lex-first basis P of pl's column space, pl[:, P].T; it
+is not systematic, and pl is never transposed or row-reduced whole
+(pivot_generator).  A stride sample of pl's rows gives pivot columns P and
+the relation pl[:, not P] = pl[:, P] @ X; the relation is checked on all N
+rows, and a row that breaks it joins the sample, so K = |P| is exact.
 
 Every sweep's distribution is checked against q^K words and the first two
 power moments, which hold for any generator, and a code built from the
@@ -41,10 +41,9 @@ import numpy as np
 from .forms import AlternatingForm
 from .gf import Field
 from .grassmann import isotropic_stack, plucker_batch
-from .linalg import inverse, rref, write_matrix_text
+from .linalg import rref, write_matrix_text
 
-_SCAN_BLOCK_ROWS = 1 << 16  # largest block of the independent-row scan
-_PRODUCT_CHUNK_ELEMS = 1 << 22  # product entries per chunk of the generator step
+_PRODUCT_CHUNK_ELEMS = 1 << 22  # left-operand digits per chunk of the generator check
 
 
 @dataclass
@@ -98,7 +97,7 @@ def build_code(n: int, k: int, field: Field) -> LinearCode:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     bases = isotropic_stack(n, k, field)
     pl = plucker_batch(field, bases)
-    gen = transposed_rref(field, pl)
+    gen = pivot_generator(field, pl)
     return LinearCode(
         field=field,
         n=n,
@@ -110,78 +109,39 @@ def build_code(n: int, k: int, field: Field) -> LinearCode:
     )
 
 
-def _first_independent_rows(f: Field, pl: np.ndarray, cols) -> list[int]:
-    """Indices of the first len(cols) independent rows of G = pl[:, cols], in
-    order; the columns cols must be independent.
-
-    Rows are scanned in blocks.  The rows of H span the vectors supported on
-    cols that are orthogonal to the rows picked so far, so a row's syndrome
-    row @ H.T is zero exactly when the row's G part lies in their span, and
-    rows are independent modulo that span exactly when their syndromes are.
-    A block's leading nonzero syndromes S are picked greedily, as the pivot
-    columns of the RREF of [S.T | I]; the rows of that RREF past the picked
-    pivots are [0 | E] with E @ S.T = 0, so E @ H is the next H.
-    """
-    n_rows, width = pl.shape
-    picked: list[int] = []
-    h = np.eye(width, dtype=np.uint8)[cols]
-    pos, block = 0, 4 * width
-    while pos < n_rows and h.shape[0]:
-        syn = f.matmul(pl[pos : pos + block], h.T)
-        cand = np.nonzero(syn.any(axis=1))[0][: 4 * width]
-        block = min(2 * block, _SCAN_BLOCK_ROWS)
-        if cand.size == 0:
-            pos += syn.shape[0]
-            continue
-        aug = np.concatenate([syn[cand].T, np.eye(h.shape[0], dtype=np.uint8)], axis=1)
-        reduced, _, pivots = rref(f, aug)
-        new = [c for c in pivots if c < cand.size]
-        picked.extend(pos + int(cand[c]) for c in new)
-        h = f.matmul(reduced[len(new) :, cand.size :], h)
-        pos += int(cand[-1]) + 1
-    return picked
-
-
-def transposed_rref(f: Field, pl: np.ndarray) -> np.ndarray:
-    """The nonzero rows of rref(pl.T), without row-reducing the transpose.
+def pivot_generator(f: Field, pl: np.ndarray) -> np.ndarray:
+    """The coordinate functionals of pl at the lex-first basis P of its
+    column space: pl[:, P].T, not systematic, as a (K, N) transposed view
+    of np.take(pl, P, axis=1).
 
     A stride sample of about 4 * width rows of pl is row-reduced; its pivot
     columns P and its relation X = RREF[:, not P] describe every sampled row
-    as pl[i, not P] = pl[i, P] @ X.  That is then checked on all N rows.  A
-    row that fails it is outside the sample's row space, so it is added to
-    the sample, which raises the sample's rank; at most K rounds follow.
-    Once it holds, the columns P of pl are a basis of its column space, so
-    K = |P|, and with G = pl[:, P] and Q its first K independent rows,
-    rref(pl.T)[:K] = inverse(G[Q].T) @ G.T exactly: that matrix spans the
-    same row space and has the identity on the pivot columns Q.  With
-    M = inverse(G[Q].T) it is computed as (G @ M.T).T, in one chunked
-    product that also carries the check: pl @ right, where right holds
-    [X; -I] in its first width - K columns and [M.T; 0] in the rest.
+    as pl[i, not P] = pl[i, P] @ X.  That is checked on all N rows, as the
+    product pl @ right with right = [X; -I] (width x (width - |P|)), in
+    chunks.  A row that fails it is outside the sample's row space, so it is
+    added to the sample, which raises the sample's rank; at most K rounds
+    follow.  Once it holds on every row, the sample's row space is pl's, so
+    K = |P| exactly and P is rref(pl)'s pivot columns, whatever the sample.
+    With |P| = width the rank is the width, and there is nothing to check.
     """
     n_rows, width = pl.shape
     # distinct rows: their spacing is at least 1
     sample = np.linspace(0, n_rows - 1, min(n_rows, 4 * width), dtype=np.intp)
+    chunk = max(1, _PRODUCT_CHUNK_ELEMS // (width * f.e))
     while True:
         reduced, rk, pivots = rref(f, pl[sample])
         rest = np.delete(np.arange(width), pivots)
-        q_rows = _first_independent_rows(f, pl, pivots)
-        m = inverse(f, np.ascontiguousarray(pl[np.ix_(q_rows, pivots)].T))
-        right = np.zeros((width, width), dtype=np.uint8)
-        right[pivots, : width - rk] = reduced[:rk, rest]
+        right = np.zeros((width, width - rk), dtype=np.uint8)
+        right[pivots] = reduced[:rk, rest]
         right[rest, np.arange(width - rk)] = f.neg(1)
-        right[pivots, width - rk :] = m.T
-        gen = np.empty((rk, n_rows), dtype=np.uint8)
-        chunk = max(1, _PRODUCT_CHUNK_ELEMS // (width * f.e))
-        for s in range(0, n_rows, chunk):
-            prod = f.matmul(pl[s : s + chunk], right)
-            bad = np.nonzero(prod[:, : width - rk].any(axis=1))[0]
+        for s in range(0, n_rows if rest.size else 0, chunk):
+            bad = np.flatnonzero(f.matmul(pl[s : s + chunk], right).any(axis=1))
             if bad.size:
                 row = s + int(bad[0])
                 sample = np.insert(sample, np.searchsorted(sample, row), row)
                 break
-            gen[:, s : s + chunk] = prod[:, width - rk :].T
         else:
-            return gen
+            return np.take(pl, np.asarray(pivots, dtype=np.intp), axis=1).T
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense matrix algebra over GF(q).
 
 Matrices are numpy uint8 arrays of element encodings, shape (rows, cols),
-paired with the Field they live over: row reduction, rank and inverse, and
-the text matrix files.
+paired with the Field they live over: row reduction, rank, and the text
+matrix files.
 """
 
 from __future__ import annotations
@@ -69,23 +69,12 @@ def rank(f: Field, m: np.ndarray) -> int:
     return rref(f, m)[1]
 
 
-def inverse(f: Field, m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.uint8)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("inverse needs a square matrix")
-    aug = np.concatenate([m, np.eye(n, dtype=np.uint8)], axis=1)
-    r_mat, _, pivots = rref(f, aug)
-    if len(pivots) < n or any(c >= n for c in pivots):
-        raise ValueError("matrix is singular")
-    return r_mat[:, n:].copy()
-
-
 # ---------------------------------------------------------------------------
 # text matrix files: one header line naming rows, cols and q in some order,
 # then one row of encodings per line
 
 MATRIX_HEADER = "rows cols q"
+_DECIMAL = np.array([str(i) for i in range(256)], dtype=object)  # a uint8 entry's text
 
 
 def _open(target, mode: str):
@@ -100,7 +89,7 @@ def write_matrix_text(dest, f: Field, m: np.ndarray, header: str = MATRIX_HEADER
     with _open(dest, "w") as fh:
         fh.write(" ".join(str(values[name]) for name in header.split()) + "\n")
         for row in m:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+            fh.write(" ".join(_DECIMAL[row].tolist()) + "\n")
 
 
 def read_matrix_text(src, header: str = MATRIX_HEADER) -> tuple[Field, np.ndarray]:

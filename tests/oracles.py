@@ -7,9 +7,9 @@ weight sweeps walk messages one by one.  The exceptions are the reference
 implementations at the end, which use the package's own arithmetic:
 rref_reference is the package's earlier row reduction (a nonzero-column
 search and an update of the rows with a nonzero factor per pivot), kept as
-the reference for linalg.rref; kernel is built on it, so count_n1_direct
-and eigen_analysis, which take other routes than the rank profile they
-check, share no row reduction with it; is_totally_isotropic and
+the reference for linalg.rref; inverse and kernel are built on it, so
+count_n1_direct and eigen_analysis, which take other routes than the rank
+profile they check, share no row reduction with it; is_totally_isotropic and
 contains_vector are the definitions that the pruned enumerations are
 compared against.  enumerate_subspaces walks every RREF cell with numpy
 alone; it shares no code with the package's pruned cell walker.
@@ -350,6 +350,19 @@ def rref_reference(f, m):
         r += 1
         c0 = c + 1
     return r_mat, len(pivots), pivots
+
+
+def inverse(f, m):
+    """Inverse of a square matrix, read from the RREF of [m | I]."""
+    m = np.asarray(m, dtype=np.uint8)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError("inverse needs a square matrix")
+    aug = np.concatenate([m, np.eye(n, dtype=np.uint8)], axis=1)
+    r_mat, _, pivots = rref_reference(f, aug)
+    if len(pivots) < n or any(c >= n for c in pivots):
+        raise ValueError("matrix is singular")
+    return r_mat[:, n:].copy()
 
 
 def kernel(f, m):

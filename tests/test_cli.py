@@ -6,9 +6,10 @@ import time
 
 import numpy as np
 
-from sympgrass import cli, formulas, forms, grassmann
+from sympgrass import cli, codes, formulas, forms, grassmann
 from sympgrass.cli import build_parser, main
 from sympgrass.gf import GF
+from sympgrass.linalg import read_matrix_text
 
 from oracles import eigen_analysis
 
@@ -154,6 +155,9 @@ def test_build_writes_generator(capsys, tmp_path):
     assert code == 0
     assert report["results"]["rank_ok"] is True
     assert out.read_text().splitlines()[0] == "3 5 40"
+    field, gen = read_matrix_text(out, codes.GENERATOR_HEADER)
+    assert field == GF(3)
+    assert np.array_equal(gen, codes.build_code(2, 2, GF(3)).generator)
 
 
 def test_bounds_22(capsys):

@@ -12,7 +12,7 @@ from sympgrass.codes import (
     WeightEnumerator,
     build_code,
     codeword_from_form,
-    transposed_rref,
+    pivot_generator,
     weight_enumerator,
     write_generator,
 )
@@ -56,17 +56,38 @@ GENERATOR_CASES = [
 
 @pytest.mark.parametrize("n,k,q", GENERATOR_CASES)
 def test_generator_is_rref_of_transpose(n, k, q):
-    # byte for byte the nonzero rows of the full row reduction of pl.T
+    # as a code: the generator spans the row space of the systematic
+    # generator R = rref(pl.T)[:K], that is gen = gen[:, Q] @ R with gen[:, Q]
+    # invertible, Q the pivot columns of R
     f = GF(q)
-    pl = plucker_batch(f, isotropic_stack(n, k, f))
-    reduced, rk, _ = rref(f, np.ascontiguousarray(pl.T))
-    gen = build_code(n, k, f).generator
-    assert gen.dtype == np.uint8 and gen.flags.c_contiguous
-    assert gen.tobytes() == reduced[:rk].tobytes()
+    code = build_code(n, k, f)
+    pl = plucker_batch(f, code.point_bases)
+    reduced, rk, q_cols = rref(f, np.ascontiguousarray(pl.T))
+    gen = code.generator
+    assert gen.shape == (rk, pl.shape[0])
     assert gen.shape == (formulas.dimension(n, k), formulas.length(n, k, q))
+    assert rank(f, gen[:, q_cols]) == rk
+    assert np.array_equal(f.matmul(gen[:, q_cols], reduced[:rk]), gen)
 
 
-def test_transposed_rref_grows_a_sample_that_misses_a_column(monkeypatch):
+@pytest.mark.parametrize("n,k,q", GENERATOR_CASES)
+def test_generator_is_pivot_columns(n, k, q):
+    # byte for byte the coordinate functionals at the pivot columns P of
+    # rref(pl), held as a read-only transposed view.  P is read from the K
+    # rows Q of pl at the pivots of rref(pl.T): those rows have rank K, so
+    # they span pl's row space, and the RREF of a row space is unique.
+    f = GF(q)
+    code = build_code(n, k, f)
+    pl = plucker_batch(f, code.point_bases)
+    _, rk, q_rows = rref(f, np.ascontiguousarray(pl.T))
+    _, _, p_cols = rref(f, pl[q_rows])
+    gen = code.generator
+    assert gen.shape == (rk, pl.shape[0])
+    assert gen.dtype == np.uint8 and gen.flags.f_contiguous and not gen.flags.writeable
+    assert gen.tobytes() == np.take(pl, p_cols, axis=1).T.tobytes()
+
+
+def test_pivot_generator_grows_a_sample_that_misses_a_column(monkeypatch):
     # column 2 is nonzero only on row 5, which the stride sample skips; the
     # full check finds it, adds the row and reduces again
     f = GF(3)
@@ -83,15 +104,27 @@ def test_transposed_rref_grows_a_sample_that_misses_a_column(monkeypatch):
         return rref(field, m)
 
     monkeypatch.setattr(codes, "rref", counting_rref)
-    gen = transposed_rref(f, pl)
-    reduced, rk, _ = rref(f, np.ascontiguousarray(pl.T))
-    assert rk == 3 and gen.tobytes() == reduced[:rk].tobytes()
+    gen = pivot_generator(f, pl)
+    assert gen.shape == (3, 100)
+    assert np.array_equal(gen, pl[:, [0, 2, 3]].T)
     # the first sample has 4 * width rows; one later sample has one more
     assert sample_rows[0] == 16 and 17 in sample_rows
 
 
-def test_transposed_rref_of_zero_matrix():
-    assert transposed_rref(GF(2), np.zeros((9, 3), dtype=np.uint8)).shape == (0, 9)
+def test_pivot_generator_skips_the_check_at_full_rank(monkeypatch):
+    # rank = width: the relation has no columns to check
+    f = GF(5)
+    pl = np.tile(np.eye(3, dtype=np.uint8), (7, 1))
+
+    def no_product(a, b):
+        raise AssertionError("checked a relation with no columns")
+
+    monkeypatch.setattr(f, "matmul", no_product)
+    assert np.array_equal(pivot_generator(f, pl), pl.T)
+
+
+def test_pivot_generator_of_zero_matrix():
+    assert pivot_generator(GF(2), np.zeros((9, 3), dtype=np.uint8)).shape == (0, 9)
 
 
 def test_build_w55_q2_has_the_formula_dimension():

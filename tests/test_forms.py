@@ -17,11 +17,12 @@ from sympgrass.forms import (
     worst_case_theta,
 )
 from sympgrass.gf import GF, Field
-from sympgrass.linalg import inverse, rank
+from sympgrass.linalg import rank
 
 from oracles import (
     count_n1_direct,
     eigen_analysis,
+    inverse,
     is_totally_isotropic,
     kernel,
     oracle_bilinear,

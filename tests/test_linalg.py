@@ -11,11 +11,12 @@ from sympgrass import linalg
 from sympgrass.formulas import gaussian_binomial
 from sympgrass.gf import GF
 from sympgrass.grassmann import iter_isotropic_batches
-from sympgrass.linalg import inverse, rank, read_matrix_text, rref, write_matrix_text
+from sympgrass.linalg import rank, read_matrix_text, rref, write_matrix_text
 
 from oracles import (
     contains_vector,
     enumerate_subspaces,
+    inverse,
     kernel,
     oracle_subspaces,
     rref_reference,
@@ -263,6 +264,17 @@ def test_matrix_text_round_trip():
     assert first == "3 5 9"
     f2, m2 = read_matrix_text(io.StringIO(text + "\n  \n"))  # trailing blank lines are fine
     assert f2 == f and np.array_equal(m, m2)
+
+
+@pytest.mark.parametrize("shape", [(4, 37), (3, 0), (0, 5)])
+def test_matrix_text_writes_each_entry_in_decimal(shape):
+    # the file's bytes: the header, then each row's entries as str(int(x))
+    f = GF(16)
+    m = np.random.default_rng(5).integers(0, 16, size=shape).astype(np.uint8)
+    buf = io.StringIO()
+    write_matrix_text(buf, f, m)
+    rows = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in m)
+    assert buf.getvalue() == f"{shape[0]} {shape[1]} 16\n" + rows
 
 
 def test_matrix_text_rejects_bad_entries():
