@@ -2,11 +2,12 @@
 
 W(n,k) is the span of the coordinate functionals on the point set, the
 columns of the N x C(2n,k) Plücker matrix pl.  Its generator is those
-functionals at the lex-first basis P of pl's column space, pl[:, P].T; it
-is not systematic, and pl is never transposed or row-reduced whole
-(pivot_generator).  A stride sample of pl's rows gives pivot columns P and
-the relation pl[:, not P] = pl[:, P] @ X; the relation is checked on all N
-rows, and a row that breaks it joins the sample, so K = |P| is exact.
+functionals at the lex-first basis P of pl's column space, pl[:, P].T, a
+C-contiguous row gather from the minor-major array behind pl; it is not
+systematic, and pl is never row-reduced whole (pivot_generator).  A stride
+sample of pl's rows gives pivot columns P and the relation
+pl[:, not P] = pl[:, P] @ X; the relation is checked on all N rows, and a
+row that breaks it joins the sample, so K = |P| is exact.
 
 Every sweep's distribution is checked against q^K words and the first two
 power moments, which hold for any generator, and a code built from the
@@ -111,8 +112,8 @@ def build_code(n: int, k: int, field: Field) -> LinearCode:
 
 def pivot_generator(f: Field, pl: np.ndarray) -> np.ndarray:
     """The coordinate functionals of pl at the lex-first basis P of its
-    column space: pl[:, P].T, not systematic, as a (K, N) transposed view
-    of np.take(pl, P, axis=1).
+    column space: pl[:, P].T, not systematic, as a C-contiguous row gather
+    np.take(pl.T, P, axis=0) of the minor-major array plucker_batch fills.
 
     A stride sample of about 4 * width rows of pl is row-reduced; its pivot
     columns P and its relation X = RREF[:, not P] describe every sampled row
@@ -141,7 +142,7 @@ def pivot_generator(f: Field, pl: np.ndarray) -> np.ndarray:
                 sample = np.insert(sample, np.searchsorted(sample, row), row)
                 break
         else:
-            return np.take(pl, np.asarray(pivots, dtype=np.intp), axis=1).T
+            return np.take(pl.T, np.asarray(pivots, dtype=np.intp), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ Negation is digitwise, and the inverse is read from the multiplication
 table.
 
 Scalar arithmetic is table-driven (full q x q tables).  Array helpers
-(`arr_add` etc.) operate elementwise on numpy arrays of encodings; for
-prime fields they use modular arithmetic, for extension fields table
-lookups, indexed by the packed byte 16*a + b (a 256-entry table is read
-several times faster than a q x q one indexed by two intp arrays).  Both
-agree with the scalar tables entrywise (tested).  The
-modular path stays exact in uint8 because (p-1)^2 < 256 for p <= 13.  Both
-elementwise paths stay because each is the faster one on its fields: with
+(`arr_add` etc.) operate elementwise on numpy arrays of encodings and agree
+with the scalar tables entrywise (tested).  In characteristic 2 an encoding
+is a vector of GF(2) digits, so addition is one bitwise XOR for q = 2, 4, 8
+and 16.  Other prime fields use modular arithmetic, exact in uint8 because
+(p-1)^2 < 256 for p <= 13.  GF(9) adds and every extension field multiplies
+by a lookup indexed by the packed byte 16*a + b (a 256-entry table is read
+several times faster than a q x q one indexed by two intp arrays).  The
+modular path stays for odd primes because it is the faster one there: with
 the table path on GF(3), building W(4,3) took 12.2 s instead of 6.8 s and
 552 MB of peak memory instead of 413 MB (2-core x86, numpy 2.4, one BLAS
 thread).
@@ -34,9 +35,12 @@ thread).
 already its e base-p digits, and multiplication by a fixed element is an
 e x e matrix over GF(p), so a product over GF(p^e) is one float32 BLAS
 product of the digit-expanded operands, reduced mod p and recombined; a
-prime field is the case e = 1.  Every entry of the float product is an
-integer of at most k*e*(p-1)^2 for inner dimension k, exact below 2^24;
-larger products raise ValueError.
+prime field is the case e = 1.  An extension field's left operand is
+expanded by one np.take from a (q, e) float32 table of digits.  Every entry
+of the float product is an integer of at most k*e*(p-1)^2 for inner
+dimension k, exact below 2^24; larger products raise ValueError.  The
+product is reduced in the narrowest unsigned dtype that holds that bound
+(uint8 below 2^8, uint16 below 2^16), by & 1 when p = 2.
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ class Field:
         self.modulus: tuple[int, ...] | None = modulus
 
         # addition and negation are digitwise mod p
-        self._powers = p ** np.arange(e, dtype=np.uint8)
-        digits = np.arange(q, dtype=np.uint8)[:, None] // self._powers % p
-        add = ((digits[:, None, :] + digits[None, :, :]) % p @ self._powers).astype(np.uint8)
+        powers = p ** np.arange(e, dtype=np.uint8)
+        digits = np.arange(q, dtype=np.uint8)[:, None] // powers % p
+        add = ((digits[:, None, :] + digits[None, :, :]) % p @ powers).astype(np.uint8)
         if e == 1:
             mul = (np.outer(np.arange(q), np.arange(q)) % q).astype(np.uint8)
         else:
@@ -83,7 +87,7 @@ class Field:
             power = np.eye(e, dtype=np.intp)[0]
             exp = np.empty(q - 1, dtype=np.intp)
             for i in range(q - 1):
-                exp[i] = power @ self._powers
+                exp[i] = power @ powers
                 power = (np.concatenate(([0], power[:-1])) - power[-1] * low) % p
             if sorted(exp.tolist()) != list(range(1, q)):
                 raise AssertionError(f"x does not generate GF({q})*; bad modulus")
@@ -98,12 +102,14 @@ class Field:
         pairs = (np.arange(q)[:, None] << 4 | np.arange(q)[None, :]).ravel()
         self._add_packed[pairs] = add.ravel()
         self._mul_packed[pairs] = mul.ravel()
-        self.neg_table = ((p - digits) % p @ self._powers).astype(np.uint8)
+        self.neg_table = ((p - digits) % p @ powers).astype(np.uint8)
         # the one b with a * b = 1 (0 for a = 0, whose row holds no 1)
         self.inv_table = np.argmax(mul == 1, axis=1).astype(np.uint8)
 
+        # row a of _digit_table holds the digits of a, the left operand's expansion
+        self._digit_table = digits.astype(np.float32)
         # row r of _mul_digits[b] holds the digits of x^r * b (x^r is encoded as p^r)
-        xb = mul[self._powers][:, :, None] // self._powers % p
+        xb = mul[powers][:, :, None] // powers % p
         self._mul_digits = xb.transpose(1, 0, 2).astype(np.float32)
 
         for t in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
@@ -132,14 +138,19 @@ class Field:
     # -- elementwise array ops (uint8 encodings in, uint8 out) ----------
 
     def arr_add(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.uint8)
+        b = np.asarray(b, dtype=np.uint8)
+        if self.p == 2:
+            # the encodings' bits are the GF(2) digits, added mod 2
+            return np.bitwise_xor(a, b)
         if self.e == 1:
             # encodings are below q, so s = a + b <= 2q - 2 < 256 is exact in
             # uint8, and s - q wraps above s exactly when s < q: the minimum
             # is s mod q, without a division (taken in place unless s is a
             # scalar, so that one temporary is live, as for a uint8 %)
-            s = np.add(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8), dtype=np.uint8)
+            s = np.add(a, b)
             return np.minimum(s, np.subtract(s, self.q, dtype=np.uint8), out=s if s.ndim else None)
-        return self._add_packed[np.asarray(a, dtype=np.uint8) << 4 | np.asarray(b, dtype=np.uint8)]
+        return np.take(self._add_packed, a << 4 | b)
 
     def arr_neg(self, a) -> np.ndarray:
         return self.neg_table[np.asarray(a, dtype=np.intp)]
@@ -148,10 +159,11 @@ class Field:
         return self.arr_add(a, self.arr_neg(b))
 
     def arr_mul(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.uint8)
+        b = np.asarray(b, dtype=np.uint8)
         if self.e == 1:
-            prod = np.asarray(a, dtype=np.uint8) * np.asarray(b, dtype=np.uint8)
-            return (prod % self.q).astype(np.uint8)
-        return self._mul_packed[np.asarray(a, dtype=np.uint8) << 4 | np.asarray(b, dtype=np.uint8)]
+            return (a * b % self.q).astype(np.uint8)
+        return np.take(self._mul_packed, a << 4 | b)
 
     # -- matrix product ------------------------------------------------
 
@@ -171,31 +183,37 @@ class Field:
         """Matrix product over GF(q) of uint8 encodings, with np.matmul shapes.
 
         Both operands must be at least 2-d; an empty inner dimension gives
-        zeros.  The float32 product is exact
-        while k*e*(p-1)^2 < 2^24 (k the inner dimension); otherwise this
-        raises ValueError.
+        zeros.  Every entry of the float32 product is at most
+        k*e*(p-1)^2 (k the inner dimension), so it is exact while that bound
+        is below 2^24, otherwise this raises ValueError, and it is reduced in
+        the narrowest unsigned dtype that holds the bound.
         """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
         if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
             raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
         k, n, p, e = a.shape[-1], b.shape[-1], self.p, self.e
-        if k * e * (p - 1) ** 2 >= 1 << 24:
+        bound = k * e * (p - 1) ** 2
+        if bound >= 1 << 24:
             raise ValueError(f"inner dimension {k} is too large for an exact GF({self.q}) product")
-        # a prime-field element is its own single digit
-        a_dig = a if e == 1 else self.mod_p(a[..., None] // self._powers).reshape(
+        # a prime-field element is its own single digit, converted several
+        # times faster than it is looked up
+        a_dig = a.astype(np.float32) if e == 1 else np.take(self._digit_table, a, axis=0).reshape(
             *a.shape[:-1], k * e
         )
         b_dig = np.swapaxes(self._mul_digits[b], -3, -2).reshape(*b.shape[:-2], k * e, n * e)
         if b.ndim == 2:  # one BLAS product for a stacked left operand
             rows = math.prod(a.shape[:-1])  # explicit, as -1 is ambiguous when k = 0
-            prod = (a_dig.reshape(rows, k * e).astype(np.float32) @ b_dig).reshape(
-                *a.shape[:-1], n * e
-            )
+            prod = (a_dig.reshape(rows, k * e) @ b_dig).reshape(*a.shape[:-1], n * e)
         else:
-            prod = np.matmul(a_dig.astype(np.float32), b_dig)
-        wide = np.uint16 if k * e * (p - 1) ** 2 < 1 << 16 else np.uint32
-        digits = self.mod_p(prod.astype(wide)).astype(np.uint8)
+            prod = np.matmul(a_dig, b_dig)
+        wide = np.uint8 if bound < 1 << 8 else np.uint16 if bound < 1 << 16 else np.uint32
+        digits = prod.astype(wide)
+        if p == 2:
+            digits &= 1
+        else:
+            self.mod_p(digits)
+        digits = digits.astype(np.uint8, copy=False)
         digits = digits.reshape(*prod.shape[:-1], n, e)
         out = digits[..., e - 1]
         for c in range(e - 2, -1, -1):

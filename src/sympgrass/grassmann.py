@@ -3,9 +3,11 @@
 iter_isotropic_batches is the package's one walker over RREF Schubert
 cells.  Isotropic k-subspaces are generated cell by cell (fixed pivot
 columns), extending partial RREF frames one row at a time and pruning
-extensions that break isotropy against any earlier row.  All filtering
-is batched in numpy, so the enumeration keeps up with the largest
-verification sizes (about a million subspaces in seconds).
+extensions that break isotropy against any earlier row.  The constraint
+values of all candidate rows form one uint8 combination table of a few
+columns of frame @ G (_filter_extend), batched in numpy, so the
+enumeration keeps up with the largest verification sizes (about a million
+subspaces in a fraction of a second).
 
 Plücker coordinates are the k x k minors over lexicographically ordered
 column subsets.  For an RREF basis the minor on the pivot columns equals
@@ -13,7 +15,8 @@ column subsets.  For an RREF basis the minor on the pivot columns equals
 normalization (first nonzero coordinate = 1) is automatic.  The minors come
 from a row-by-row Laplace expansion, level r holding the minors of the
 first r rows on every r-subset of columns, for any k and chunk by chunk of
-points.
+points, into a minor-major (C(d,k), N) array whose transpose is the
+Plücker matrix.
 """
 
 from __future__ import annotations
@@ -45,19 +48,19 @@ def k_subsets(d: int, k: int) -> tuple[tuple[int, ...], ...]:
 def _laplace_tables(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables for expanding every r-subset minor along its last row.
 
-    For the t-th element j of the subset S (lex index i), idx[i, t] is the
-    lex index of S minus j among the (r-1)-subsets, and col[i, t] is j when
+    For the t-th element j of the subset S (lex index i), idx[t, i] is the
+    lex index of S minus j among the (r-1)-subsets, and col[t, i] is j when
     the cofactor sign (-1)^(r-1+t) is +1 and d + j when it is -1, so that it
     picks a row of [b; -b].
     """
     prev = {s: i for i, s in enumerate(k_subsets(d, r - 1))}
     subs = k_subsets(d, r)
-    idx = np.empty((len(subs), r), dtype=np.intp)
-    col = np.empty((len(subs), r), dtype=np.intp)
+    idx = np.empty((r, len(subs)), dtype=np.intp)
+    col = np.empty((r, len(subs)), dtype=np.intp)
     for i, s in enumerate(subs):
         for t, j in enumerate(s):
-            idx[i, t] = prev[s[:t] + s[t + 1 :]]
-            col[i, t] = j + d * ((r - 1 + t) % 2)
+            idx[t, i] = prev[s[:t] + s[t + 1 :]]
+            col[t, i] = j + d * ((r - 1 + t) % 2)
     idx.setflags(write=False)
     col.setflags(write=False)
     return idx, col
@@ -67,44 +70,56 @@ def _minors_chunk(f: Field, bt: np.ndarray) -> np.ndarray:
     """All k x k minors of a (k, d, B) stack, as a (C(d,k), B) array.
 
     Level r holds the minors of the first r rows on every r-subset, each one
-    the Laplace expansion along row r-1 of r minors of level r-1.  Over a
-    prime field one level is summed in uint16 and reduced mod p once: each
-    of its r terms is a product of two residues, at most (p-1)^2, so the sum
-    is at most r*(p-1)^2 <= k*(p-1)^2 < 2^16 (checked in plucker_batch).
+    the Laplace expansion along row r-1 of r minors of level r-1.  The two
+    factors of each term are gathered into buffers reused across the r
+    terms.  Over a prime field one level is summed as integers and reduced
+    mod p once: each of its r terms is a product of two residues, at most
+    (p-1)^2, so the sum is at most r*(p-1)^2.  It is summed in uint8 while
+    that is below 2^8 (GF(11): 200 at r = 2) and otherwise in uint16, as
+    r*(p-1)^2 <= k*(p-1)^2 < 2^16 (checked in plucker_batch; GF(11): 300 at
+    r = 3).  Over an extension field every term is an encoding, summed by
+    f.arr_add (XOR in characteristic 2).
     """
-    k, d, _ = bt.shape
+    k, d, n_pts = bt.shape
     level = bt[0]
     for r in range(2, k + 1):
         row = bt[r - 1]
         idx, col = _laplace_tables(d, r)
-        signed = np.concatenate([row, f.arr_neg(row)])
-        if f.e == 1:
-            signed = signed.astype(np.uint16)
-            acc = np.zeros((idx.shape[0], row.shape[1]), dtype=np.uint16)
-            for t in range(r):
-                acc += signed[col[:, t]] * level[idx[:, t]]
-            level = f.mod_p(acc).astype(np.uint8)
-        else:
-            acc = np.zeros((idx.shape[0], row.shape[1]), dtype=np.uint8)
-            for t in range(r):
-                acc = f.arr_add(acc, f.arr_mul(signed[col[:, t]], level[idx[:, t]]))
-            level = acc
+        dtype = np.uint16 if f.e == 1 and r * (f.p - 1) ** 2 >= 1 << 8 else np.uint8
+        signed = np.concatenate([row, f.arr_neg(row)]).astype(dtype, copy=False)
+        level = level.astype(dtype, copy=False)
+        acc = np.zeros((idx.shape[1], n_pts), dtype=dtype)
+        factor, term = np.empty_like(acc), np.empty_like(acc)
+        for t in range(r):
+            # mode="clip" writes straight into out, which the default mode buffers
+            np.take(signed, col[t], axis=0, out=factor, mode="clip")
+            np.take(level, idx[t], axis=0, out=term, mode="clip")
+            if f.e == 1:
+                term *= factor
+                acc += term
+            else:
+                acc = f.arr_add(acc, f.arr_mul(factor, term))
+        level = f.mod_p(acc).astype(np.uint8, copy=False) if f.e == 1 else acc
     return level
 
 
 def plucker_batch(f: Field, mats: np.ndarray) -> np.ndarray:
     """Plücker coordinate vectors (all k x k minors, lex column subsets) of a
-    (B, k, d) stack of bases, computed in chunks of points."""
+    (B, k, d) stack of bases, computed in chunks of points.
+
+    The minors are written minor-major, one row of a (C(d,k), B) array per
+    minor, as _minors_chunk makes them; the (B, C(d,k)) result is that
+    array's transpose."""
     n_mats, k, d = mats.shape
     if k * (f.p - 1) ** 2 >= 1 << 16:
         raise ValueError(f"k={k} is too large for exact uint16 minor sums over GF({f.q})")
     width = len(k_subsets(d, k))
-    out = np.empty((n_mats, width), dtype=np.uint8)
+    out = np.empty((width, n_mats), dtype=np.uint8)
     chunk = max(1, _PLUCKER_CHUNK_ELEMS // width)
     for s in range(0, n_mats, chunk):
         bt = np.ascontiguousarray(mats[s : s + chunk].transpose(1, 2, 0))
-        out[s : s + chunk] = _minors_chunk(f, bt).T
-    return out
+        out[:, s : s + chunk] = _minors_chunk(f, bt)
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -123,46 +138,80 @@ def _digit_block(count: int, nslots: int, q: int) -> np.ndarray:
     return out
 
 
+def _free_columns(pivots: tuple[int, ...], ncols: int, i: int) -> list[int]:
+    """The columns after pivot i that are no pivot: row i's free entries."""
+    return [j for j in range(pivots[i] + 1, ncols) if j not in pivots]
+
+
 @lru_cache(maxsize=256)
 def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np.ndarray:
     """All admissible RREF row-i vectors for the given pivot pattern (cached
     and read-only: every enumeration over the same field and dimension, such
-    as eta's k = 1 point enumeration, asks for the same tables)."""
-    c = pivots[i]
-    pset = set(pivots)
-    free = [j for j in range(c + 1, ncols) if j not in pset]
+    as eta's k = 1 point enumeration, asks for the same tables).  Candidate t
+    holds the base-q digits of t in the free columns, the first free column
+    fastest."""
+    free = _free_columns(pivots, ncols, i)
     total = f.q ** len(free)
     rows = np.zeros((total, ncols), dtype=np.uint8)
-    rows[:, c] = 1
+    rows[:, pivots[i]] = 1
     if free:
         rows[:, np.asarray(free, dtype=np.intp)] = _digit_block(total, len(free), f.q)
     rows.setflags(write=False)
     return rows
 
 
-def _filter_extend(f: Field, surv: np.ndarray, cands: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """Extend the (B, r, d) frames surv by every candidate row orthogonal to
-    all of their rows under every form of the (forms, d, d) stack grams.
+def _filter_extend(
+    f: Field, surv: np.ndarray, pivots: tuple[int, ...], grams: np.ndarray
+) -> np.ndarray:
+    """Extend the (B, r, d) frames surv by every candidate row r of the cell
+    (_row_candidates) orthogonal to all of their rows under every form of
+    the (forms, d, d) stack grams, frame by frame in candidate order.
 
-    Column (g, t) of duals is G_g @ cand_t, so row x is orthogonal to cand_t
-    under form g iff x @ duals[:, (g, t)] = 0.  The frames are extended chunk
-    by chunk, so that a chunk's float32 product inside f.matmul holds at most
-    _FILTER_CHUNK_ELEMS elements (32 MB), whatever B is; each chunk's
-    products are freed when its extension returns, before the next chunk or
-    the result is allocated.
+    Candidate t is e_c + sum_j x_j e_(free_j), with c = pivots[r] and x_j the
+    base-q digits of t, the first free column fastest (_row_candidates).  For
+    a frame row y and a form G, w = y @ G is taken once per chunk, and
+    y @ G @ cand_t = w_c + sum_j x_j w_(free_j).  These values for all t form
+    a combination table, one row per candidate and one column per frame,
+    row and form, built one free column at a time: the table for digits
+    0..j-1 is repeated q times, the x-th copy plus x w_j (a row of
+    f.mul_table), so the first free column runs fastest and the table's row
+    t is candidate t.  The last free column is compared, not added: a value
+    is zero iff the table of the other digits equals -(x w_last).  Every
+    entry is an encoding below q <= 16 and every sum is taken by f.arr_add,
+    so the table is exact in uint8.  A candidate survives when its values
+    are zero in all r * forms columns of its frame; read off the transposed
+    (frames, candidates) mask, the survivors come frame by frame and in
+    candidate order within a frame, with no sort.
+
+    The frames are extended chunk by chunk, so that a chunk's table and its
+    zero mask hold at most _FILTER_CHUNK_ELEMS one-byte entries each (8 MB),
+    whatever B is; each chunk's tables are freed when its extension returns,
+    before the next chunk or the result is allocated.
     """
     n_surv, r, d = surv.shape
-    n_cand = cands.shape[0]
-    duals = f.matmul(grams, cands.T).transpose(1, 0, 2).reshape(d, -1)
-    chunk = max(1, _FILTER_CHUNK_ELEMS // (r * duals.shape[1] * f.e))
+    cands = _row_candidates(f, pivots, d, r)
+    cols = [pivots[r], *_free_columns(pivots, d, r)]
+    # column (g, j) of right is column cols[j] of form g
+    right = grams[:, :, cols].transpose(1, 0, 2).reshape(d, -1)
+    n_rows = r * grams.shape[0]  # table rows per frame
+    chunk = max(1, _FILTER_CHUNK_ELEMS // (n_rows * cands.shape[0]))
 
     def extend(part):
-        vals = f.matmul(part, duals).reshape(part.shape[0], -1, n_cand)
-        # OR of the rows x forms slices: zero iff every value is zero
-        acc = vals[:, 0]
-        for j in range(1, vals.shape[1]):
-            acc = acc | vals[:, j]
-        ib, it = np.nonzero(acc == 0)
+        n_part = part.shape[0]
+        # w[j, (i, g, b)] = (part[b, i] @ G_g)[cols[j]]: one column per table row
+        w = f.matmul(part, right).reshape(n_part, n_rows, len(cols))
+        w = np.ascontiguousarray(w.transpose(2, 1, 0)).reshape(len(cols), -1)
+        table = w[:1]
+        for j in range(1, len(cols) - 1):
+            steps = np.take(f.mul_table, w[j], axis=1)  # row x holds x * w_j
+            table = f.arr_add(steps[:, None, :], table[None, :, :]).reshape(-1, w.shape[1])
+        # the last free column by comparison: table + x w_last = 0 iff
+        # table = -(x w_last)
+        last = (f.arr_neg(np.take(f.mul_table, w[-1], axis=1)) if len(cols) > 1
+                else np.zeros((1, w.shape[1]), dtype=np.uint8))
+        zero = (table[None, :, :] == last[:, None, :]).reshape(-1, n_rows, n_part)
+        # frame-major: flat index b * n_cand + t
+        ib, it = np.divmod(np.flatnonzero(zero.all(axis=1).T), zero.shape[0])
         return np.concatenate([part[ib], cands[it][:, None, :]], axis=1)
 
     pieces = [extend(surv[s : s + chunk]) for s in range(0, n_surv, chunk)]
@@ -185,9 +234,8 @@ def iter_isotropic_batches(f: Field, grams: np.ndarray, k: int) -> Iterator[np.n
         raise ValueError(f"need 1 <= k <= {d}, got k={k}")
     for pivots in combinations(range(d), k):
         surv = _row_candidates(f, pivots, d, 0)[:, None, :]
-        for i in range(1, k):
-            cands = _row_candidates(f, pivots, d, i)
-            surv = _filter_extend(f, surv, cands, grams)
+        for _ in range(1, k):
+            surv = _filter_extend(f, surv, pivots, grams)
             if surv.shape[0] == 0:
                 break
         if surv.shape[0]:

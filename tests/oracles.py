@@ -9,9 +9,11 @@ rref_reference is the package's earlier row reduction (a nonzero-column
 search and an update of the rows with a nonzero factor per pivot), kept as
 the reference for linalg.rref; inverse and kernel are built on it, so
 count_n1_direct and eigen_analysis, which take other routes than the rank
-profile they check, share no row reduction with it; is_totally_isotropic and
-contains_vector are the definitions that the pruned enumerations are
-compared against.  enumerate_subspaces walks every RREF cell with numpy
+profile they check, share no row reduction with it;
+filter_extend_reference is the earlier isotropy filter (one float product
+per candidate), kept as the reference for grassmann._filter_extend;
+is_totally_isotropic and contains_vector are the definitions that the
+pruned enumerations are compared against.  enumerate_subspaces walks every RREF cell with numpy
 alone; it shares no code with the package's pruned cell walker.
 polar_pencils builds the lines of the polar Grassmannian from the
 package's enumerator, for the Plücker embedding's line check.
@@ -350,6 +352,28 @@ def rref_reference(f, m):
         r += 1
         c0 = c + 1
     return r_mat, len(pivots), pivots
+
+
+def filter_extend_reference(f, surv, cands, grams):
+    """The package's earlier isotropy filter, kept as the reference for
+    grassmann._filter_extend: extend the (B, r, d) frames surv by every row
+    of cands orthogonal to all of their rows under every form of the
+    (forms, d, d) stack grams, frame by frame in candidate order.
+
+    Column (g, t) of duals is G_g @ cand_t, so row x is orthogonal to cand_t
+    under form g iff x @ duals[:, (g, t)] = 0: one float product per frame
+    row and candidate, in a single unchunked f.matmul.
+    """
+    n_surv, r, d = surv.shape
+    n_cand = cands.shape[0]
+    duals = f.matmul(grams, cands.T).transpose(1, 0, 2).reshape(d, -1)
+    vals = f.matmul(surv, duals).reshape(n_surv, r * grams.shape[0], n_cand)
+    # OR of the rows x forms slices: zero iff every value is zero
+    acc = np.zeros((n_surv, n_cand), dtype=np.uint8)
+    for j in range(vals.shape[1]):
+        acc = acc | vals[:, j]
+    ib, it = np.nonzero(acc == 0)
+    return np.concatenate([surv[ib], cands[it][:, None, :]], axis=1)
 
 
 def inverse(f, m):

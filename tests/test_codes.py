@@ -1,5 +1,6 @@
 """Code construction, weight sweeps, file formats."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_generator_is_rref_of_transpose(n, k, q):
 @pytest.mark.parametrize("n,k,q", GENERATOR_CASES)
 def test_generator_is_pivot_columns(n, k, q):
     # byte for byte the coordinate functionals at the pivot columns P of
-    # rref(pl), held as a read-only transposed view.  P is read from the K
+    # rref(pl), held as a read-only C-contiguous row gather.  P is read from the K
     # rows Q of pl at the pivots of rref(pl.T): those rows have rank K, so
     # they span pl's row space, and the RREF of a row space is unique.
     f = GF(q)
@@ -83,8 +84,41 @@ def test_generator_is_pivot_columns(n, k, q):
     _, _, p_cols = rref(f, pl[q_rows])
     gen = code.generator
     assert gen.shape == (rk, pl.shape[0])
-    assert gen.dtype == np.uint8 and gen.flags.f_contiguous and not gen.flags.writeable
+    assert gen.dtype == np.uint8 and gen.flags.c_contiguous and not gen.flags.writeable
     assert gen.tobytes() == np.take(pl, p_cols, axis=1).T.tobytes()
+
+
+# SHA-256 of the point stack, the Plücker matrix (row-major) and the
+# generator, as the float-product isotropy filter, the point-major Plücker
+# array and the transposed-view generator made them
+PINNED_DIGESTS = {
+    (3, 3, 8): ("c9db97e159f69283def8dc51132c7d857af2674b9498b1399b1b082f77f856d7",
+                "6ef0530da8a0e8550aa921cd72c8fc4135882577b38451802451591a0391c243",
+                "697b30f9ac581aefe12a53d78df57b1f630bcd808ad9514eaaf0807130260c4e"),
+    (3, 2, 4): ("b8a42e905708cbc6bfc9d2d937ecbfd5feb5c7c5275e160e8975b13eb4acc0c5",
+                "88b3b586c4750f01cf1f008ace99ae06381cae000867c7de39ed01a6cdb33a7e",
+                "f8b79d054472a0e1acb6d4a386c6efc0c630b94f8bfc6ce4ae4368bc7144e512"),
+    (3, 3, 4): ("86c335c7702b7c230581a19f0fdc42ae96b056ec3c2cf30f6fbe481a8e441845",
+                "c84d373de8a4e422eb5fc163315d7858c77b58bf976a764cf655b7ff3d0222a4",
+                "8a9b774481987371952ba8e61b06f70eab94527e62b03c3e648e1a8c4fbe73c9"),
+    (2, 2, 9): ("8b48525dc5ef3e3a652ab53912b6f4de98011d9ef5583bb22c3a40a66ca76844",
+                "49e00a8d5e311894fa9a80eab0e89877cec2f8a45a0fc3d6124f69105936108b",
+                "8acad744164516bf50f8f27b5f6764ffee7cf0a2fe885f26b865288926d1712b"),
+    (4, 2, 3): ("963aebd3fcdbc0c8e7aef4a7a37438e34cab9a9673d3d95f9eb718a682d13021",
+                "a75e20786b59e1d0a2572fa65309bd81dfb9cb759bd2476079356e3508969250",
+                "6977c56f7c3035f2d85b0c39e63550a9a4fd821d5e716f121f1249412d8bfe4c"),
+}
+
+
+@pytest.mark.parametrize("n,k,q", sorted(PINNED_DIGESTS))
+def test_build_keeps_its_pinned_bytes(n, k, q):
+    # the enumeration's order, the minors and the generator's pivot columns
+    # are fixed: the same bytes whatever route computes them
+    f = GF(q)
+    bases = isotropic_stack(n, k, f)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in (
+        bases, plucker_batch(f, bases), build_code(n, k, f).generator))
+    assert digests == PINNED_DIGESTS[n, k, q]
 
 
 def test_pivot_generator_grows_a_sample_that_misses_a_column(monkeypatch):

@@ -156,6 +156,21 @@ def test_matmul_against_oracle(q):
         assert got[i, 0, 0] == oracle_dot(q, x[i, 0].tolist(), y[i, :, 0].tolist())
 
 
+@pytest.mark.parametrize("q,k", [
+    (3, 63), (3, 64),        # k * (p - 1)^2 = 252, 256: uint8, then uint16
+    (13, 1), (13, 2),        # 144, 288
+    (16, 63), (16, 64),      # k * 4 * 1 = 252, 256
+    (3, 16383), (3, 16384),  # 65 532, 65 536: uint16, then uint32
+])
+def test_matmul_at_the_reduction_dtype_edges(q, k):
+    # every entry q - 1, on both sides of the bound where the reduction
+    # dtype widens
+    f = GF(q)
+    a = np.full((2, k), q - 1, dtype=np.uint8)
+    b = np.full((k, 3), q - 1, dtype=np.uint8)
+    assert np.array_equal(f.matmul(a, b), oracle_matmul(q, a, b))
+
+
 def test_matmul_exactness_guard():
     # GF(13): k * (p - 1)^2 must stay below 2^24, so k = 2^24 // 144 + 1 is refused
     k = (1 << 24) // 144 + 1

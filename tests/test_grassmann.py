@@ -3,8 +3,9 @@ the lines of the polar Grassmannian."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sympgrass import formulas
+from sympgrass import formulas, grassmann
 from sympgrass.forms import standard_symplectic
 from sympgrass.gf import GF
 from sympgrass.grassmann import (
@@ -19,6 +20,7 @@ from sympgrass.linalg import rank, rref
 from oracles import (
     contains_vector,
     enumerate_subspaces,
+    filter_extend_reference,
     is_totally_isotropic,
     oracle_det,
     polar_line_count,
@@ -31,10 +33,12 @@ def test_k_subsets_lex_order():
     assert k_subsets(4, 2) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_plucker_batch_against_leibniz(q, k):
-    # random bases, not in RREF, so every minor is exercised
+    # random bases, not in RREF, so every minor is exercised; over GF(11)
+    # a level's sum of r products is at most r * 100, so level 2 sums in
+    # uint8 (bound 200) and level 3 in uint16 (bound 300)
     f = GF(q)
     rng = np.random.default_rng(q * 10 + k)
     d = k + 2 if k <= 4 else k + 1
@@ -109,7 +113,7 @@ def test_isotropic_points_all_projective(n, q):
     assert count_isotropic(n, 1, GF(q)) == (q ** (2 * n) - 1) // (q - 1)
 
 
-@pytest.mark.parametrize("n,k,q", [(2, 2, 2), (2, 2, 3), (3, 2, 2)])
+@pytest.mark.parametrize("n,k,q", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 2, 4), (2, 2, 8)])
 def test_isotropic_matches_filter_oracle(n, k, q):
     # oracle route from the definition: filter the full Grassmannian
     f = GF(q)
@@ -135,6 +139,43 @@ def test_zero_form_enumerates_every_subspace_once(q):
             expected = {mat.tobytes() for batch in enumerate_subspaces(d, k, f) for mat in batch}
             assert len(got) == len(set(got)) == formulas.gaussian_binomial(d, k, q), (d, k)
             assert set(got) == expected, (d, k)
+
+
+def _alternating(f, d, rng):
+    """A random alternating form on V(d, q): A - A^T with A strictly upper."""
+    upper = np.triu(rng.integers(0, f.q, size=(d, d), dtype=np.uint8), 1)
+    return f.arr_sub(upper, upper.T)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]), data=st.data())
+def test_filter_extend_matches_the_float_product_filter(q, data):
+    # random RREF frames at a random level of a random cell, against one or
+    # two forms (each zero or random alternating): the combination-table
+    # filter returns the float-product filter's array byte for byte, in its
+    # frame-major, candidate-minor order, as shipped and with one frame per
+    # chunk
+    f = GF(q)
+    d = data.draw(st.integers(2, 6 if q <= 8 else 5), label="d")
+    r = data.draw(st.integers(1, d - 1), label="level")
+    pivots = tuple(sorted(data.draw(st.permutations(range(d)), label="columns")[: r + 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n_frames = data.draw(st.integers(0, 12), label="frames")
+    rows = [grassmann._row_candidates(f, pivots, d, i) for i in range(r)]
+    surv = np.stack([rows[i][rng.integers(0, len(rows[i]), size=n_frames)] for i in range(r)],
+                    axis=1)
+    kinds = data.draw(st.lists(st.sampled_from(("zero", "random")), min_size=1, max_size=2),
+                      label="forms")
+    grams = np.stack([np.zeros((d, d), np.uint8) if kind == "zero" else _alternating(f, d, rng)
+                      for kind in kinds])
+    expect = filter_extend_reference(f, surv, grassmann._row_candidates(f, pivots, d, r), grams)
+    for budget in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if budget:
+                mp.setattr(grassmann, "_FILTER_CHUNK_ELEMS", budget)
+            got = grassmann._filter_extend(f, surv, pivots, grams)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_isotropic_counts_match_formula_medium():

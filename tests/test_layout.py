@@ -12,8 +12,10 @@ A module imports only names it uses: every name an import binds in a
 src/ module is referred to there (no linter is installed to catch it).
 
 A module's _names are its own: no module of the package reads
-other_module._name or imports `from .other import _name` (dunders excepted),
-so that each layout decision is known to one module.
+other_module._name or imports `from .other import _name`, and no code reads
+a _name off an object other than self or cls, such as f._digit_table from
+outside Field (dunders excepted), so that each layout decision is known to
+one module.
 """
 
 import ast
@@ -78,12 +80,13 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_cross_module_uses() -> list[str]:
+def private_cross_module_uses(package: Path = PACKAGE) -> list[str]:
     """'module: other._name' for every private name a package module takes
-    from another package module."""
-    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    from another package module, and 'module: obj._name' for every private
+    attribute it reads off an object other than self or cls."""
+    modules = {path.stem for path in package.glob("*.py")}
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         aliases = {}  # local name -> package module it is bound to
         for node in ast.walk(tree):
@@ -95,15 +98,44 @@ def private_cross_module_uses() -> list[str]:
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
                 found += [f"{path.stem}: from .{node.module} import {alias.name}"
                           for alias in node.names if _private(alias.name)]
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in aliases and _private(node.attr)):
-                found.append(f"{path.stem}: {aliases[node.value.id]}.{node.attr}")
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                if owner in aliases:
+                    found.append(f"{path.stem}: {aliases[owner]}.{node.attr}")
+                elif owner not in ("self", "cls"):
+                    found.append(f"{path.stem}: {ast.unparse(node)}")
     return sorted(set(found))
 
 
 def test_no_module_uses_another_modules_private_names():
     found = private_cross_module_uses()
     assert not found, f"private names used across modules: {', '.join(found)}"
+
+
+def test_the_private_name_guard_sees_a_reach_into_an_object(tmp_path):
+    (tmp_path / "gf.py").write_text(
+        "class Field:\n"
+        "    def __init__(self):\n"
+        "        self._digit_table = None\n"
+        "\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls._cache, cls.__name__\n"
+    )
+    (tmp_path / "grassmann.py").write_text(
+        "from . import gf\n"
+        "from .gf import _ORDERS\n"
+        "\n"
+        "\n"
+        "def extend(f, rows):\n"
+        "    return f._digit_table, rows[0]._x, gf._ORDERS, f.q, f.__class__\n"
+    )
+    assert private_cross_module_uses(tmp_path) == [
+        "grassmann: f._digit_table",
+        "grassmann: from .gf import _ORDERS",
+        "grassmann: gf._ORDERS",
+        "grassmann: rows[0]._x",
+    ]
 
 
 def unused_imports(package: Path = PACKAGE) -> list[str]:
