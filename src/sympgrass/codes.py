@@ -9,26 +9,22 @@ sample of pl's rows gives pivot columns P and the relation
 pl[:, not P] = pl[:, P] @ X; the relation is checked on all N rows, and a
 row that breaks it joins the sample, so K = |P| is exact.
 
-Every sweep's distribution is checked against q^K words and the first two
-power moments, which hold for any generator, and a code built from the
-point set must be projective (see _check_power_moments).
+Every sweep's distribution is checked against q^K words, the scalar rule
+(q - 1 divides each A_w, w > 0) and the first two power moments, which hold
+for any generator, and a code built from the point set must be projective
+(see _check_power_moments).
 
-Weight enumeration has one engine per method, each for every q, and the
-two must produce identical distributions.  The codeword method is a
-count-vector transform over all q^K messages (_transform_histogram): with
-F(m, c) the number of generator columns g with m.g = c, message m weighs
-N - F(m, 0).  np.bincount tallies the columns by their last t digits and
-c, and those digits are transformed a few at a time by float32 products
-with a fixed 0/1 matrix, so the work per message does not grow with N.
-Every entry is a count of columns, exact while N < 2^24; a block of F holds
-at most _TRANSFORM_BLOCK = 2^18 float32 entries (1 MB).  The hyperplane
-method sweeps one message per projective functional (counting hyperplane
-sections) and scales counts by q - 1.  Its messages split into low digits
-(a row of a table of all combinations of the last t generator rows, built
-once) and high digits (a row of a chunk of combinations of the rows before
-them); encoding each symbol as q - 1 float32 indicators turns the weights
-of all low x high pairs into one BLAS product of the encoded rows
-(_pair_weights), exact while 2N < 2^24.
+Weight enumeration has one engine, a count-vector transform
+(_transform_histogram), for every q: with F(m, c) the number of generator
+columns g with m.g = c, message m weighs N - F(m, 0).  np.bincount tallies
+the columns by their last t digits and c, and those digits are transformed
+a few at a time by float32 products with a fixed 0/1 matrix, so the work
+per message does not grow with N.  Every entry is a count of columns, exact
+while N < 2^24; a block of F holds at most _TRANSFORM_BLOCK = 2^18 float32
+entries (1 MB).  The two methods differ only in the blocks of messages they
+tally: 'codeword' all q^K messages; 'hyperplane' the first block (high
+digits zero) and, scaled by q - 1, one message per projective functional
+among the rest.  They must produce identical distributions.
 """
 
 from __future__ import annotations
@@ -146,62 +142,7 @@ def pivot_generator(f: Field, pl: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# weight engines: the hyperplane pair sweep, then the codeword transform
-
-
-_PAIR_CODEWORDS = 1 << 20  # low rows x high rows of one product
-_BLOCK_ELEMS = 1 << 21  # float32 elements of one column block's two encoded operands
-
-
-def _split_rows(q: int, rows: int) -> tuple[int, int]:
-    """(t, r): the last t of `rows` free generator rows make the low table and
-    the r before them one high chunk.  q^(t+r) is the largest power within
-    _PAIR_CODEWORDS, split as evenly as powers of q allow, so both sides of a
-    product have hundreds of rows whenever the code has that many words."""
-    m = 0
-    while m < rows and q ** (m + 1) <= _PAIR_CODEWORDS:
-        m += 1
-    return (m + 1) // 2, m // 2
-
-
-def _low_table(f: Field, rows: np.ndarray) -> np.ndarray:
-    """All combinations of the given rows; the LAST row is the fastest digit,
-    so table[:q^s] covers exactly the messages supported on the last s rows."""
-    table = np.zeros((1, rows.shape[1]), dtype=np.uint8)
-    for r in range(rows.shape[0] - 1, -1, -1):
-        blocks = [table]
-        for lam in range(1, f.q):
-            scaled = f.arr_mul(rows[r], np.uint8(lam))
-            blocks.append(f.arr_add(table, scaled[None, :]))
-        table = np.concatenate(blocks, axis=0)
-    return table
-
-
-def _pair_weights(f: Field, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """weights[b, a] of the codewords low[b] + high[a], as float32.
-
-    Symbols are encoded by two q x (q-1) float32 tables, E_lo[v, c-1] = [v = c]
-    and E_hi[v, c-1] = [-v = c] + [v != 0].  For x, y in GF(q),
-    [x != -y] = [x != 0] + [y != 0] - E_lo(x) . E_hi(y), so the weights are
-    |low| + |high| minus one product of the encoded rows, taken in column
-    blocks.  Every entry of a block product, of their sum and of the weights
-    is an integer of at most 2N, so the float32 arithmetic is exact while
-    2N < 2^24 (checked by _sweep_histogram).
-    """
-    q, n_lo, n_hi = f.q, low.shape[0], high.shape[0]
-    lo_tab = np.eye(q, q - 1, -1, dtype=np.float32)
-    hi_tab = lo_tab[f.neg_table] + lo_tab.any(axis=1, keepdims=True)
-    step = max(1, _BLOCK_ELEMS // ((n_lo + n_hi) * (q - 1)))
-    acc = np.zeros((n_lo, n_hi), dtype=np.float32)
-    prod = np.empty_like(acc)
-    for c in range(0, low.shape[1], step):
-        # encodings are below q, so "clip" never clips; it skips the bounds check
-        a = np.take(lo_tab, low[:, c : c + step], axis=0, mode="clip").reshape(n_lo, -1)
-        b = np.take(hi_tab, high[:, c : c + step], axis=0, mode="clip").reshape(n_hi, -1)
-        acc += np.matmul(a, b.T, out=prod)  # exact: integers of at most 2N < 2^24
-    np.subtract(np.count_nonzero(low, axis=1)[:, None], acc, out=acc)
-    acc += np.count_nonzero(high, axis=1)
-    return acc
+# the weight engine: the count-vector transform
 
 
 def _run_tasks(run, tasks, threads: int) -> np.ndarray:
@@ -213,64 +154,6 @@ def _run_tasks(run, tasks, threads: int) -> np.ndarray:
     chunks = [tasks[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return sum(pool.map(run, chunks))
-
-
-def _sweep_histogram(
-    f: Field, gen: np.ndarray, method: str, threads: int
-) -> np.ndarray:
-    """Exact weight histogram (length N+1 int64) of the chosen method.
-
-    'codeword' is the count-vector transform (_transform_histogram).
-    'hyperplane' covers, for each lead, the messages whose first nonzero
-    coordinate is a 1 there, and scales the counts by q - 1.  Such a
-    message is split into its last t digits (a row of the low table), the r
-    digits before them (a row of the high chunk) and the rest (one base row
-    per task), and each task weighs all its low x high pairs with one
-    _pair_weights product, exact while 2N < 2^24.
-    """
-    if method == "codeword":
-        return _transform_histogram(f, gen, threads)
-    if method != "hyperplane":
-        raise ValueError(f"unknown sweep method {method!r}")
-    big_k, big_n = gen.shape
-    q = f.q
-    if 2 * big_n >= 1 << 24:
-        raise ValueError(
-            f"sweep of length N={big_n} is not exact in float32: needs 2N < 2^24"
-        )
-    t, r = _split_rows(q, max(big_k - 1, 0))
-    low = _low_table(f, gen[big_k - t :])
-    chunk = _low_table(f, gen[big_k - t - r : big_k - t])
-
-    # (lead, outer digits h, high chunk rows, low table rows)
-    tasks = []
-    for lead in range(big_k):
-        s = big_k - 1 - lead
-        lo_rows = min(s, t)
-        hi_rows = min(s - lo_rows, r)
-        tasks.extend((lead, h, q**hi_rows, q**lo_rows)
-                     for h in range(q ** (s - lo_rows - hi_rows)))
-
-    def run(task_chunk) -> np.ndarray:
-        hist = np.zeros(big_n + 1, dtype=np.int64)
-        for lead, h, n_hi, n_lo in task_chunk:
-            base = gen[lead]
-            if h:  # plus the outer rows combined with the base-q digits of h, last row fastest
-                outer = gen[lead + 1 : big_k - t - r]
-                digits = h // q ** np.arange(outer.shape[0] - 1, -1, -1) % q
-                base = f.arr_add(base, f.matmul(digits[None, :].astype(np.uint8), outer)[0])
-            high = f.arr_add(chunk[:n_hi], base[None, :])
-            w = _pair_weights(f, low[:n_lo], high)
-            hist += np.bincount(w.ravel().astype(np.intp), minlength=big_n + 1)
-        return hist
-
-    hist = (q - 1) * _run_tasks(run, tasks, threads)
-    hist[0] += 1  # the zero word is not covered by projective functionals
-    return hist
-
-
-# ---------------------------------------------------------------------------
-# codeword method: the count-vector transform
 
 
 _TRANSFORM_BLOCK = 1 << 18  # float32 entries of one block of F (at most 2^20)
@@ -309,8 +192,8 @@ def _transform_digits(q: int, big_k: int, big_n: int) -> tuple[int, int]:
     return t, min(big_k - t, top - t)
 
 
-def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
-    """Exact weight histogram (length N+1 int64) of all q^K messages.
+def _transform_histogram(f: Field, gen: np.ndarray, method: str, threads: int) -> np.ndarray:
+    """Exact weight histogram (length N+1 int64) of the messages `method` names.
 
     F(m, c) counts the columns g with m.g = c, so message m weighs
     N - F(m, 0).  The last t generator rows are the inner digits u of a
@@ -324,6 +207,13 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     keeps only the c' = 0 columns.  Every entry of F, of a product and of
     its partial sums counts a set of columns, so it is an integer of at
     most N and the float32 arithmetic is exact while N < 2^24.
+
+    Block i holds the messages whose first high = K - t - b digits are the
+    base-q digits of i.  'codeword' tallies every block.  'hyperplane'
+    tallies block 0 (high digits zero) once and, times q - 1, the blocks
+    whose first nonzero digit is 1, ids [q^j, 2 q^j) for j < high: a
+    message with a nonzero high part has exactly one scalar multiple whose
+    first nonzero high digit is 1, and of the same weight.
     """
     big_k, big_n = gen.shape
     q = f.q
@@ -365,8 +255,8 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
         zeros_hist = np.zeros(big_n + 1, dtype=np.int64)
         prod = np.empty(block, dtype=np.float32)
         for i in range(0, len(block_ids), per_chunk):
-            ids = block_ids[i : i + per_chunk]
-            msgs = np.arange(ids[0] * n_block, (ids[-1] + 1) * n_block)
+            ids = np.asarray(block_ids[i : i + per_chunk], dtype=np.int64)
+            msgs = (ids[:, None] * n_block + np.arange(n_block)).ravel()
             vals = f.matmul((msgs[:, None] // powers % q).astype(np.uint8), outer)
             for j in range(len(ids)):
                 tally = np.bincount((offsets + vals[j * n_block : (j + 1) * n_block]).ravel(),
@@ -375,8 +265,13 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
                 zeros_hist += np.bincount(zeros.ravel().astype(np.intp), minlength=big_n + 1)
         return zeros_hist
 
-    blocks = range(q ** (big_k - t - b))
-    return _run_tasks(run, blocks, threads)[::-1].copy()
+    high = big_k - t - b
+    if method == "codeword":
+        hist = _run_tasks(run, range(q**high), threads)
+    else:
+        lead = [i for j in range(high) for i in range(q**j, 2 * q**j)]
+        hist = run([0]) + (q - 1) * _run_tasks(run, lead, threads)
+    return hist[::-1].copy()
 
 
 def weight_enumerator(
@@ -384,19 +279,26 @@ def weight_enumerator(
     method: str = "codeword",
     threads: int = 1,
 ) -> WeightEnumerator:
-    """Exact weight distribution of the code.
+    """Exact weight distribution of the code, by the count-vector transform
+    (_transform_histogram), exact while N < 2^24.
 
-    method 'codeword' transforms the column counts of all q^K messages
-    (exact while N < 2^24); 'hyperplane' weighs the (q^K - 1)/(q - 1)
-    projective functionals with float32 products (exact while 2N < 2^24)
-    and scales by q - 1.  Both share their blocks over `threads`; a longer
-    code raises ValueError before any product is taken.
+    method 'codeword' sweeps all q^K messages; 'hyperplane' sweeps one
+    message per projective functional outside the first block and scales
+    its counts by q - 1.  Both share their blocks over `threads`; a longer
+    code raises ValueError before any product is taken.  The result must
+    sum to q^K, have each A_w (w > 0) divisible by q - 1 and pass
+    _check_power_moments; a failure raises AssertionError.
     """
+    if method not in ("codeword", "hyperplane"):
+        raise ValueError(f"unknown sweep method {method!r}")
     f = code.field
-    hist = _sweep_histogram(f, code.generator, method, threads)
+    hist = _transform_histogram(f, code.generator, method, threads)
     we = WeightEnumerator.from_histogram(hist)
     if we.total() != f.q**code.K:
         raise AssertionError("sweep histogram does not sum to q^K; internal error")
+    for w, c in we.distribution.items():
+        if w and c % (f.q - 1):
+            raise AssertionError(f"scalar rule: A_{w} = {c}, not divisible by q - 1 = {f.q - 1}")
     _check_power_moments(f, code.generator, we, projective=code.n is not None)
     return we
 

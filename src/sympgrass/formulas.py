@@ -118,6 +118,8 @@ def w33_table(q: int) -> dict[int, int]:
 
 def known_table(n: int, k: int, q: int) -> dict[int, int] | None:
     """The proved full weight distribution of W(n,k), where there is one."""
+    if k == 1:  # every vector is isotropic, so W(n,1) is the simplex code
+        return {0: 1, q ** (2 * n - 1): q ** (2 * n) - 1}
     if (n, k) == (2, 2):
         return w22_table(q)
     if (n, k) == (3, 3):
@@ -175,8 +177,10 @@ def code_params(n: int, k: int, q: int) -> CodeParams:
     """N and K for W(n,k), with d_min filled in for the proved cases."""
     big_n = length(n, k, q)
     big_k = dimension(n, k)
-    if k == 2:
-        d: int | None = dmin_line(n, q)
+    if k == 1:  # the simplex code
+        d: int | None = q ** (2 * n - 1)
+    elif k == 2:
+        d = dmin_line(n, q)
     elif (n, k) == (3, 3):
         d = dmin_dps3(q)
     else:

@@ -31,6 +31,8 @@ jobs = [
     ("build", lambda: workloads.build_job(tr, 2, 2, 3)),
     ("sweep", lambda: workloads.sweep_job(
         tr, code, "codeword", lambda dist: workloads.check_table(2, 2, 2, dist))),
+    ("sweep", lambda: workloads.sweep_job(
+        tr, code, "hyperplane", lambda dist: workloads.check_table(2, 2, 2, dist))),
     ("lines", lambda: workloads.line_trial(tr, sigma, gram)),
     ("verify", lambda: workloads.verify_job(tr, 2, 2, 3, 1)),
 ]
@@ -54,6 +56,7 @@ SPANS = (
     "linalg.rref_s",
     "codes.build_s",
     "codes.sweep_codeword_s",
+    "codes.sweep_hyperplane_s",
     "forms.n1_s",
     "forms.eta_s",
     "cli.verify_s",

@@ -228,6 +228,43 @@ def test_verify_names_the_limit_a_skipped_sweep_crosses(capsys):
     assert "--budget" not in reason
 
 
+def test_verify_reports_a_failed_sweep_postcondition(capsys, monkeypatch):
+    # one word moved from weight 24 (A_24 = 90) to 25 keeps the q^K total
+    # and breaks the scalar rule; verify still prints its JSON, names the
+    # failure in sum_and_scalar_rules and exits 1
+    orig = codes._transform_histogram
+
+    def wrong(*args):
+        hist = orig(*args).copy()
+        hist[24] -= 1
+        hist[25] += 1
+        return hist
+
+    monkeypatch.setattr(codes, "_transform_histogram", wrong)
+    code, report, err = run_cli(capsys, "verify", "2", "2", "3", "--trials", "1")
+    assert code == 1
+    results = report["results"]
+    assert results["checks"]["sum_and_scalar_rules"] == {
+        "pass": False, "error": "scalar rule: A_24 = 89, not divisible by q - 1 = 2"}
+    assert results["overall_pass"] is False
+    assert "MISMATCH DETECTED" in err
+
+
+def test_simplex_codes_get_a_table_match(capsys):
+    for method in ("codeword", "hyperplane"):
+        code, report, _ = run_cli(capsys, "weights", "2", "1", "3", "--method", method)
+        res = report["results"]
+        assert code == 0 and res["distribution"] == {"0": 1, "27": 80}
+        assert res["table_match"] is True and res["dmin_match"] is True
+    code, report, _ = run_cli(capsys, "verify", "3", "1", "2", "--method", "hyperplane")
+    checks = report["results"]["checks"]
+    assert code == 0
+    assert checks["d_min"] == {"pass": True, "swept": 32, "formula": 32}
+    assert checks["weight_table"]["pass"] is True
+    code, report, _ = run_cli(capsys, "bounds", "2", "1", "2")
+    assert report["results"]["d_min"] == 8 and "d_min_computed" not in report["results"]
+
+
 def test_verify_json_deterministic(capsys):
     _, rep1, _ = run_cli(capsys, "verify", "2", "2", "3", "--trials", "8", "--seed", "5")
     _, rep2, _ = run_cli(capsys, "verify", "2", "2", "3", "--trials", "8", "--seed", "5")

@@ -205,7 +205,7 @@ def test_packed_sweep_against_bitmask_oracle():
     "n,k,q", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 2, 4), (2, 2, 5), (2, 2, 8), (2, 2, 13)]
 )
 def test_method_agreement(n, k, q):
-    # the count-vector transform against the hyperplane pair sweep
+    # all q^K messages against the blocks of projective functionals
     code = build_code(n, k, GF(q))
     cw = weight_enumerator(code, method="codeword")
     hp = weight_enumerator(code, method="hyperplane")
@@ -255,16 +255,20 @@ def test_threads_do_not_change_distribution(monkeypatch):
     hp1 = weight_enumerator(code, method="hyperplane", threads=1)
     hp3 = weight_enumerator(code, method="hyperplane", threads=3)
     assert hp1.distribution == hp3.distribution
-    # W(2,2) over GF(3) and GF(4) fit one product; small products give
-    # them 9 and 16 tasks to share out, and the transform 27 and 64 blocks
-    monkeypatch.setattr(codes, "_PAIR_CODEWORDS", 64)
+    # W(2,2) over GF(3) and GF(4).  At 64 entries the transform has 27 and
+    # 64 blocks and high = 3, and the hyperplane sweep's 13 and 21 lead
+    # blocks go to the threads in chunks, one of which (q = 4, two threads)
+    # holds blocks 1 and 4.  At q^4 entries high = 2, and at one thread the
+    # first outer product takes two or three lead blocks, 1 and q among them.
     for q in (3, 4):
         code = build_code(2, 2, GF(q))
-        assert sum(codes._transform_digits(q, code.K, code.N)) == 2
-        for method in ("codeword", "hyperplane"):
-            dists = [weight_enumerator(code, method=method, threads=t).distribution
-                     for t in (1, 2, 3, 4)]
-            assert dists == [formulas.w22_table(q)] * 4
+        for block, high in ((64, 3), (q**4, 2)):
+            monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", block)
+            assert code.K - sum(codes._transform_digits(q, code.K, code.N)) == high
+            for method in ("codeword", "hyperplane"):
+                dists = [weight_enumerator(code, method=method, threads=t).distribution
+                         for t in (1, 2, 3, 4)]
+                assert dists == [formulas.w22_table(q)] * 4
 
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -296,11 +300,10 @@ def small_generators(draw):
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(small_generators())
 def test_sweep_kernel_against_oracle(case):
-    # once as shipped, then twice with products of at most 16 codewords,
-    # column blocks of one to a few columns and transform blocks of q^3 and
-    # q^5 entries at radix 2, so that task, high-chunk, column-block and
-    # outer-digit block boundaries fall inside the message space and inside
-    # N, and a stage of one digit follows a stage of two
+    # once as shipped, then with transform blocks of q^3 and q^5 entries at
+    # radix 2, so that outer-digit block boundaries fall inside the message
+    # space, high = K - t - b reaches 2 and 3 (several lead ranges for the
+    # hyperplane method), and a stage of one digit follows a stage of two
     q, gen = case
     code = LinearCode(field=GF(q), n=None, k=None, N=gen.shape[1], K=gen.shape[0],
                       generator=gen)
@@ -308,8 +311,6 @@ def test_sweep_kernel_against_oracle(case):
     for block in (None, q**3, q**5):
         with pytest.MonkeyPatch.context() as mp:
             if block:
-                mp.setattr(codes, "_PAIR_CODEWORDS", 16)
-                mp.setattr(codes, "_BLOCK_ELEMS", 16)
                 mp.setattr(codes, "_TRANSFORM_BLOCK", block)
                 mp.setattr(codes, "_RADIX", {q: 2})
             for method in ("codeword", "hyperplane"):
@@ -325,20 +326,39 @@ def test_sweep_of_an_empty_generator(big_k, big_n):
         assert weight_enumerator(code, method=method).distribution == {0: 3**big_k}
 
 
+@pytest.mark.parametrize("q,big_k,block,high", [
+    (2, 6, 2**3, 4),  # the lead ranges [2^j, 2^(j+1)) cover every nonzero block
+    (5, 3, 5**2, 2),
+    (2, 6, None, 0),  # high = 0: block 0 is every message
+    (3, 4, None, 0),
+])
+def test_hyperplane_lead_blocks(monkeypatch, q, big_k, block, high):
+    gen = np.random.default_rng(q).integers(0, q, size=(big_k, 10), dtype=np.uint8)
+    code = LinearCode(field=GF(q), n=None, k=None, N=10, K=big_k, generator=gen)
+    if block:
+        monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", block)
+    assert big_k - sum(codes._transform_digits(q, big_k, 10)) == high
+    expected = oracle_weight_enumerator(q, gen.tolist())
+    for threads in (1, 3):
+        for method in ("codeword", "hyperplane"):
+            assert weight_enumerator(code, method, threads).distribution == expected
+
+
 def test_float32_exactness_guard(monkeypatch):
-    # hyperplane: 2N = 2^24 breaks the bound, refused before any product
+    # hyperplane: N = 2^24 breaks the transform's N < 2^24 too, refused
+    # before the stage matrices of its products are fetched
     def no_product(*args):
         raise AssertionError("product taken")
 
-    monkeypatch.setattr(codes, "_pair_weights", no_product)
-    wide = np.zeros((1, 1 << 23), dtype=np.uint8)
+    monkeypatch.setattr(codes, "_stage_matrix", no_product)
+    wide = np.zeros((1, 1 << 24), dtype=np.uint8)
     wide[0, 0] = 1
-    code = LinearCode(field=GF(2), n=None, k=None, N=1 << 23, K=1, generator=wide)
-    with pytest.raises(ValueError, match=r"2N < 2\^24"):
+    code = LinearCode(field=GF(2), n=None, k=None, N=1 << 24, K=1, generator=wide)
+    with pytest.raises(ValueError, match=r"needs N < 2\^24"):
         weight_enumerator(code, method="hyperplane")
-    # one column fewer is within the bound and reaches the product
+    # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
-        codes._sweep_histogram(GF(2), wide[:, 1:], "hyperplane", 1)
+        codes._transform_histogram(GF(2), wide[:, 1:], "hyperplane", 1)
 
 
 def test_float32_exactness_guard_codeword(monkeypatch):
@@ -355,7 +375,7 @@ def test_float32_exactness_guard_codeword(monkeypatch):
         weight_enumerator(code)
     # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
-        codes._sweep_histogram(GF(2), wide[:, 1:], "codeword", 1)
+        codes._transform_histogram(GF(2), wide[:, 1:], "codeword", 1)
 
 
 def test_codeword_from_sigma_is_zero():
@@ -443,26 +463,37 @@ def test_power_moments_hold_for_any_generator():
 
 @pytest.mark.parametrize("moment", ["first", "second"])
 def test_power_moments_catch_a_wrong_histogram(monkeypatch, moment):
-    # keep the q^K total but move weight: one word from w to w+1 breaks the
-    # first moment; one word each from w-1 and w+1 to w keeps it and breaks
-    # the second
-    orig = codes._sweep_histogram
+    # keep the q^K total and the scalar rule but move weight, q - 1 = 2
+    # words at a time: from w to w+1 breaks the first moment; from each of
+    # w-1 and w+1 to w keeps it and breaks the second
+    orig = codes._transform_histogram
 
     def wrong(*args):
         hist = orig(*args).copy()
         w = int(np.nonzero(hist[1:])[0][0]) + 2
         if moment == "first":
-            hist[w - 1] -= 1
-            hist[w] += 1
-        else:
-            hist[w - 1] -= 1
-            hist[w + 1] -= 1
+            hist[w - 1] -= 2
             hist[w] += 2
+        else:
+            hist[w - 1] -= 2
+            hist[w + 1] -= 2
+            hist[w] += 4
         return hist
 
-    monkeypatch.setattr(codes, "_sweep_histogram", wrong)
+    monkeypatch.setattr(codes, "_transform_histogram", wrong)
     with pytest.raises(AssertionError, match=f"{moment} power moment"):
         weight_enumerator(build_code(2, 2, GF(3)))
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_simplex_codes_match_their_table(n, q):
+    # every vector is isotropic: W(n,1) is the simplex code
+    code = build_code(n, 1, GF(q))
+    table = formulas.known_table(n, 1, q)
+    for method in ("codeword", "hyperplane"):
+        we = weight_enumerator(code, method=method)
+        assert we.distribution == table
+        assert we.d_min == formulas.code_params(n, 1, q).d_min
 
 
 def test_projectivity_is_checked_for_codes_with_an_origin():

@@ -125,3 +125,17 @@ def test_code_params_proved_flags():
     assert p.d_min is None and not p.d_min_proved
     p = formulas.code_params(4, 2, 2)
     assert p.d_min == formulas.dmin_line(4, 2)
+
+
+def test_simplex_table_for_k1():
+    # W(n,1) is the simplex code: every nonzero word has weight q^(2n-1)
+    for n in (1, 2, 3, 5):
+        for q in (2, 3, 4, 7):
+            table = formulas.known_table(n, 1, q)
+            assert table == {0: 1, q ** (2 * n - 1): q ** (2 * n) - 1}
+            assert sum(table.values()) == q ** formulas.dimension(n, 1)
+            # first moment: each of the N columns is nonzero in (q-1)q^(K-1) words
+            assert sum(w * c for w, c in table.items()) == \
+                formulas.length(n, 1, q) * (q - 1) * q ** (2 * n - 1)
+            p = formulas.code_params(n, 1, q)
+            assert p.d_min == q ** (2 * n - 1) and p.d_min_proved
