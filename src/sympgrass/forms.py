@@ -6,9 +6,12 @@ arbitrary alternating forms, the eigen profile of a pair of forms
 point/line counts that drive the minimum-distance verification for the
 line codes.
 
-N1 comes from the eigen profile.  eta, the number of lines isotropic for
-both forms, is an exact count that builds no line and does not use N1, so
-the double-counting identity that ties the two stays a check.
+N1 comes from the eigen profile, whose q ranks of theta - lam sigma are
+one stacked elimination (linalg.rank on a (q, 2n, 2n) stack).  eta, the
+number of lines isotropic for both forms, is an exact count that builds no
+line and does not use N1, so the double-counting identity that ties the
+two stays a check; it reads each point's functionals a = p G_sigma and
+b = p G_theta column-major, one column per point, and reduces over them.
 """
 
 from __future__ import annotations
@@ -100,13 +103,9 @@ def eigen_profile(sigma: AlternatingForm, theta: AlternatingForm) -> dict[int, i
         raise ValueError("forms must live on the same space")
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")
-    profile = {}
-    for lam in f.elements():
-        shifted = f.arr_sub(theta.gram, f.arr_mul(sigma.gram, np.uint8(lam)))
-        d_lam = sigma.dim - rank(f, shifted)
-        if d_lam:
-            profile[lam] = d_lam
-    return profile
+    lams = np.arange(f.q, dtype=np.uint8)[:, None, None]  # every encoding of GF(q)
+    dims = sigma.dim - rank(f, f.arr_sub(theta.gram, f.arr_mul(sigma.gram, lams)))
+    return {lam: d_lam for lam, d_lam in enumerate(dims.tolist()) if d_lam}
 
 
 def count_n1(sigma: AlternatingForm, theta: AlternatingForm) -> int:
@@ -151,10 +150,21 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
     (p, c1) has (q^(s_c1) - q^(s_(c1+1))) / (q - 1) rows r: 0 if c1 is z or
     m, where rho drops, else q^(d - 1 - c1 - [c1 < z] - [c1 < m]).  eta sums
     these over p and the columns c1 > c0 where p is zero, the pairs the
-    two-form enumeration of lines visits; nothing depends on N1.  Each point
-    is counted on its own, so the cells are regrouped into slabs of at most
-    _ETA_SLAB points (_slabs): one product and one bincount per slab, whose
-    temporaries take a few bytes per point and column, whatever n is.
+    two-form enumeration of lines visits; nothing depends on N1.  As
+    a_j b_z = a_z b_j for every j >= z, m < z, so every exponent is >= 0.
+
+    Each point is counted on its own, so the cells are regrouped into slabs
+    of at most _ETA_SLAB points (_slabs): one product and one bincount per
+    slab.  The slab's (N, 2d) product and its (N, d) points are transposed
+    once each into C-contiguous (2d, N) and (d, N) uint8 arrays, a column
+    per point, and every per-point quantity is a reduction over axis 0: z
+    and m are 1 less than the largest of a mask times the column weights
+    1..d, c0 is d less the largest of (p != 0) times d - c.  A reduction
+    over axis 0 is d - 1 elementwise passes of length N, not N reductions
+    over rows of length d.  The weights, and so z, m, c0 and the exponents,
+    are int16, which holds every column index: d = 2n <= 600 under the
+    CLI's n <= 300.  The temporaries take a few bytes per point and column,
+    whatever n is.
 
     sigma must be non-degenerate and n >= 2.
     """
@@ -168,19 +178,20 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
     if theta.dim != sigma.dim or theta.field != f:
         raise ValueError("forms must live on the same space")
     d = sigma.dim
-    cols = np.arange(d)
+    grams = np.hstack([sigma.gram, theta.gram])
+    cols = np.arange(d, dtype=np.int16)[:, None]
+    weights = cols + 1  # a max over axis 0 of mask * weights is 1 + the last True row
     tally = np.zeros(d, dtype=np.int64)  # (p, c1) pairs per exponent of q
-
-    def last(mask):  # last True column of each row, -1 if none
-        return ((mask * (cols + 1)).max(axis=1) - 1)[:, None]
-
     for p in _slabs(grassmann.iter_isotropic_batches(f, sigma.gram, 1)):
-        c0 = (p != 0).argmax(axis=1)[:, None]
         # exact: Field.matmul's inner dimension is d, and it raises rather than round
-        a, b = np.split(f.matmul(p, np.hstack([sigma.gram, theta.gram])), 2, axis=1)
-        z = last((a | b) != 0)
-        az, bz = np.take_along_axis(a, z, 1), np.take_along_axis(b, z, 1)
-        m = last(f.arr_mul(a, bz) != f.arr_mul(b, az))
+        ab = np.ascontiguousarray(f.matmul(p, grams).T)  # (2d, N): a column per point
+        a, b = ab[:d], ab[d:]
+        p = np.ascontiguousarray(p.T)  # (d, N)
+        z = (((a | b) != 0) * weights).max(axis=0) - 1  # >= 0: a != 0 as sigma is non-degenerate
+        at = z * np.intp(p.shape[1]) + np.arange(p.shape[1])  # flat index of (z_i, i)
+        az, bz = a.take(at), b.take(at)
+        m = ((f.arr_mul(a, bz) != f.arr_mul(b, az)) * weights).max(axis=0) - 1
+        c0 = d - ((p != 0) * (d - cols)).max(axis=0)
         cells = (cols > c0) & (p == 0) & (cols != z) & (cols != m)
         exps = d - 1 - cols - (cols < z) - (cols < m)
         tally += np.bincount(exps[cells], minlength=d)

@@ -22,14 +22,19 @@ Scalar arithmetic is table-driven (full q x q tables).  Array helpers
 (`arr_add` etc.) operate elementwise on numpy arrays of encodings and agree
 with the scalar tables entrywise (tested).  In characteristic 2 an encoding
 is a vector of GF(2) digits, so addition is one bitwise XOR for q = 2, 4, 8
-and 16.  Other prime fields use modular arithmetic, exact in uint8 because
-(p-1)^2 < 256 for p <= 13.  GF(9) adds and every extension field multiplies
-by a lookup indexed by the packed byte 16*a + b (a 256-entry table is read
-several times faster than a q x q one indexed by two intp arrays).  The
-modular path stays for odd primes because it is the faster one there: with
-the table path on GF(3), building W(4,3) took 12.2 s instead of 6.8 s and
-552 MB of peak memory instead of 413 MB (2-core x86, numpy 2.4, one BLAS
-thread).
+and 16, negation is a copy, and GF(2) multiplies by one bitwise AND.  Other
+prime fields use modular arithmetic, exact in uint8 because (p-1)^2 < 256
+for p <= 13, and take no uint8 remainder, which numpy computes several
+times slower than a quotient: a sum or a negation is folded back below p by
+one wrapping subtraction and a minimum, and a product is reduced by mod_p
+(on 6 x 3906 entries over GF(5), a * b % 5 took 63 us and mod_p(a * b)
+9 us).  GF(9) adds and every extension field multiplies by a lookup indexed
+by the packed byte 16*a + b (a 256-entry table is read several times faster
+than a q x q one indexed by two intp arrays), and GF(9) negates by one
+np.take from its negation table.  The modular path stays for odd primes
+because it is the faster one there: with the table path on GF(3), building
+W(4,3) took 12.2 s instead of 6.8 s and 552 MB of peak memory instead of
+413 MB (2-core x86, numpy 2.4, one BLAS thread).
 
 `Field.matmul` is the one matrix product, for every q.  An encoding is
 already its e base-p digits, and multiplication by a fixed element is an
@@ -132,9 +137,6 @@ class Field:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in GF({self.q})")
         return int(self.inv_table[a])
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- elementwise array ops (uint8 encodings in, uint8 out) ----------
 
     def arr_add(self, a, b) -> np.ndarray:
@@ -153,7 +155,16 @@ class Field:
         return np.take(self._add_packed, a << 4 | b)
 
     def arr_neg(self, a) -> np.ndarray:
-        return self.neg_table[np.asarray(a, dtype=np.intp)]
+        """-a, always a fresh writable array (rref writes into it)."""
+        a = np.asarray(a, dtype=np.uint8)
+        if self.p == 2:
+            return a.copy()  # in characteristic 2, -a = a
+        if self.e == 1:
+            # s = q - a is in [1, q], and s - q wraps above s unless s = q
+            # (a = 0): the minimum is -a mod q, folded as in arr_add
+            s = np.subtract(np.uint8(self.q), a, dtype=np.uint8)
+            return np.minimum(s, np.subtract(s, self.q, dtype=np.uint8), out=s if s.ndim else None)
+        return np.take(self.neg_table, a)
 
     def arr_sub(self, a, b) -> np.ndarray:
         return self.arr_add(a, self.arr_neg(b))
@@ -161,8 +172,10 @@ class Field:
     def arr_mul(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
+        if self.q == 2:
+            return np.bitwise_and(a, b)
         if self.e == 1:
-            return (a * b % self.q).astype(np.uint8)
+            return self.mod_p(np.multiply(a, b))  # (q - 1)^2 < 256: exact in uint8
         return np.take(self._mul_packed, a << 4 | b)
 
     # -- matrix product ------------------------------------------------

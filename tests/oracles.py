@@ -313,7 +313,7 @@ def eigen_analysis(sigma, theta):
     m_inv = rref_reference(f, np.concatenate([sigma.gram, eye], axis=1))[0][:, d:]
     a = f.matmul(m_inv, theta.gram)
     pairs = []
-    for lam in f.elements():
+    for lam in range(f.q):
         eig = kernel(f, f.arr_sub(a, f.arr_mul(eye, np.uint8(lam))))
         if eig.shape[0] > 0:
             pairs.append((lam, eig))
@@ -416,7 +416,7 @@ def _pencil(f, inner, outer):
     complete inner to outer."""
     inner_pivots = set((inner != 0).argmax(axis=1).tolist())
     lacks = [i for i, c in enumerate((outer != 0).argmax(axis=1)) if c not in inner_pivots]
-    points = np.array([[1, lam] for lam in f.elements()] + [[0, 1]], dtype=np.uint8)
+    points = np.array([[1, lam] for lam in range(f.q)] + [[0, 1]], dtype=np.uint8)
     extra = f.matmul(points, outer[lacks])[:, None]
     return np.concatenate([np.broadcast_to(inner, (f.q + 1, *inner.shape)), extra], axis=1)
 

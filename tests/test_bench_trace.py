@@ -74,3 +74,7 @@ def test_traced_jobs_reach_every_wrapped_layer():
     metrics = out["metrics"]
     for key in COUNTS + SPANS:
         assert metrics.get(key, 0) > 0, key
+    # eta reads each point once through the wrapped iter_isotropic_batches:
+    # 27 counts (one lines trial; verify 2 2 3's 25 random trials and its
+    # worst case) x the 40 points of PG(3, 3)
+    assert metrics["forms.lines_scanned"] == 27 * 40

@@ -231,7 +231,7 @@ def test_verify_names_the_limit_a_skipped_sweep_crosses(capsys):
 def test_verify_reports_a_failed_sweep_postcondition(capsys, monkeypatch):
     # one word moved from weight 24 (A_24 = 90) to 25 keeps the q^K total
     # and breaks the scalar rule; verify still prints its JSON, names the
-    # failure in sum_and_scalar_rules and exits 1
+    # failure in sweep_postconditions and exits 1
     orig = codes._transform_histogram
 
     def wrong(*args):
@@ -244,7 +244,7 @@ def test_verify_reports_a_failed_sweep_postcondition(capsys, monkeypatch):
     code, report, err = run_cli(capsys, "verify", "2", "2", "3", "--trials", "1")
     assert code == 1
     results = report["results"]
-    assert results["checks"]["sum_and_scalar_rules"] == {
+    assert results["checks"]["sweep_postconditions"] == {
         "pass": False, "error": "scalar rule: A_24 = 89, not divisible by q - 1 = 2"}
     assert results["overall_pass"] is False
     assert "MISMATCH DETECTED" in err

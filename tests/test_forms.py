@@ -406,6 +406,25 @@ def test_eta_takes_one_product_per_slab(monkeypatch):
     assert calls == [(364, 6)]
 
 
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 5), (4, 3), (2, 16)])
+def test_eigen_profile_takes_one_stacked_rank(monkeypatch, n, q):
+    # structural: the q ranks of theta - lam sigma come from one rank call
+    # on a (q, 2n, 2n) stack, with the profile it gave before the patch
+    f = GF(q)
+    sig = standard_symplectic(n, f)
+    th = random_alternating_form(f, 2 * n, np.random.default_rng(n * q))
+    want = eigen_profile(sig, th)
+    calls = []
+
+    def counting(field, m):
+        calls.append(np.shape(m))
+        return rank(field, m)
+
+    monkeypatch.setattr(forms, "rank", counting)
+    assert eigen_profile(sig, th) == want
+    assert calls == [(q, 2 * n, 2 * n)]
+
+
 @pytest.mark.parametrize("n,q", [(2, q) for q in QS] + [(3, q) for q in QS if q <= 5])
 @settings(max_examples=6, derandomize=True, database=None, deadline=None)
 @given(kind=st.sampled_from(("zero", "scaled", "worst", "random")),

@@ -42,7 +42,7 @@ def test_inverses_exhaustive(q):
 @pytest.mark.parametrize("q", ALL_Q)
 def test_frobenius(q):
     f = GF(q)
-    for a in f.elements():
+    for a in range(q):
         power = 1
         for _ in range(q):
             power = f.mul_table[power, a]
@@ -87,6 +87,24 @@ def test_array_ops_agree_with_tables(q):
     neg = f.arr_neg(np.arange(q, dtype=np.uint8))
     for i in range(q):
         assert neg[i] == f.neg(i)
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_arr_neg_is_a_fresh_copy_of_the_table(q):
+    # entrywise against neg_table on a 2-d array, a strided view and a
+    # read-only one; the result is a new writable uint8 array every time
+    f = GF(q)
+    a = np.random.default_rng(q).integers(0, q, size=(7, 9), dtype=np.uint8)
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    for src in (a, a[:, ::2].T, frozen):
+        before = src.copy()
+        neg = f.arr_neg(src)
+        assert neg.dtype == np.uint8 and neg.shape == src.shape
+        assert np.array_equal(neg, f.neg_table[src.astype(np.intp)])
+        assert not np.shares_memory(neg, src) and neg.flags.writeable
+        neg[...] = 0
+        assert np.array_equal(src, before)
 
 
 def test_invalid_orders_rejected():

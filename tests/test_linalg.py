@@ -106,6 +106,53 @@ def test_rref_matches_the_reference(sparse_update, q, rows, cols, inner,
         assert rank(f, np.concatenate([m, r])) == rk
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 16)),
+       rows=st.integers(0, 10), cols=st.integers(0, 10), inner=st.integers(0, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_rank_matches_the_reference(q, rows, cols, inner, seed):
+    # a (2, 3, rows, cols) stack, tall, wide or square, of a zero matrix, a
+    # rank-1 product u v^T, a full-rank L E U (E the rows x cols identity,
+    # L and U unitriangular), two products of rank at most inner and one
+    # uniform matrix, each rank against the reference RREF's
+    f = GF(q)
+    rng = np.random.default_rng(seed)
+
+    def rand(r, c):
+        return rng.integers(0, q, size=(r, c), dtype=np.uint8)
+
+    low = np.tril(rand(rows, rows), -1) + np.eye(rows, dtype=np.uint8)
+    up = np.triu(rand(cols, cols), 1) + np.eye(cols, dtype=np.uint8)
+    u, v = rand(rows, 1), rand(1, cols)
+    u[:1], v[:, :1] = 1, 1
+    mats = [
+        np.zeros((rows, cols), dtype=np.uint8),
+        f.matmul(u, v),
+        f.matmul(f.matmul(low, np.eye(rows, cols, dtype=np.uint8)), up),
+        f.matmul(rand(rows, inner), rand(inner, cols)),
+        f.matmul(rand(rows, inner), rand(inner, cols)),
+        rand(rows, cols),
+    ]
+    stack = np.stack(mats).reshape(2, 3, rows, cols)
+    before = stack.copy()
+    ranks = rank(f, stack)
+    want = [rref_reference(f, m)[1] for m in mats]
+    assert ranks.shape == (2, 3) and ranks.ravel().tolist() == want
+    assert want[:3] == [0, min(rows, cols, 1), min(rows, cols)]
+    assert np.array_equal(stack, before)
+    for m, rk in zip(mats, want):
+        one = rank(f, m)
+        assert type(one) is int and one == rk
+
+
+def test_stacked_rank_of_empty_stacks():
+    f = GF(3)
+    assert rank(f, np.zeros((0, 2, 2), dtype=np.uint8)).shape == (0,)
+    assert rank(f, np.zeros((2, 0, 0), dtype=np.uint8)).tolist() == [0, 0]
+    with pytest.raises(ValueError):
+        rank(f, np.zeros(4, dtype=np.uint8))
+
+
 def test_kernel_identity_and_zero():
     f = GF(2)
     assert kernel(f, np.eye(3, dtype=np.uint8)).shape == (0, 3)
