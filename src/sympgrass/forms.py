@@ -6,6 +6,9 @@ arbitrary alternating forms, the eigen profile of a pair of forms
 point/line counts that drive the minimum-distance verification for the
 line codes.
 
+A form's rank is computed when first read; the counts read only sigma's,
+so a random theta costs its validation and no elimination.
+
 N1 comes from the eigen profile, whose q ranks of theta - lam sigma are
 one stacked elimination (linalg.rank on a (q, 2n, 2n) stack).  eta, the
 number of lines isotropic for both forms, is an exact count that builds no
@@ -17,6 +20,7 @@ b = p G_theta column-major, one column per point, and reduces over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +32,10 @@ from .linalg import rank
 class AlternatingForm:
     """An alternating bilinear form, stored by its Gram matrix.
 
-    The Gram matrix must be skew-symmetric with zero diagonal (the diagonal
-    condition is independent in characteristic 2) and of even rank.
+    Construction checks the Gram matrix (square, of even dimension, with
+    zero diagonal, which is independent in characteristic 2, and
+    skew-symmetric) and makes it read-only, so the rank, computed on demand
+    once and asserted even, cannot go stale.
     """
 
     field: Field
@@ -41,16 +47,11 @@ class AlternatingForm:
             raise ValueError("Gram matrix must be square")
         if g.shape[0] % 2 != 0:
             raise ValueError("ambient dimension must be even (V = V(2n, q))")
-        f = self.field
         if np.any(np.diagonal(g) != 0):
             raise ValueError("alternating form needs a zero diagonal")
-        if not np.array_equal(g.T, f.arr_neg(g)):
+        if not np.array_equal(g.T, self.field.arr_neg(g)):
             raise ValueError("Gram matrix must be skew-symmetric")
-        rk = rank(f, g)
-        if rk % 2 != 0:
-            raise AssertionError(f"alternating form has odd rank {rk}")
         g.setflags(write=False)
-        object.__setattr__(self, "_rank", rk)
 
     @property
     def dim(self) -> int:
@@ -60,12 +61,15 @@ class AlternatingForm:
     def n(self) -> int:
         return self.gram.shape[0] // 2
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return self._rank
+        rk = rank(self.field, self.gram)
+        if rk % 2 != 0:
+            raise AssertionError(f"alternating form has odd rank {rk}")
+        return rk
 
     def is_nondegenerate(self) -> bool:
-        return self._rank == self.dim
+        return self.rank == self.dim
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Values x^T G y of the form on pairs of vectors of shape (..., dim)."""
@@ -221,13 +225,12 @@ def worst_case_theta(sigma: AlternatingForm) -> AlternatingForm:
 
 
 def random_alternating_form(field: Field, dim: int, rng: np.random.Generator) -> AlternatingForm:
-    """Uniformly random alternating form: free strictly-upper entries."""
+    """Uniformly random alternating form: free strictly-upper entries, drawn
+    in one call in row-major order, the lower triangle their negatives."""
     if dim % 2 != 0:
         raise ValueError("ambient dimension must be even")
+    rows, cols = np.triu_indices(dim, 1)
     g = np.zeros((dim, dim), dtype=np.uint8)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = int(rng.integers(0, field.q))
-            g[i, j] = v
-            g[j, i] = field.neg(v)
+    g[rows, cols] = rng.integers(0, field.q, size=rows.size)
+    g[cols, rows] = field.neg_table[g[rows, cols]]
     return AlternatingForm(field, g)

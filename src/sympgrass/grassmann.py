@@ -242,10 +242,12 @@ def iter_isotropic_batches(f: Field, grams: np.ndarray, k: int) -> Iterator[np.n
             yield surv
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
     """All isotropic k-subspace bases stacked as one read-only (N, k, 2n)
-    array, cached per (n, k, q): a Field hashes by its order."""
+    array.  Only the last stack is cached, keyed by (n, k, q) (a Field
+    hashes by its order): verify's length check hands it to build_code, and
+    no earlier stack is held after a later one is built."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     gram = standard_symplectic(n, field).gram
@@ -260,7 +262,8 @@ def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
 
 
 def count_isotropic(n: int, k: int, field: Field) -> int:
-    """Number of points of the symplectic Grassmannian; fills the
-    isotropic_stack cache that build_code reads."""
+    """Number of points of the symplectic Grassmannian; leaves its stack in
+    the one-entry isotropic_stack cache, for a build_code of the same
+    (n, k, q) that follows."""
     return isotropic_stack(n, k, field).shape[0]
 

@@ -9,12 +9,13 @@ rank eliminates a stack of matrices at once.  The stacked loop spends one
 set of numpy calls per column on the whole stack, which pays on many small
 matrices: N1 reads the q ranks of theta - lam sigma from one call (over
 GF(13) at n = 2, 0.10-0.16 ms against 1.5-1.8 ms for 13 rref calls).  On
-one matrix rref is the faster, as it swaps a pivot into place, skips
-columns without one, stops at full rank, and above _SPARSE_UPDATE_ELEMS
-entries updates only the rows it changes: the 1008 x 252 row sample of
-W(5,5) q=2's Plücker matrix reduces in 0.013 s, against 0.024 s as a
-stack of one, and an 8 x 8 form over GF(2) in about 80 us against 150 us
-(2-core x86, numpy 2.4, one BLAS thread).
+one matrix rref is the faster, as it swaps a pivot into place and stops at
+full rank.  Its one update, of the whole matrix per pivot, was as fast as
+or faster than updating only the rows with a nonzero factor above 4096
+entries and jumping over zero columns, on the bench builds' row samples
+(W(4,3) q=3, 224 x 56: 3.0 -> 2.1 ms; W(5,5) q=2, 1008 x 252: 14.2 -> 6.8
+ms) and on 6 x 6 and 8 x 8 Gram matrices (best of 3 x 7 interleaved runs,
+2-core x86, numpy 2.4, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ import numpy as np
 
 from .gf import GF, Field
 
-_SPARSE_UPDATE_ELEMS = 1 << 12  # entries above which rref updates only rows it changes
-
-
 # ---------------------------------------------------------------------------
 # row reduction
 
@@ -38,42 +36,32 @@ def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
     Column by column: the largest entry of column c at or below row r is
     nonzero unless all of them are, so one argmax finds a pivot, and a
-    column without one jumps, by one search, to the next column with one.
-    One update, with the pivot row's own factor set to zero, then clears
-    the rest of the pivot column.  It takes every row, or, above
-    _SPARSE_UPDATE_ELEMS entries, only the rows with a nonzero factor: on a
-    large matrix the rows skipped outweigh the call that finds them (the
-    56 x 918400 transposed Plücker matrix of W(4,3) q=3 reduces in 1.6 s,
-    against 17 s updating every row), and on small ones that call costs
-    more than it saves.  The RREF is unique, so which row supplies the
-    pivot does not change the result.
+    column without one is skipped.  The pivot row is swapped into place and
+    normalised, and one update of the whole matrix, with the pivot row's own
+    factor set to zero, clears the rest of the column.  The loop stops at
+    full rank.  The RREF is unique, so which row supplies the pivot does not
+    change the result.
     """
     r_mat = np.array(m, dtype=np.uint8, copy=True)
     if r_mat.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     nrows, ncols = r_mat.shape
-    sparse = r_mat.size > _SPARSE_UPDATE_ELEMS
     pivots: list[int] = []
-    c = 0
-    while (r := len(pivots)) < nrows and c < ncols:
+    for c in range(ncols):
+        if (r := len(pivots)) == nrows:
+            break
         i = r + int(r_mat[r:, c].argmax())
         pv = int(r_mat[i, c])
-        if pv == 0:  # jump to the next column with a nonzero entry below row r
-            nonzero = np.flatnonzero(r_mat[r:, c + 1 :].any(axis=0))
-            if nonzero.size == 0:
-                break
-            c += 1 + int(nonzero[0])
+        if pv == 0:
             continue
         if i != r:
             r_mat[[r, i]] = r_mat[[i, r]]
         row = f.arr_mul(r_mat[r], np.uint8(f.inv(pv))) if pv != 1 else r_mat[r]
         factors = f.arr_neg(r_mat[:, c])
         factors[r] = 0
-        rows = np.flatnonzero(factors) if sparse else slice(None)
-        r_mat[rows] = f.arr_add(r_mat[rows], f.arr_mul(factors[rows, None], row))
+        r_mat = f.arr_add(r_mat, f.arr_mul(factors[:, None], row))
         r_mat[r] = row
         pivots.append(c)
-        c += 1
     return r_mat, len(pivots), pivots
 
 

@@ -12,6 +12,8 @@ count_n1_direct and eigen_analysis, which take other routes than the rank
 profile they check, share no row reduction with it;
 filter_extend_reference is the earlier isotropy filter (one float product
 per candidate), kept as the reference for grassmann._filter_extend;
+random_alternating_form_reference is the earlier per-entry draw, kept as
+the reference for forms.random_alternating_form;
 is_totally_isotropic and contains_vector are the definitions that the
 pruned enumerations are compared against.  enumerate_subspaces walks every RREF cell with numpy
 alone; it shares no code with the package's pruned cell walker.
@@ -352,6 +354,19 @@ def rref_reference(f, m):
         r += 1
         c0 = c + 1
     return r_mat, len(pivots), pivots
+
+
+def random_alternating_form_reference(f, dim, rng):
+    """The Gram matrix of forms.random_alternating_form, drawn as it was
+    before the one-call draw: one rng.integers call per strictly-upper entry,
+    row by row, with its negative below the diagonal."""
+    g = np.zeros((dim, dim), dtype=np.uint8)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = int(rng.integers(0, f.q))
+            g[i, j] = v
+            g[j, i] = f.neg(v)
+    return g
 
 
 def filter_extend_reference(f, surv, cands, grams):

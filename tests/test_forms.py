@@ -29,6 +29,7 @@ from oracles import (
     oracle_common_isotropic_lines,
     perp,
     projective_points,
+    random_alternating_form_reference,
     standard_gram,
 )
 
@@ -473,6 +474,77 @@ def test_random_forms_even_rank_and_reproducible():
     for _ in range(20):
         form = random_alternating_form(f, 6, rng)
         assert form.rank % 2 == 0
+
+
+def _refuse_rank(field, m):
+    raise AssertionError("an elimination ran")
+
+
+def test_construction_runs_no_elimination(monkeypatch):
+    # a form is validated on construction and ranked only when its rank is read
+    monkeypatch.setattr(forms, "rank", _refuse_rank)
+    f = GF(5)
+    sig = standard_symplectic(3, f)
+    theta = random_alternating_form(f, 6, np.random.default_rng(3))
+    AlternatingForm(f, np.zeros((4, 4), dtype=np.uint8))
+    AlternatingForm(f, f.arr_sub(theta.gram, sig.gram))
+
+
+def test_gram_is_read_only_before_any_rank(monkeypatch):
+    # the cached rank cannot go stale: the Gram matrix, the caller's array
+    # itself, is read-only from construction on, rank or no rank
+    monkeypatch.setattr(forms, "rank", _refuse_rank)
+    g = np.array([[0, 1], [2, 0]], dtype=np.uint8)
+    form = AlternatingForm(GF(3), g)
+    assert form.gram is g and not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0, 1] = 2
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 8)])
+def test_sigma_is_ranked_once(monkeypatch, n, q):
+    # across is_nondegenerate(), N1 and eta, sigma's Gram matrix is reduced
+    # once and theta's never; N1's one stacked call is the only other rank
+    calls = []
+
+    def counting(field, m):
+        calls.append(np.shape(m))
+        return rank(field, m)
+
+    monkeypatch.setattr(forms, "rank", counting)
+    f = GF(q)
+    sig = standard_symplectic(n, f)
+    theta = random_alternating_form(f, 2 * n, np.random.default_rng(n + q))
+    assert sig.is_nondegenerate()
+    n1 = count_n1(sig, theta)
+    eta = count_common_isotropic_lines(sig, theta)
+    assert (q + 1) * eta == formulas.line_identity_rhs(n, q, n1)
+    assert calls == [(2 * n, 2 * n), (q, 2 * n, 2 * n)]
+    assert "rank" not in vars(theta)
+
+
+def test_odd_rank_raises_on_first_read(monkeypatch):
+    # the even-rank assertion runs wherever a rank is computed
+    monkeypatch.setattr(forms, "rank", lambda field, m: 3)
+    form = AlternatingForm(GF(2), np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(AssertionError, match="odd rank 3"):
+        form.rank
+    with pytest.raises(AssertionError, match="odd rank 3"):
+        form.is_nondegenerate()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from(QS), seed=st.integers(0, 2**32 - 1),
+       dims=st.lists(st.integers(1, 10).map(lambda h: 2 * h), min_size=1, max_size=5))
+def test_random_form_draw_matches_the_reference(q, seed, dims):
+    # one draw of every strictly-upper entry gives the per-entry loop's Gram
+    # bytes and leaves the generator in the same state, form after form
+    f = GF(q)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for dim in dims:
+        got = random_alternating_form(f, dim, rng).gram
+        assert got.tobytes() == random_alternating_form_reference(f, dim, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_eigenspaces_pairwise_trivial():
