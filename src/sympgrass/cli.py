@@ -37,8 +37,9 @@ from .linalg import read_matrix_text
 DEFAULT_BUDGET = 10**11
 SLOW_BUDGET = 10**13
 SLOW_THRESHOLD = 10**9  # sweeps estimated above this run only with --slow
-BUILD_POINTS = 5_000_000  # larger point sets are refused (exit 3)
-VERIFY_POINTS = 2_000_000  # larger point sets are not verification targets
+# larger point sets are refused (exit 3) or skipped; W(11,1) q=2 has this many,
+# and every point set within it has N < 2^24 and at most 2^28 Plücker minors
+BUILD_POINTS = 4_194_303
 
 
 def _log(msg: str) -> None:
@@ -94,12 +95,6 @@ class BudgetError(RuntimeError):
     """A run refused before anything is built (exit 3)."""
 
 
-def _over_budget(estimate: int, budget: int,
-                 remedy: str = "raise --budget (or use --slow)") -> BudgetError:
-    return BudgetError(f"estimated at {_sci(estimate)} symbol operations, "
-                       f"over the budget of {_sci(budget)}; {remedy} to run it")
-
-
 def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
     """Symbol operations of a sweep: N per codeword the method visits."""
     n_codewords = q**big_k if method == "codeword" else (q**big_k - 1) // (q - 1)
@@ -113,26 +108,40 @@ def _eta_ops(n: int, q: int, counts: int) -> int:
     return counts * 4 * n * formulas.gaussian_binomial(2 * n, 2, q)
 
 
+def _verdict(what: str, estimate: int, limits: list) -> str | None:
+    """None if the estimate is within every (limit, name, remedy) of limits,
+    else the reason: each limit it crosses, with what lifts it."""
+    over = [f"the {name} of {_sci(limit)} ({remedy})" for limit, name, remedy in limits
+            if estimate > limit]
+    if not over:
+        return None
+    return f"{what} estimated at {_sci(estimate)} symbol operations, over " + " and ".join(over)
+
+
 class Gate(NamedTuple):
+    """build, sweep and lines are the verdicts of the stages: None if the
+    stage is admitted, else the reason it is not."""
+
     N: int
     K: int
-    estimate: int | None  # of the sweep; None for a point set over BUILD_POINTS
     budget: int
-    sweep: bool  # the sweep is admitted
-    lines_estimate: int | None  # of eta's counts or of verify's line checks
-    lines: bool  # the line checks are admitted
+    estimate: int | None  # of the sweep; None for a point set over BUILD_POINTS
+    build: str | None
+    sweep: str | None  # a refused build refuses the sweep for the same reason
+    lines: str | None  # eta's counts or verify's line checks; None where there are none
 
 
 def _gate(args) -> Gate:
     """Decide, from the closed forms and before anything is built, what a
     command may build, sweep and count.
 
-    A sweep or a set of eta counts is admitted if its estimate is within the
-    budget and, without --slow, within SLOW_THRESHOLD.  build and weights
-    refuse a point set over BUILD_POINTS, weights a sweep that is not
-    admitted, and eta its counts over the budget (BudgetError, exit 3);
-    verify and bounds skip what is not admitted.  q^K is only computed for a point
-    set that could be built, so that no n makes the estimate itself costly.
+    A point set is built only within BUILD_POINTS, which no option lifts.  A
+    sweep or verify's line checks are admitted if the estimate is within the
+    budget and, without --slow, within SLOW_THRESHOLD; eta's counts, which
+    have neither option, within the budget.  build, weights and eta raise the
+    verdict of their stage (BudgetError, exit 3); verify records each one as
+    the reason its checks are skipped.  q^K is only computed for a point set
+    within BUILD_POINTS, so that no n makes the estimate itself costly.
     N bounds every closed form a report prints, so an N too long to print
     is a usage error.
     """
@@ -145,31 +154,26 @@ def _gate(args) -> Gate:
                          f"Python's limit of {max_digits} digits for printing an integer")
     big_k = formulas.dimension(n, k)
     slow = getattr(args, "slow", False)
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = SLOW_BUDGET if slow else DEFAULT_BUDGET
+    budget = getattr(args, "budget", None) or (SLOW_BUDGET if slow else DEFAULT_BUDGET)
+    rule = [(budget, "budget", "raise --budget")]
+    if not slow:
+        rule.append((SLOW_THRESHOLD, "SLOW_THRESHOLD", "rerun with --slow"))
 
-    def admitted(est) -> bool:
-        return est is not None and est <= budget and (slow or est <= SLOW_THRESHOLD)
-
-    lines_est = None
+    lines = None
     if command == "eta":
-        lines_est = _eta_ops(n, q, args.trials if args.theta == "random" else 1)
-        if lines_est > budget:
-            raise _over_budget(lines_est, budget, remedy="lower n, q or --trials")
-    elif command == "verify" and k == 2:
-        lines_est = _eta_ops(n, q, args.trials + 1)  # the random trials and the worst case
-    if command in ("build", "weights") and big_n > BUILD_POINTS:
-        raise BudgetError(f"W({n},{k}) over GF({q}) has {_sci(big_n)} points, over the "
-                          f"BUILD_POINTS limit of {_sci(BUILD_POINTS)}; no option lifts it")
-    est = None
-    if big_n <= BUILD_POINTS:
+        trials = args.trials if args.theta == "random" else 1
+        lines = _verdict("eta counts", _eta_ops(n, q, trials),
+                         [(budget, "budget", "lower n, q or --trials")])
+    elif command == "verify" and k == 2:  # the random trials and the worst case
+        lines = _verdict("eta counts", _eta_ops(n, q, args.trials + 1), rule)
+    est = build = None
+    if big_n > BUILD_POINTS:
+        build = sweep = (f"W({n},{k}) over GF({q}) has {_sci(big_n)} points, over the "
+                         f"BUILD_POINTS limit of {_sci(BUILD_POINTS)}; no option lifts it")
+    else:
         est = _estimate_ops(q, big_k, big_n, getattr(args, "method", "codeword"))
-    if command == "weights" and est > budget:
-        raise _over_budget(est, budget)
-    if command == "weights" and not slow and est > SLOW_THRESHOLD:
-        raise _over_budget(est, SLOW_THRESHOLD, remedy="use --slow")
-    return Gate(big_n, big_k, est, budget, admitted(est), lines_est, admitted(lines_est))
+        sweep = _verdict("sweep", est, rule)
+    return Gate(big_n, big_k, budget, est, build, sweep, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +199,8 @@ def cmd_params(args) -> int:
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     gate = _gate(args)
+    if gate.build:
+        raise BudgetError(gate.build)
     with open(args.output, "w") as fh:  # before the build, so a bad path fails at once
         code = build_code(args.n, args.k, _field(args.q))
         write_generator(fh, code)
@@ -213,7 +219,9 @@ def cmd_build(args) -> int:
 
 def cmd_weights(args) -> int:
     t0 = time.perf_counter()
-    budget = _gate(args).budget
+    gate = _gate(args)
+    if gate.sweep:
+        raise BudgetError(gate.sweep)
     # opened before the sweep, so that an unwritable --output fails at once
     with open(args.output, "w") if args.output else contextlib.nullcontext() as fh:
         code = build_code(args.n, args.k, _field(args.q))
@@ -253,7 +261,7 @@ def cmd_weights(args) -> int:
             json.dump(results, fh, sort_keys=True, indent=2)
             _log(f"wrote enumerator report to {args.output}")
     _emit("weights", {"n": args.n, "k": args.k, "q": args.q, "method": args.method,
-                      "threads": args.threads, "budget": budget}, results, seconds)
+                      "threads": args.threads, "budget": gate.budget}, results, seconds)
     failed = any(v is False for v in verdicts.values())
     return 1 if failed else 0
 
@@ -281,7 +289,9 @@ def cmd_eta(args) -> int:
     t0 = time.perf_counter()
     if args.n < 2:
         raise UsageError("eta needs n >= 2")
-    _gate(args)
+    lines = _gate(args).lines
+    if lines:
+        raise BudgetError(lines)
     f = _field(args.q)
     sigma = standard_symplectic(args.n, f)
     seed = None
@@ -323,16 +333,10 @@ def cmd_eta(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
-    sweep = _gate(args).sweep
+    _gate(args)
     p = formulas.code_params(args.n, args.k, args.q)
     results: dict = {"N": p.N, "K": p.K, "d_min": p.d_min, "d_min_proved": p.d_min_proved}
     d = p.d_min
-    if d is None:
-        if sweep:
-            code = build_code(args.n, args.k, _field(args.q))
-            d = weight_enumerator(code).d_min
-            results["d_min"] = d
-            results["d_min_computed"] = True
     if args.k == 2:
         g = formulas.grassmann_bound_line(args.n, args.q)
         exact = formulas.grassmann_bound_line_exact(args.n, args.q)
@@ -355,18 +359,9 @@ def cmd_bounds(args) -> int:
     return 0 if ok else 1
 
 
-def _limits_crossed(estimate: int, budget: int, slow: bool) -> str:
-    """Each limit a skipped check's estimate crosses, with what lifts it."""
-    over = [f"the budget of {_sci(budget)} (raise --budget)"] if estimate > budget else []
-    if not slow and estimate > SLOW_THRESHOLD:
-        over.append(f"the SLOW_THRESHOLD of {_sci(SLOW_THRESHOLD)} (rerun with --slow)")
-    return " and ".join(over)
-
-
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     gate = _gate(args)
-    big_n, big_k, budget = gate.N, gate.K, gate.budget
     n, k, q = args.n, args.k, args.q
     f = _field(q)
     checks: dict[str, dict] = {}
@@ -379,18 +374,18 @@ def cmd_verify(args) -> int:
 
     # point count against the closed-form length, Plücker rank against the dimension
     code = None
-    if big_n <= VERIFY_POINTS:
+    if gate.build is None:
         got = count_isotropic(n, k, f)
-        record("length", got == big_n, enumerated=got, formula=big_n)
+        record("length", got == gate.N, enumerated=got, formula=gate.N)
         code = build_code(n, k, f)
-        record("dimension", code.K == big_k, rank=code.K, formula=big_k)
+        record("dimension", code.K == gate.K, rank=code.K, formula=gate.K)
     else:
-        record("length", None, reason="point set too large; not a verification target")
-        record("dimension", None, reason="point set too large")
+        record("length", None, reason=gate.build)
+        record("dimension", None, reason=gate.build)
 
     # minimum distance / weight table sweeps
     p = formulas.code_params(n, k, q)
-    if code is not None and gate.sweep:
+    if gate.sweep is None:
         # weight_enumerator asserts the sum, scalar, power-moment and projectivity rules
         try:
             we = weight_enumerator(code, method=args.method, threads=args.threads)
@@ -406,21 +401,17 @@ def cmd_verify(args) -> int:
                 record("weight_table", we.distribution == table)
             record("sweep_postconditions", True)
     elif code is not None:
-        record("d_min", None, estimate=gate.estimate,
-               reason=f"sweep estimated at {_sci(gate.estimate)} symbol operations, over "
-               + _limits_crossed(gate.estimate, budget, args.slow))
+        record("d_min", None, estimate=gate.estimate, reason=gate.sweep)
 
     # line-count identity and the worst-case construction (line codes); the
     # forms are built only for a check that runs, as n may be large
-    if k == 2 and not gate.lines:
-        reason = (f"eta counts estimated at {_sci(gate.lines_estimate)} symbol operations, over "
-                  + _limits_crossed(gate.lines_estimate, budget, args.slow))
-        record("line_identity_random", None, reason=reason)
-        record("worst_case_theta", None, reason=reason)
-    if k == 2 and (gate.lines or code is not None):
+    if k == 2 and gate.lines:
+        record("line_identity_random", None, reason=gate.lines)
+        record("worst_case_theta", None, reason=gate.lines)
+    if k == 2 and (gate.lines is None or code is not None):
         sigma = standard_symplectic(n, f)
         theta = worst_case_theta(sigma)
-        if gate.lines:
+        if gate.lines is None:
             rng = np.random.default_rng(seed)
             bad = 0
             for _ in range(args.trials):
@@ -444,7 +435,7 @@ def cmd_verify(args) -> int:
     overall = all(c["pass"] is not False for c in checks.values())
     _log("verify: " + ("ALL CHECKS PASS" if overall else "MISMATCH DETECTED"))
     _emit("verify", {"n": n, "k": k, "q": q, "slow": args.slow, "trials": args.trials,
-                     "method": args.method, "threads": args.threads, "budget": budget},
+                     "method": args.method, "threads": args.threads, "budget": gate.budget},
           {"checks": checks, "overall_pass": overall}, time.perf_counter() - t0, seed=seed)
     return 0 if overall else 1
 

@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from math import comb
 
 import numpy as np
 
@@ -350,7 +351,7 @@ def test_weights_long_sweep_needs_slow(capsys, monkeypatch):
     assert code == 3 and "--slow" in err
     args = build_parser().parse_args(["weights", "3", "2", "3", "--slow"])
     gate = cli._gate(args)  # the sweep itself is not run
-    assert cli.SLOW_THRESHOLD < gate.estimate <= gate.budget and gate.sweep
+    assert cli.SLOW_THRESHOLD < gate.estimate <= gate.budget and gate.sweep is None
 
 
 def test_verify_enumerates_points_once(capsys, monkeypatch):
@@ -395,7 +396,7 @@ def test_gate_refuses_huge_point_sets_by_n(capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and "4.15e+180" in err and "points" in err, argv
         assert "BUILD_POINTS" in err and "--budget" not in err, argv
-    assert "e+1505" in str(cli._over_budget(2**5000, 10**11))
+    assert cli._sci(2**5000) == "1.41e+1505"
 
 
 def test_closed_forms_too_long_to_print(capsys, monkeypatch):
@@ -423,7 +424,7 @@ def test_eta_refuses_over_the_budget(capsys, monkeypatch):
 
 def test_verify_skips_line_checks_over_the_threshold(capsys, monkeypatch):
     # W(7,2) q=2: 26 eta counts of 4.5e7 candidates are over SLOW_THRESHOLD,
-    # and the 22 million points are not a verification target
+    # and the 22 million points are over BUILD_POINTS
     for mod in (cli, forms):
         monkeypatch.setattr(mod, "count_common_isotropic_lines", refuse)
     monkeypatch.setattr(cli, "build_code", refuse)
@@ -436,7 +437,76 @@ def test_verify_skips_line_checks_over_the_threshold(capsys, monkeypatch):
         assert checks[name]["pass"] is None and reason == (
             "eta counts estimated at 3.26e+10 symbol operations, over the SLOW_THRESHOLD "
             "of 1.00e+09 (rerun with --slow)"), name
-    assert "worst_case_codeword" not in checks
+    assert "worst_case_codeword" not in checks and "d_min" not in checks
+    for name in ("length", "dimension"):
+        assert checks[name] == {"pass": None, "reason": (
+            "W(7,2) over GF(2) has 2.24e+07 points, over the BUILD_POINTS limit of "
+            "4.19e+06; no option lifts it")}, name
     args = build_parser().parse_args(["verify", "7", "2", "2", "--slow"])
     gate = cli._gate(args)  # admitted with --slow; not run here
-    assert cli.SLOW_THRESHOLD < gate.lines_estimate <= gate.budget and gate.lines
+    assert gate.lines is None and gate.budget == cli.SLOW_BUDGET
+
+
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def test_bounds_reports_unproved_codes_from_closed_forms(capsys, monkeypatch):
+    # every unproved code has K >= 42, so its sweep, q^K N, is over
+    # SLOW_THRESHOLD, and bounds (no --slow) reports the closed forms alone
+    monkeypatch.setattr(cli, "build_code", refuse)
+    monkeypatch.setattr(cli, "weight_enumerator", refuse)
+    cases = [(n, k, q) for q in FIELD_ORDERS for n in range(4, 12) for k in range(3, n + 1)]
+    for n, k, q in cases:
+        argv = ["bounds", str(n), str(k), str(q)]
+        assert cli._gate(build_parser().parse_args(argv)).sweep is not None, argv
+        p = formulas.code_params(n, k, q)
+        expected = {"N": p.N, "K": p.K, "d_min": None, "d_min_proved": False}
+        if k == n:
+            expected.update(pz_upper_bound=formulas.pz_upper(n, q), pz_bound_holds=None,
+                            pz_bound_sharp=None)
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0 and report["results"] == expected, argv
+
+
+def test_build_refuses_the_point_set_over_the_limit(capsys, monkeypatch, tmp_path):
+    # W(6,6) q=2 has 4 922 775 points: its 924 x 4.9M Plücker array would
+    # take 4.5 GB, so build and weights refuse it before any work
+    monkeypatch.setattr(cli, "build_code", refuse)
+    monkeypatch.setattr(cli, "count_isotropic", refuse)
+    out = tmp_path / "gen.txt"
+    start = time.perf_counter()
+    for argv in (["build", "6", "6", "2", "--output", str(out)], ["weights", "6", "6", "2"]):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 3 and report is None, argv
+        assert "4.92e+06 points" in err and "BUILD_POINTS limit of 4.19e+06" in err, argv
+    assert time.perf_counter() - start < 1
+    assert not out.exists()
+
+
+def test_every_admitted_point_set_fits_the_build():
+    # N(n, k) grows with n (V(2n) sits in V(2n+2)) and N(k, k) with k, so
+    # each walk stops at the first point set over the limit
+    admitted = []
+    for q in FIELD_ORDERS:
+        k = 1
+        while formulas.length(k, k, q) <= cli.BUILD_POINTS:
+            n = k
+            while (big_n := formulas.length(n, k, q)) <= cli.BUILD_POINTS:
+                assert big_n * comb(2 * n, k) <= 2**28 and big_n < 2**24, (n, k, q)
+                admitted.append((n, k, q))
+                n += 1
+            k += 1
+    assert (11, 1, 2) in admitted and (6, 6, 2) not in admitted
+    assert formulas.length(11, 1, 2) == cli.BUILD_POINTS < formulas.length(6, 6, 2)
+
+
+def test_weights_refusal_names_each_limit_like_verify(capsys):
+    # W(3,2) q=4, 6.2e12 operations: over the default budget and
+    # SLOW_THRESHOLD, and still over SLOW_THRESHOLD with a budget of 1e13;
+    # weights refuses with the reason verify records for the skipped sweep
+    for extra in ([], ["--budget", "10000000000000"]):
+        code, _, err = run_cli(capsys, "weights", "3", "2", "4", *extra)
+        assert code == 3 and "SLOW_THRESHOLD" in err and "--slow" in err, extra
+        _, report, _ = run_cli(capsys, "verify", "3", "2", "4", "--trials", "1", *extra)
+        assert err == f"refused: {report['results']['checks']['d_min']['reason']}\n", extra
+    assert "budget" not in err

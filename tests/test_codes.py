@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ GENERATOR_CASES = [
 ] + [(2, 2, 4), (3, 3, 4), (3, 2, 4), (2, 2, 5), (3, 2, 5), (2, 2, 8), (3, 3, 8), (2, 2, 9)]
 
 
+@lru_cache(maxsize=None)
+def transposed_rref(n, k, q):
+    """rref(pl.T) of W(n,k)'s Plücker matrix, reduced once for both generator
+    tests (at W(4,3) q=3 the reduction takes about 7 s); shared, so read-only."""
+    f = GF(q)
+    pl = plucker_batch(f, isotropic_stack(n, k, f))  # code.point_bases
+    reduced, rk, pivots = rref(f, np.ascontiguousarray(pl.T))
+    pivots = np.array(pivots, dtype=np.intp)
+    reduced.flags.writeable = pivots.flags.writeable = False
+    return reduced, rk, pivots
+
+
 @pytest.mark.parametrize("n,k,q", GENERATOR_CASES)
 def test_generator_is_rref_of_transpose(n, k, q):
     # as a code: the generator spans the row space of the systematic
@@ -63,7 +76,7 @@ def test_generator_is_rref_of_transpose(n, k, q):
     f = GF(q)
     code = build_code(n, k, f)
     pl = plucker_batch(f, code.point_bases)
-    reduced, rk, q_cols = rref(f, np.ascontiguousarray(pl.T))
+    reduced, rk, q_cols = transposed_rref(n, k, q)
     gen = code.generator
     assert gen.shape == (rk, pl.shape[0])
     assert gen.shape == (formulas.dimension(n, k), formulas.length(n, k, q))
@@ -80,7 +93,7 @@ def test_generator_is_pivot_columns(n, k, q):
     f = GF(q)
     code = build_code(n, k, f)
     pl = plucker_batch(f, code.point_bases)
-    _, rk, q_rows = rref(f, np.ascontiguousarray(pl.T))
+    _, rk, q_rows = transposed_rref(n, k, q)
     _, _, p_cols = rref(f, pl[q_rows])
     gen = code.generator
     assert gen.shape == (rk, pl.shape[0])

@@ -16,6 +16,10 @@ other_module._name or imports `from .other import _name`, and no code reads
 a _name off an object other than self or cls, such as f._digit_table from
 outside Field (dunders excepted), so that each layout decision is known to
 one module.
+
+Every limit is decided in one place: of the CLI's functions, only the gate
+and the parser's help text read a limit constant, so no subcommand works
+out a limit of its own.
 """
 
 import ast
@@ -165,3 +169,43 @@ def test_no_module_imports_an_unused_name():
 def test_the_import_guard_sees_an_unused_import(tmp_path):
     (tmp_path / "mod.py").write_text("import os.path\nfrom .linalg import inverse, rref\n\ninverse\n")
     assert unused_imports(tmp_path) == ["mod: os", "mod: rref"]
+
+
+LIMITS = {"DEFAULT_BUDGET", "SLOW_BUDGET", "SLOW_THRESHOLD", "BUILD_POINTS"}
+LIMIT_READERS = {"_gate", "_add_common"}  # the gate and the parser's help text
+
+
+def limit_readers(path: Path = PACKAGE / "cli.py") -> dict[str, set[str]]:
+    """{function: the limit constants it reads} for every top-level function
+    of the module that reads one, its nested functions included."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)} & LIMITS
+            if names:
+                found[node.name] = names
+    return found
+
+
+def test_only_the_gate_reads_a_limit():
+    readers = limit_readers()
+    assert "_gate" in readers
+    assert set(readers) <= LIMIT_READERS, f"limits read outside the gate: {readers}"
+
+
+def test_the_limit_guard_sees_a_command_that_reads_one(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "BUILD_POINTS = 10\n"
+        "\n"
+        "\n"
+        "def cmd_weights(args):\n"
+        "    def admitted(est):\n"
+        "        return est <= SLOW_THRESHOLD\n"
+        "    return admitted(args.budget)\n"
+        "\n"
+        "\n"
+        "def _gate(args):\n"
+        "    return args.n <= BUILD_POINTS\n"
+    )
+    assert limit_readers(tmp_path / "cli.py") == {
+        "cmd_weights": {"SLOW_THRESHOLD"}, "_gate": {"BUILD_POINTS"}}
