@@ -444,22 +444,24 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an int of at least low, refused at parse time."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _threads(text: str) -> int:
     """At least 1, capped at the number of cores so no request starts more threads."""
-    return min(_positive(text), os.cpu_count() or 1)
+    return min(_at_least(1)(text), os.cpu_count() or 1)
 
 
 def _add_common(sp):
     sp.add_argument("--threads", type=_threads, default=1,
                     help="worker threads for sweeps (capped at the core count)")
-    sp.add_argument("--budget", type=_positive, default=None,
+    sp.add_argument("--budget", type=_at_least(1), default=None,
                     help=f"sweep operation budget (default {DEFAULT_BUDGET:.0e})")
     sp.add_argument("--slow", action="store_true",
                     help="unlock the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2, "
@@ -471,8 +473,8 @@ def _add_common(sp):
 
 
 def _add_trials(sp):
-    sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    sp.add_argument("--trials", type=_positive, default=25, help="number of random-form trials")
+    sp.add_argument("--seed", type=_at_least(0), default=None, help="seed for randomized checks")
+    sp.add_argument("--trials", type=_at_least(1), default=25, help="number of random-form trials")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,8 @@ point/line counts that drive the minimum-distance verification for the
 line codes.
 
 A form's rank is computed when first read; the counts read only sigma's,
-so a random theta costs its validation and no elimination.
+so a random theta costs its validation and no elimination.  A form's
+codeword in W(n,2) is a message read from its Gram entries (codes).
 
 N1 comes from the eigen profile, whose q ranks of theta - lam sigma are
 one stacked elimination (linalg.rank on a (q, 2n, 2n) stack).  eta, the
@@ -70,13 +71,6 @@ class AlternatingForm:
 
     def is_nondegenerate(self) -> bool:
         return self.rank == self.dim
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Values x^T G y of the form on pairs of vectors of shape (..., dim)."""
-        x = np.asarray(x, dtype=np.uint8)[..., None, :]
-        y = np.asarray(y, dtype=np.uint8)[..., :, None]
-        f = self.field
-        return f.matmul(f.matmul(x, self.gram), y)[..., 0, 0]
 
     def __repr__(self) -> str:
         return f"AlternatingForm(dim={self.dim}, rank={self.rank}, q={self.field.q})"

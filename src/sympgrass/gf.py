@@ -40,8 +40,9 @@ W(4,3) took 12.2 s instead of 6.8 s and 552 MB of peak memory instead of
 already its e base-p digits, and multiplication by a fixed element is an
 e x e matrix over GF(p), so a product over GF(p^e) is one float32 BLAS
 product of the digit-expanded operands, reduced mod p and recombined; a
-prime field is the case e = 1.  An extension field's left operand is
-expanded by one np.take from a (q, e) float32 table of digits.  Every entry
+prime field is the case e = 1.  It takes one right matrix, so that a stacked
+left operand is one BLAS call, and expands an extension field's left
+operand by one np.take from a (q, e) float32 table of digits.  Every entry
 of the float product is an integer of at most k*e*(p-1)^2 for inner
 dimension k, exact below 2^24; larger products raise ValueError.  The
 product is reduced in the narrowest unsigned dtype that holds that bound
@@ -195,39 +196,33 @@ class Field:
     def matmul(self, a, b) -> np.ndarray:
         """Matrix product over GF(q) of uint8 encodings, with np.matmul shapes.
 
-        Both operands must be at least 2-d; an empty inner dimension gives
-        zeros.  Every entry of the float32 product is at most
-        k*e*(p-1)^2 (k the inner dimension), so it is exact while that bound
-        is below 2^24, otherwise this raises ValueError, and it is reduced in
+        a is (..., rows, k) and b is (k, cols); other shapes raise ValueError,
+        and an empty inner dimension gives zeros.  Every entry of the float32
+        product is at most k*e*(p-1)^2, so it is exact while that bound is
+        below 2^24, otherwise this raises ValueError, and it is reduced in
         the narrowest unsigned dtype that holds the bound.
         """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
-        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
             raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
         k, n, p, e = a.shape[-1], b.shape[-1], self.p, self.e
         bound = k * e * (p - 1) ** 2
         if bound >= 1 << 24:
             raise ValueError(f"inner dimension {k} is too large for an exact GF({self.q}) product")
+        rows = math.prod(a.shape[:-1])  # explicit, as -1 is ambiguous when k = 0
         # a prime-field element is its own single digit, converted several
         # times faster than it is looked up
-        a_dig = a.astype(np.float32) if e == 1 else np.take(self._digit_table, a, axis=0).reshape(
-            *a.shape[:-1], k * e
-        )
-        b_dig = np.swapaxes(self._mul_digits[b], -3, -2).reshape(*b.shape[:-2], k * e, n * e)
-        if b.ndim == 2:  # one BLAS product for a stacked left operand
-            rows = math.prod(a.shape[:-1])  # explicit, as -1 is ambiguous when k = 0
-            prod = (a_dig.reshape(rows, k * e) @ b_dig).reshape(*a.shape[:-1], n * e)
-        else:
-            prod = np.matmul(a_dig, b_dig)
+        a_dig = a.astype(np.float32) if e == 1 else np.take(self._digit_table, a, axis=0)
+        b_dig = self._mul_digits[b].swapaxes(1, 2).reshape(k * e, n * e)
+        prod = (a_dig.reshape(rows, k * e) @ b_dig).reshape(*a.shape[:-1], n * e)
         wide = np.uint8 if bound < 1 << 8 else np.uint16 if bound < 1 << 16 else np.uint32
         digits = prod.astype(wide)
         if p == 2:
             digits &= 1
         else:
             self.mod_p(digits)
-        digits = digits.astype(np.uint8, copy=False)
-        digits = digits.reshape(*prod.shape[:-1], n, e)
+        digits = digits.astype(np.uint8, copy=False).reshape(*prod.shape[:-1], n, e)
         out = digits[..., e - 1]
         for c in range(e - 2, -1, -1):
             out = out * p + digits[..., c]

@@ -251,12 +251,8 @@ def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     gram = standard_symplectic(n, field).gram
-    batches = list(iter_isotropic_batches(field, gram, k))
-    arr = (
-        np.concatenate(batches, axis=0)
-        if batches
-        else np.zeros((0, k, 2 * n), dtype=np.uint8)
-    )
+    empty = np.zeros((0, k, 2 * n), dtype=np.uint8)  # the shape when no cell has a point
+    arr = np.concatenate([empty, *iter_isotropic_batches(field, gram, k)])
     arr.setflags(write=False)
     return arr
 

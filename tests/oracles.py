@@ -14,6 +14,8 @@ filter_extend_reference is the earlier isotropy filter (one float product
 per candidate), kept as the reference for grassmann._filter_extend;
 random_alternating_form_reference is the earlier per-entry draw, kept as
 the reference for forms.random_alternating_form;
+form_values_reference is the earlier evaluation x G y of a form on each
+line's basis pair, kept as the reference for codes.codeword_from_form;
 is_totally_isotropic and contains_vector are the definitions that the
 pruned enumerations are compared against.  enumerate_subspaces walks every RREF cell with numpy
 alone; it shares no code with the package's pruned cell walker.
@@ -367,6 +369,18 @@ def random_alternating_form_reference(f, dim, rng):
             g[i, j] = v
             g[j, i] = f.neg(v)
     return g
+
+
+def form_values_reference(form, bases):
+    """x G y for each basis pair (x, y) = bases[j] of an (N, 2, 2n) stack:
+    one product of the x rows with the Gram matrix, then a dot product per
+    row, summed column by column with the field's addition."""
+    f = form.field
+    terms = f.arr_mul(f.matmul(bases[:, 0], form.gram), bases[:, 1])  # (N, 2n)
+    vals = np.zeros(terms.shape[0], dtype=np.uint8)
+    for column in terms.T:
+        vals = f.arr_add(vals, column)
+    return vals
 
 
 def filter_extend_reference(f, surv, cands, grams):

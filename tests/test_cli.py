@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sympgrass import cli, codes, formulas, forms, grassmann
 from sympgrass.cli import build_parser, main
@@ -13,6 +17,8 @@ from sympgrass.gf import GF
 from sympgrass.linalg import read_matrix_text
 
 from oracles import eigen_analysis
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +332,46 @@ def test_threads_and_trials_validated(capsys):
     assert run_cli(capsys, "weights", "2", "2", "2", "--seed", "1")[0] == 2  # no such option
     assert run_cli(capsys, "weights", "2", "2", "3", "--budget", "-1")[0] == 2
     assert run_cli(capsys, "verify", "2", "2", "3", "--budget", "0")[0] == 2
+
+
+def test_a_negative_seed_is_refused_before_any_work(capsys, monkeypatch):
+    # numpy refuses a negative seed only when the first random form is
+    # drawn, after the build (and the sweep, when admitted); the parser
+    # refuses it first, with no JSON
+    for name in ("count_isotropic", "build_code", "weight_enumerator", "count_n1"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (["verify", "4", "2", "3"], ["verify", "2", "2", "3"],
+                 ["eta", "2", "3", "--theta", "random"]):
+        code, report, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, report) == (2, None) and "--seed" in err
+    assert build_parser().parse_args(["verify", "2", "2", "3", "--seed", "0"]).seed == 0
+
+
+PEAK_SCRIPT = r"""
+import contextlib, io
+from sympgrass import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "3", "2", "8", "--trials", "1"])
+# VmHWM is the peak resident set of this process's own address space; on
+# Linux ru_maxrss would also carry the peak of the process that started it
+with open("/proc/self/status") as status:
+    peak_kb = int(status.read().split("VmHWM:")[1].split()[0])
+print(code, peak_kb)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+def test_verify_w32_q8_peaks_below_300_mb():
+    # W(3,2) q=8 (2 434 185 lines) is the largest line code verify builds;
+    # its worst-case codeword is read as a message on the generator, so no
+    # product over the points lifts the peak above the build's
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb <= 300 * 1024, f"peak {peak_kb / 1024:.0f} MB"
 
 
 def test_gate_refuses_before_building(capsys, monkeypatch):

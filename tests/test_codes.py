@@ -19,16 +19,19 @@ from sympgrass.codes import (
     write_generator,
 )
 from sympgrass.forms import (
+    AlternatingForm,
     count_common_isotropic_lines,
     random_alternating_form,
     standard_symplectic,
     worst_case_theta,
 )
-from sympgrass.gf import GF
+from sympgrass.gf import GF, Field
 from sympgrass.grassmann import isotropic_stack, plucker_batch
 from sympgrass.linalg import rank, read_matrix_text, rref
 
-from oracles import oracle_weight_enumerator, oracle_weight_enumerator_gf2
+from oracles import form_values_reference, oracle_weight_enumerator, oracle_weight_enumerator_gf2
+
+ALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 @pytest.mark.parametrize(
@@ -61,7 +64,7 @@ def transposed_rref(n, k, q):
     """rref(pl.T) of W(n,k)'s Plücker matrix, reduced once for both generator
     tests (at W(4,3) q=3 the reduction takes about 7 s); shared, so read-only."""
     f = GF(q)
-    pl = plucker_batch(f, isotropic_stack(n, k, f))  # code.point_bases
+    pl = plucker_batch(f, isotropic_stack(n, k, f))
     reduced, rk, pivots = rref(f, np.ascontiguousarray(pl.T))
     pivots = np.array(pivots, dtype=np.intp)
     reduced.flags.writeable = pivots.flags.writeable = False
@@ -75,7 +78,7 @@ def test_generator_is_rref_of_transpose(n, k, q):
     # invertible, Q the pivot columns of R
     f = GF(q)
     code = build_code(n, k, f)
-    pl = plucker_batch(f, code.point_bases)
+    pl = plucker_batch(f, isotropic_stack(n, k, f))
     reduced, rk, q_cols = transposed_rref(n, k, q)
     gen = code.generator
     assert gen.shape == (rk, pl.shape[0])
@@ -92,13 +95,31 @@ def test_generator_is_pivot_columns(n, k, q):
     # they span pl's row space, and the RREF of a row space is unique.
     f = GF(q)
     code = build_code(n, k, f)
-    pl = plucker_batch(f, code.point_bases)
+    pl = plucker_batch(f, isotropic_stack(n, k, f))
     _, rk, q_rows = transposed_rref(n, k, q)
     _, _, p_cols = rref(f, pl[q_rows])
     gen = code.generator
     assert gen.shape == (rk, pl.shape[0])
     assert gen.dtype == np.uint8 and gen.flags.c_contiguous and not gen.flags.writeable
     assert gen.tobytes() == np.take(pl, p_cols, axis=1).T.tobytes()
+
+
+@pytest.mark.parametrize("n,k,q", GENERATOR_CASES)
+def test_plucker_map_takes_the_generator_to_the_minors(n, k, q):
+    # pl = gen.T @ R, and R is in RREF with R[:, P] = I at the generator's
+    # pivot columns P: pl's row space is R's, so R = rref(pl)[:K]
+    f = GF(q)
+    code = build_code(n, k, f)
+    pl = plucker_batch(f, isotropic_stack(n, k, f))
+    r = code.plucker_map
+    assert r.shape == (code.K, pl.shape[1]) and r.dtype == np.uint8 and not r.flags.writeable
+    pivots = (r != 0).argmax(axis=1)
+    assert np.all(np.diff(pivots) > 0)
+    assert np.array_equal(r[:, pivots], np.eye(code.K, dtype=np.uint8))
+    assert code.generator.tobytes() == np.take(pl, pivots, axis=1).T.tobytes()
+    step = 1 << 16  # bounds the float32 digits of each product
+    for s in range(0, code.N, step):
+        assert np.array_equal(f.matmul(code.generator[:, s : s + step].T, r), pl[s : s + step])
 
 
 # SHA-256 of the point stack, the Plücker matrix (row-major) and the
@@ -151,9 +172,10 @@ def test_pivot_generator_grows_a_sample_that_misses_a_column(monkeypatch):
         return rref(field, m)
 
     monkeypatch.setattr(codes, "rref", counting_rref)
-    gen = pivot_generator(f, pl)
+    gen, r = pivot_generator(f, pl)
     assert gen.shape == (3, 100)
     assert np.array_equal(gen, pl[:, [0, 2, 3]].T)
+    assert np.array_equal(r, [[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # the first sample has 4 * width rows; one later sample has one more
     assert sample_rows[0] == 16 and 17 in sample_rows
 
@@ -167,11 +189,13 @@ def test_pivot_generator_skips_the_check_at_full_rank(monkeypatch):
         raise AssertionError("checked a relation with no columns")
 
     monkeypatch.setattr(f, "matmul", no_product)
-    assert np.array_equal(pivot_generator(f, pl), pl.T)
+    gen, r = pivot_generator(f, pl)
+    assert np.array_equal(gen, pl.T) and np.array_equal(r, np.eye(3, dtype=np.uint8))
 
 
 def test_pivot_generator_of_zero_matrix():
-    assert pivot_generator(GF(2), np.zeros((9, 3), dtype=np.uint8)).shape == (0, 9)
+    gen, r = pivot_generator(GF(2), np.zeros((9, 3), dtype=np.uint8))
+    assert gen.shape == (0, 9) and r.shape == (0, 3)
 
 
 def test_build_w55_q2_has_the_formula_dimension():
@@ -422,6 +446,46 @@ def test_codeword_from_form_is_in_the_code():
         # reduces to zero against the generator's row space
         stacked = np.concatenate([code.generator, vals[None, :]], axis=0)
         assert rank(f, stacked) == code.K
+
+
+CODEWORD_CASES = [(2, q) for q in ALL_Q] + [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("n,q", CODEWORD_CASES)
+def test_codeword_from_form_is_the_evaluation_on_bases(n, q):
+    # byte for byte x G y on each line's basis pair, for the zero form,
+    # sigma, the worst case and three random forms
+    f = GF(q)
+    code = build_code(n, 2, f)
+    bases = isotropic_stack(n, 2, f)
+    sig = standard_symplectic(n, f)
+    rng = np.random.default_rng(100 * n + q)
+    thetas = [AlternatingForm(f, np.zeros((2 * n, 2 * n), dtype=np.uint8)), sig,
+              worst_case_theta(sig)] + [random_alternating_form(f, 2 * n, rng) for _ in range(3)]
+    for theta in thetas:
+        word, weight = codeword_from_form(code, theta)
+        expected = form_values_reference(theta, bases)
+        assert word.dtype == np.uint8 and word.tobytes() == expected.tobytes()
+        assert weight == np.count_nonzero(expected)
+
+
+def test_codeword_from_form_takes_no_product_over_the_points(monkeypatch):
+    # one small product forms the message R t; the (K, N) generator enters
+    # no Field.matmul, which would expand it to float32 digits
+    f = GF(3)
+    code = build_code(3, 2, f)
+    theta = random_alternating_form(f, 6, np.random.default_rng(5))
+    shapes = []
+    matmul = Field.matmul
+
+    def counting(self, a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(Field, "matmul", counting)
+    codeword_from_form(code, theta)
+    assert shapes == [((code.K, 15), (15, 1))]
+    assert code.N not in (code.K, 15)
 
 
 def test_codeword_from_form_requires_line_code():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympgrass import gf
 from sympgrass.gf import GF, Field
 
-from oracles import oracle_add, oracle_dot, oracle_matvec, oracle_mul
+from oracles import oracle_add, oracle_matvec, oracle_mul
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 EXTENSION_Q = [4, 8, 9, 16]
@@ -165,13 +165,23 @@ def test_matmul_against_oracle(q):
     assert got.shape == (3, 2, 4)
     for i in range(3):
         assert np.array_equal(got[i], oracle_matmul(q, stack[i], b))
-    # batched operands on both sides: one dot product per pair
-    x = rng.integers(0, q, size=(6, 1, 7), dtype=np.uint8)
-    y = rng.integers(0, q, size=(6, 7, 1), dtype=np.uint8)
-    got = f.matmul(x, y)
-    assert got.shape == (6, 1, 1)
-    for i in range(6):
-        assert got[i, 0, 0] == oracle_dot(q, x[i, 0].tolist(), y[i, :, 0].tolist())
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 7), (2, 7, 4)),     # a stacked right operand
+    ((2, 3, 7), (2, 7, 4)),
+    ((6, 1, 7), (6, 7, 1)),  # one dot product per pair
+    ((3, 0), (2, 0, 5)),
+    ((3, 7), (7,)),          # a vector on either side
+    ((7,), (7, 4)),
+])
+def test_matmul_refuses_a_right_operand_that_is_not_a_matrix(q, a_shape, b_shape):
+    # the right operand is one matrix, so every product is one BLAS call
+    a = np.zeros(a_shape, dtype=np.uint8)
+    b = np.zeros(b_shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match="cannot multiply shapes"):
+        GF(q).matmul(a, b)
 
 
 @pytest.mark.parametrize("q,k", [
@@ -205,12 +215,12 @@ def test_matmul_exactness_guard():
 @pytest.mark.parametrize("a_shape, b_shape", [
     ((3, 0), (0, 5)),        # empty inner dimension
     ((2, 3, 0), (0, 5)),     # stacked left operand
-    ((3, 0), (2, 0, 5)),     # stacked right operand
-    ((2, 3, 0), (2, 0, 5)),
+    ((0, 3, 4), (4, 5)),     # an empty stack
+    ((2, 3, 4), (4, 0)),
     ((0, 4), (4, 5)),        # empty outer dimensions
     ((3, 4), (4, 0)),
     ((2, 0, 4), (4, 3)),
-    ((3, 4), (2, 4, 0)),
+    ((2, 0, 3, 4), (4, 0)),
     ((0, 0), (0, 0)),
 ])
 def test_matmul_on_empty_dimensions(q, a_shape, b_shape):
