@@ -1,7 +1,8 @@
 """Command-line front end: reproducible runs with machine-readable reports.
 
 JSON goes to stdout, human-readable logging to stderr.  Exit codes:
-0 = pass, 1 = verification mismatch, 2 = usage error, 3 = budget refusal.
+0 = pass, 1 = verification mismatch, 2 = usage error, 3 = budget refusal
+(and a verify whose every check the gate skipped).
 Identical invocations (including --seed and --threads) produce identical
 JSON except for the elapsed-seconds field.
 """
@@ -95,10 +96,9 @@ class BudgetError(RuntimeError):
     """A run refused before anything is built (exit 3)."""
 
 
-def _estimate_ops(q: int, big_k: int, big_n: int, method: str) -> int:
-    """Symbol operations of a sweep: N per codeword the method visits."""
-    n_codewords = q**big_k if method == "codeword" else (q**big_k - 1) // (q - 1)
-    return n_codewords * big_n
+def _estimate_ops(q: int, big_k: int, big_n: int) -> int:
+    """Symbol operations of a sweep: N per projective message it visits."""
+    return (q**big_k - 1) // (q - 1) * big_n
 
 
 def _eta_ops(n: int, q: int, counts: int) -> int:
@@ -171,7 +171,7 @@ def _gate(args) -> Gate:
         build = sweep = (f"W({n},{k}) over GF({q}) has {_sci(big_n)} points, over the "
                          f"BUILD_POINTS limit of {_sci(BUILD_POINTS)}; no option lifts it")
     else:
-        est = _estimate_ops(q, big_k, big_n, getattr(args, "method", "codeword"))
+        est = _estimate_ops(q, big_k, big_n)
         sweep = _verdict("sweep", est, rule)
     return Gate(big_n, big_k, budget, est, build, sweep, lines)
 
@@ -225,44 +225,40 @@ def cmd_weights(args) -> int:
     # opened before the sweep, so that an unwritable --output fails at once
     with open(args.output, "w") if args.output else contextlib.nullcontext() as fh:
         code = build_code(args.n, args.k, _field(args.q))
-        we = weight_enumerator(code, method=args.method, threads=args.threads)
-        seconds = time.perf_counter() - t0
-
+        results = {"n": args.n, "k": args.k, "q": args.q, "N": code.N, "K": code.K}
         verdicts = {}
-        table = formulas.known_table(args.n, args.k, args.q)
-        if table is not None:
-            verdicts["table_match"] = we.distribution == table
-            _log(f"table comparison: {'MATCH' if verdicts['table_match'] else 'MISMATCH'}")
+        try:  # weight_enumerator asserts the sum, scalar, power-moment and projectivity rules
+            we = weight_enumerator(code, method="hyperplane", threads=args.threads)
+        except AssertionError as exc:
+            _log(f"sweep postcondition FAILED: {exc}")
+            results["sweep_postconditions"] = {"pass": False, "error": str(exc)}
         else:
-            verdicts["table_match"] = None
-            _log("no full weight table is proved for this code; comparing d_min only")
-        p = formulas.code_params(args.n, args.k, args.q)
-        if p.d_min_proved:
-            verdicts["dmin_match"] = we.d_min == p.d_min
-            _log(f"d_min={we.d_min} vs formula {p.d_min}: "
-                 f"{'MATCH' if verdicts['dmin_match'] else 'MISMATCH'}")
-        else:
-            verdicts["dmin_match"] = None
-            _log(f"d_min={we.d_min} (no proved formula for this case)")
-
-        results = {
-            "n": args.n,
-            "k": args.k,
-            "q": args.q,
-            "N": code.N,
-            "K": code.K,
-            "distribution": {str(w): c for w, c in sorted(we.distribution.items())},
-            "d_min": we.d_min,
-            "method": args.method,
-            "seconds": round(seconds, 6),
-        }
+            table = formulas.known_table(args.n, args.k, args.q)
+            if table is not None:
+                verdicts["table_match"] = we.distribution == table
+                _log(f"table comparison: {'MATCH' if verdicts['table_match'] else 'MISMATCH'}")
+            else:
+                verdicts["table_match"] = None
+                _log("no full weight table is proved for this code; comparing d_min only")
+            p = formulas.code_params(args.n, args.k, args.q)
+            if p.d_min_proved:
+                verdicts["dmin_match"] = we.d_min == p.d_min
+                _log(f"d_min={we.d_min} vs formula {p.d_min}: "
+                     f"{'MATCH' if verdicts['dmin_match'] else 'MISMATCH'}")
+            else:
+                verdicts["dmin_match"] = None
+                _log(f"d_min={we.d_min} (no proved formula for this case)")
+            results["distribution"] = {str(w): c for w, c in sorted(we.distribution.items())}
+            results["d_min"] = we.d_min
+        seconds = time.perf_counter() - t0
+        results["seconds"] = round(seconds, 6)
         results.update(verdicts)
         if fh:
             json.dump(results, fh, sort_keys=True, indent=2)
             _log(f"wrote enumerator report to {args.output}")
-    _emit("weights", {"n": args.n, "k": args.k, "q": args.q, "method": args.method,
-                      "threads": args.threads, "budget": gate.budget}, results, seconds)
-    failed = any(v is False for v in verdicts.values())
+    _emit("weights", {"n": args.n, "k": args.k, "q": args.q, "threads": args.threads,
+                      "budget": gate.budget}, results, seconds)
+    failed = "sweep_postconditions" in results or any(v is False for v in verdicts.values())
     return 1 if failed else 0
 
 
@@ -388,7 +384,7 @@ def cmd_verify(args) -> int:
     if gate.sweep is None:
         # weight_enumerator asserts the sum, scalar, power-moment and projectivity rules
         try:
-            we = weight_enumerator(code, method=args.method, threads=args.threads)
+            we = weight_enumerator(code, method="hyperplane", threads=args.threads)
         except AssertionError as exc:
             record("sweep_postconditions", False, error=str(exc))
         else:
@@ -432,12 +428,15 @@ def cmd_verify(args) -> int:
             record("worst_case_codeword", cw_weight == formulas.dmin_line(n, q),
                    weight=cw_weight)
 
-    overall = all(c["pass"] is not False for c in checks.values())
-    _log("verify: " + ("ALL CHECKS PASS" if overall else "MISMATCH DETECTED"))
+    # None when every check was skipped: a verify that checked nothing does not pass
+    passes = [c["pass"] for c in checks.values() if c["pass"] is not None]
+    overall = all(passes) if passes else None
+    _log("verify: " + {True: "ALL CHECKS PASS", False: "MISMATCH DETECTED",
+                       None: "NO CHECK RAN"}[overall])
     _emit("verify", {"n": n, "k": k, "q": q, "slow": args.slow, "trials": args.trials,
-                     "method": args.method, "threads": args.threads, "budget": gate.budget},
+                     "threads": args.threads, "budget": gate.budget},
           {"checks": checks, "overall_pass": overall}, time.perf_counter() - t0, seed=seed)
-    return 0 if overall else 1
+    return {True: 0, False: 1, None: 3}[overall]
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +465,6 @@ def _add_common(sp):
     sp.add_argument("--slow", action="store_true",
                     help="unlock the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2, "
                          "W(3,2) and W(3,3) q=4)")
-    sp.add_argument("--method", choices=["codeword", "hyperplane"], default="codeword",
-                    help="messages the count-vector transform sweeps (exact while "
-                         "N < 2^24); codeword: all q^K; hyperplane: one per projective "
-                         "functional, counts times q-1")
 
 
 def _add_trials(sp):

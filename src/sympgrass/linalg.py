@@ -4,18 +4,20 @@ Matrices are numpy uint8 arrays of element encodings, shape (rows, cols),
 paired with the Field they live over: row reduction, rank, and the text
 matrix files.
 
-rref reduces one matrix and returns its pivots, and gives rank its rank;
-rank eliminates a stack of matrices at once.  The stacked loop spends one
-set of numpy calls per column on the whole stack, which pays on many small
-matrices: N1 reads the q ranks of theta - lam sigma from one call (over
-GF(13) at n = 2, 0.10-0.16 ms against 1.5-1.8 ms for 13 rref calls).  On
-one matrix rref is the faster, as it swaps a pivot into place and stops at
-full rank.  Its one update, of the whole matrix per pivot, was as fast as
-or faster than updating only the rows with a nonzero factor above 4096
-entries and jumping over zero columns, on the bench builds' row samples
-(W(4,3) q=3, 224 x 56: 3.0 -> 2.1 ms; W(5,5) q=2, 1008 x 252: 14.2 -> 6.8
-ms) and on 6 x 6 and 8 x 8 Gram matrices (best of 3 x 7 interleaved runs,
-2-core x86, numpy 2.4, one BLAS thread).
+rref reduces one matrix and returns its pivots; rank eliminates a stack of
+matrices at once, and ranks one matrix as a stack of one.  The stacked loop
+spends one set of numpy calls per column on the whole stack, which pays on
+many small matrices: N1 reads the q ranks of theta - lam sigma from one
+call (over GF(13) at n = 2, 0.10-0.16 ms against 1.5-1.8 ms for 13 rref
+calls).  On one matrix rref is faster (sigma's Gram matrix in 117 against
+157 us at n = 2, q = 13, 143 against 289 us at n = 4, q = 3), but the only
+single matrix ranked is sigma's, once per run, so one path serves both.
+rref's one update, of the whole matrix per pivot, was as fast as or faster
+than updating only the rows with a nonzero factor above 4096 entries and
+jumping over zero columns, on the bench builds' row samples (W(4,3) q=3,
+224 x 56: 3.0 -> 2.1 ms; W(5,5) q=2, 1008 x 252: 14.2 -> 6.8 ms) and on
+6 x 6 and 8 x 8 Gram matrices (best of 3 x 7 interleaved runs, 2-core x86,
+numpy 2.4, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
 
 def rank(f: Field, m: np.ndarray):
-    """The rank of a matrix (a Python int, from rref), or the ranks of a
+    """The rank of a matrix (a Python int), or the ranks of a
     (..., rows, cols) stack (an int array of the leading shape).
 
     Every matrix of a stack is eliminated at once, one step per column and
@@ -77,8 +79,8 @@ def rank(f: Field, m: np.ndarray):
     that found a pivot.  The loop ends once every matrix is zero.
     """
     m = np.asarray(m, dtype=np.uint8)
-    if m.ndim <= 2:
-        return rref(f, m)[1]  # which refuses anything but a matrix
+    if m.ndim < 2:
+        raise ValueError("expected a matrix or a stack of matrices")
     *lead, nrows, ncols = m.shape
     work = m.reshape(math.prod(lead), nrows, ncols)  # explicit: -1 is ambiguous when empty
     mats = np.arange(work.shape[0])
@@ -94,7 +96,7 @@ def rank(f: Field, m: np.ndarray):
         # a matrix without a pivot has pv = 0, so its factors are 0 and it is unchanged
         factors = f.arr_mul(col, neg_inv[pv][:, None])
         work = f.arr_add(work, f.arr_mul(factors[:, :, None], work[mats, pick][:, None, :]))
-    return ranks.reshape(lead)
+    return int(ranks[0]) if not lead else ranks.reshape(lead)
 
 
 # ---------------------------------------------------------------------------

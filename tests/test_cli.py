@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -64,6 +65,28 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_readme_cli_commands_parse():
+    # each sympgrass line of the README's CLI block, less its environment
+    # assignments and comment, is accepted by the parser (nothing runs), so
+    # the README shows no option the CLI has dropped
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        while words and "=" in words[0]:  # NAME=value before the command
+            words.pop(0)
+        if words:
+            assert words[0] == "sympgrass", line
+            commands.append(words[1:])
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README's `sympgrass {shlex.join(argv)}` does not parse")
+
+
 def test_weights_w22_match(capsys):
     code, report, err = run_cli(capsys, "weights", "2", "2", "2")
     assert code == 0
@@ -80,10 +103,26 @@ def test_weights_budget_refusal(capsys):
     assert "budget" in err.lower()
 
 
-def test_weights_hyperplane_method(capsys):
-    code, report, _ = run_cli(capsys, "weights", "2", "2", "3", "--method", "hyperplane")
-    assert code == 0
-    assert report["results"]["table_match"] is True
+def test_weights_hyperplane_method(capsys, monkeypatch):
+    # weights and verify sweep the hyperplane blocks, the one message set of
+    # the CLI; no report names a method, and --method is no option
+    methods = []
+
+    def spy(code, **kwargs):
+        methods.append(kwargs["method"])
+        return codes.weight_enumerator(code, **kwargs)
+
+    monkeypatch.setattr(cli, "weight_enumerator", spy)
+    code, report, _ = run_cli(capsys, "weights", "2", "2", "3")
+    assert code == 0 and report["results"]["table_match"] is True
+    code, checked, _ = run_cli(capsys, "verify", "2", "2", "3", "--trials", "1")
+    assert code == 0 and checked["results"]["checks"]["weight_table"]["pass"] is True
+    assert methods == ["hyperplane", "hyperplane"]
+    for rep in (report, checked):
+        assert "method" not in rep["parameters"] and "method" not in rep["results"]
+    for argv in (["weights", "2", "2", "3", "--method", "hyperplane"],
+                 ["verify", "2", "2", "3", "--method", "codeword"]):
+        assert run_cli(capsys, *argv)[:2] == (2, None), argv
 
 
 def test_weights_no_table_case(capsys):
@@ -215,14 +254,14 @@ def test_verify_names_the_limit_a_skipped_sweep_crosses(capsys):
     assert code == 0
     checks = report["results"]["checks"]
     reason = checks["d_min"]["reason"]
-    assert "9.72e+03" in reason and "budget of 1.00e+03" in reason and "--budget" in reason
+    assert "4.84e+03" in reason and "budget of 1.00e+03" in reason and "--budget" in reason
     assert "--slow" not in reason
     # and so are the line checks, whose reason names the same limit
     for name in ("line_identity_random", "worst_case_theta"):
         assert checks[name]["pass"] is None and checks[name]["reason"] == (
             "eta counts estimated at 2.70e+04 symbol operations, over the budget of "
             "1.00e+03 (raise --budget)"), name
-    # W(3,2) q=3, 1.74e10: over SLOW_THRESHOLD, so --slow names only the budget
+    # W(3,2) q=3, 8.72e9: over SLOW_THRESHOLD, so --slow names only the budget
     code, report, _ = run_cli(capsys, "verify", "3", "2", "3", "--trials", "1",
                               "--slow", "--budget", "1000000000")
     reason = report["results"]["checks"]["d_min"]["reason"]
@@ -235,10 +274,9 @@ def test_verify_names_the_limit_a_skipped_sweep_crosses(capsys):
     assert "--budget" not in reason
 
 
-def test_verify_reports_a_failed_sweep_postcondition(capsys, monkeypatch):
-    # one word moved from weight 24 (A_24 = 90) to 25 keeps the q^K total
-    # and breaks the scalar rule; verify still prints its JSON, names the
-    # failure in sweep_postconditions and exits 1
+def move_one_word(monkeypatch):
+    """Move one word of W(2,2) q=3 from weight 24 (A_24 = 90) to 25 in every
+    sweep: the q^K total holds and the scalar rule breaks."""
     orig = codes._transform_histogram
 
     def wrong(*args):
@@ -248,6 +286,12 @@ def test_verify_reports_a_failed_sweep_postcondition(capsys, monkeypatch):
         return hist
 
     monkeypatch.setattr(codes, "_transform_histogram", wrong)
+
+
+def test_verify_reports_a_failed_sweep_postcondition(capsys, monkeypatch):
+    # verify still prints its JSON, names the failure in
+    # sweep_postconditions and exits 1
+    move_one_word(monkeypatch)
     code, report, err = run_cli(capsys, "verify", "2", "2", "3", "--trials", "1")
     assert code == 1
     results = report["results"]
@@ -257,13 +301,39 @@ def test_verify_reports_a_failed_sweep_postcondition(capsys, monkeypatch):
     assert "MISMATCH DETECTED" in err
 
 
+def test_weights_reports_a_failed_sweep_postcondition(capsys, monkeypatch, tmp_path):
+    # weights prints its JSON, writes the same report to --output and
+    # exits 1, with no traceback
+    move_one_word(monkeypatch)
+    out = tmp_path / "w22.json"
+    code, report, err = run_cli(capsys, "weights", "2", "2", "3", "--output", str(out))
+    assert code == 1
+    results = report["results"]
+    assert results["sweep_postconditions"] == {
+        "pass": False, "error": "scalar rule: A_24 = 89, not divisible by q - 1 = 2"}
+    assert "distribution" not in results and "Traceback" not in err
+    assert json.loads(out.read_text()) == results
+
+
+def test_verify_that_runs_no_check_does_not_pass(capsys, monkeypatch):
+    # W(4,3) q=4 and W(7,2) q=2 are over BUILD_POINTS, and their line checks
+    # (k = 2) over SLOW_THRESHOLD; so is W(300,2) q=16 with one trial
+    for name in ("build_code", "count_isotropic", "weight_enumerator", "standard_symplectic"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (["4", "3", "4"], ["7", "2", "2"], ["300", "2", "16", "--trials", "1"]):
+        code, report, err = run_cli(capsys, "verify", *argv)
+        checks = report["results"]["checks"]
+        assert code == 3 and report["results"]["overall_pass"] is None, argv
+        assert checks and all(c["pass"] is None for c in checks.values()), argv
+        assert "verify: NO CHECK RAN" in err and "ALL CHECKS PASS" not in err, argv
+
+
 def test_simplex_codes_get_a_table_match(capsys):
-    for method in ("codeword", "hyperplane"):
-        code, report, _ = run_cli(capsys, "weights", "2", "1", "3", "--method", method)
-        res = report["results"]
-        assert code == 0 and res["distribution"] == {"0": 1, "27": 80}
-        assert res["table_match"] is True and res["dmin_match"] is True
-    code, report, _ = run_cli(capsys, "verify", "3", "1", "2", "--method", "hyperplane")
+    code, report, _ = run_cli(capsys, "weights", "2", "1", "3")
+    res = report["results"]
+    assert code == 0 and res["distribution"] == {"0": 1, "27": 80}
+    assert res["table_match"] is True and res["dmin_match"] is True
+    code, report, _ = run_cli(capsys, "verify", "3", "1", "2")
     checks = report["results"]["checks"]
     assert code == 0
     assert checks["d_min"] == {"pass": True, "swept": 32, "formula": 32}
@@ -382,12 +452,13 @@ def test_gate_refuses_before_building(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_isotropic", no_build)
     assert run_cli(capsys, "weights", "4", "3", "3")[0] == 3  # sweep over budget
     assert run_cli(capsys, "weights", "4", "3", "4")[0] == 3  # 24 million points
-    code, report, _ = run_cli(capsys, "verify", "4", "3", "4")  # skipped, not refused
-    assert code == 0 and report["results"]["checks"]["length"]["pass"] is None
+    # every check skipped: the report is printed and the run exits 3, not 0
+    code, report, _ = run_cli(capsys, "verify", "4", "3", "4")
+    assert code == 3 and report["results"]["checks"]["length"]["pass"] is None
 
 
 def test_weights_long_sweep_needs_slow(capsys, monkeypatch):
-    # W(3,2) q=3 is estimated at 1.7e10 operations: within the budget but
+    # W(3,2) q=3 is estimated at 8.7e9 operations: within the budget but
     # over SLOW_THRESHOLD, so weights refuses it unless --slow is given
     def no_build(*args):
         raise AssertionError("built a code the gate should have refused")
@@ -398,6 +469,9 @@ def test_weights_long_sweep_needs_slow(capsys, monkeypatch):
     args = build_parser().parse_args(["weights", "3", "2", "3", "--slow"])
     gate = cli._gate(args)  # the sweep itself is not run
     assert cli.SLOW_THRESHOLD < gate.estimate <= gate.budget and gate.sweep is None
+    # W(2,2) q=16: 69 905 projective messages of length 4369, 3.1e8, needs no --slow
+    gate = cli._gate(build_parser().parse_args(["weights", "2", "2", "16"]))
+    assert gate.sweep is None and gate.estimate == (16**5 - 1) // 15 * 4369
 
 
 def test_verify_enumerates_points_once(capsys, monkeypatch):
@@ -476,7 +550,7 @@ def test_verify_skips_line_checks_over_the_threshold(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_code", refuse)
     monkeypatch.setattr(cli, "count_isotropic", refuse)
     code, report, err = run_cli(capsys, "verify", "7", "2", "2")
-    assert code == 0
+    assert code == 3  # no check ran
     checks = report["results"]["checks"]
     for name in ("line_identity_random", "worst_case_theta"):
         reason = checks[name]["reason"]
@@ -497,7 +571,7 @@ FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def test_bounds_reports_unproved_codes_from_closed_forms(capsys, monkeypatch):
-    # every unproved code has K >= 42, so its sweep, q^K N, is over
+    # every unproved code has K >= 42, so its sweep, (q^K - 1)/(q - 1) N, is over
     # SLOW_THRESHOLD, and bounds (no --slow) reports the closed forms alone
     monkeypatch.setattr(cli, "build_code", refuse)
     monkeypatch.setattr(cli, "weight_enumerator", refuse)
@@ -547,7 +621,7 @@ def test_every_admitted_point_set_fits_the_build():
 
 
 def test_weights_refusal_names_each_limit_like_verify(capsys):
-    # W(3,2) q=4, 6.2e12 operations: over the default budget and
+    # W(3,2) q=4, 2.1e12 operations: over the default budget and
     # SLOW_THRESHOLD, and still over SLOW_THRESHOLD with a budget of 1e13;
     # weights refuses with the reason verify records for the skipped sweep
     for extra in ([], ["--budget", "10000000000000"]):
