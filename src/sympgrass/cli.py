@@ -180,16 +180,17 @@ def _gate(args) -> Gate:
 # subcommands
 
 
-def cmd_params(args) -> int:
-    t0 = time.perf_counter()
+def _closed_forms(args) -> tuple[formulas.CodeParams, dict]:
+    """Gate the command, then W(n,k)'s closed forms and the four keys that
+    params and bounds both report."""
     _gate(args)
     p = formulas.code_params(args.n, args.k, args.q)
-    results = {
-        "N": p.N,
-        "K": p.K,
-        "d_min": p.d_min,
-        "d_min_proved": p.d_min_proved,
-    }
+    return p, {"N": p.N, "K": p.K, "d_min": p.d_min, "d_min_proved": p.d_min_proved}
+
+
+def cmd_params(args) -> int:
+    t0 = time.perf_counter()
+    p, results = _closed_forms(args)
     _log(f"W({args.n},{args.k}) over GF({args.q}): N={p.N} K={p.K} "
          + (f"d_min={p.d_min}" if p.d_min_proved else "d_min unproved"))
     _emit("params", {"n": args.n, "k": args.k, "q": args.q}, results, time.perf_counter() - t0)
@@ -217,6 +218,38 @@ def cmd_build(args) -> int:
     return 0 if results["rank_ok"] else 1
 
 
+class Checks(dict):
+    """Checks by name, each {"pass": ok, **info}, logged as it is recorded."""
+
+    def record(self, name: str, ok: bool | None, **info) -> None:
+        """ok is True (passed), False (failed) or None (skipped)."""
+        self[name] = {"pass": ok, **info}
+        verdict = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
+        _log(f"{verdict} {name}" + (f" {info}" if info else ""))
+
+
+def _sweep(code, p: formulas.CodeParams, threads: int, checks: Checks):
+    """Sweep every codeword and record d_min against the proved value, the
+    distribution against the proved table (where there is one) and the
+    sweep's postconditions; the enumerator, or None if a postcondition
+    (weight_enumerator's sum, scalar, power-moment and projectivity rules)
+    failed."""
+    try:
+        we = weight_enumerator(code, method="hyperplane", threads=threads)
+    except AssertionError as exc:
+        checks.record("sweep_postconditions", False, error=str(exc))
+        return None
+    if p.d_min_proved:
+        checks.record("d_min", we.d_min == p.d_min, swept=we.d_min, formula=p.d_min)
+    else:
+        checks.record("d_min", None, swept=we.d_min, reason="no proved value")
+    table = formulas.known_table(p.n, p.k, p.q)
+    if table is not None:
+        checks.record("weight_table", we.distribution == table)
+    checks.record("sweep_postconditions", True)
+    return we
+
+
 def cmd_weights(args) -> int:
     t0 = time.perf_counter()
     gate = _gate(args)
@@ -226,43 +259,27 @@ def cmd_weights(args) -> int:
     with open(args.output, "w") if args.output else contextlib.nullcontext() as fh:
         code = build_code(args.n, args.k, _field(args.q))
         results = {"n": args.n, "k": args.k, "q": args.q, "N": code.N, "K": code.K}
-        verdicts = {}
-        try:  # weight_enumerator asserts the sum, scalar, power-moment and projectivity rules
-            we = weight_enumerator(code, method="hyperplane", threads=args.threads)
-        except AssertionError as exc:
-            _log(f"sweep postcondition FAILED: {exc}")
-            results["sweep_postconditions"] = {"pass": False, "error": str(exc)}
+        checks = Checks()
+        we = _sweep(code, formulas.code_params(args.n, args.k, args.q), args.threads, checks)
+        if we is None:
+            results["sweep_postconditions"] = checks["sweep_postconditions"]
         else:
-            table = formulas.known_table(args.n, args.k, args.q)
-            if table is not None:
-                verdicts["table_match"] = we.distribution == table
-                _log(f"table comparison: {'MATCH' if verdicts['table_match'] else 'MISMATCH'}")
-            else:
-                verdicts["table_match"] = None
-                _log("no full weight table is proved for this code; comparing d_min only")
-            p = formulas.code_params(args.n, args.k, args.q)
-            if p.d_min_proved:
-                verdicts["dmin_match"] = we.d_min == p.d_min
-                _log(f"d_min={we.d_min} vs formula {p.d_min}: "
-                     f"{'MATCH' if verdicts['dmin_match'] else 'MISMATCH'}")
-            else:
-                verdicts["dmin_match"] = None
-                _log(f"d_min={we.d_min} (no proved formula for this case)")
             results["distribution"] = {str(w): c for w, c in sorted(we.distribution.items())}
             results["d_min"] = we.d_min
+            results["table_match"] = checks.get("weight_table", {}).get("pass")
+            results["dmin_match"] = checks["d_min"]["pass"]
         seconds = time.perf_counter() - t0
         results["seconds"] = round(seconds, 6)
-        results.update(verdicts)
         if fh:
             json.dump(results, fh, sort_keys=True, indent=2)
             _log(f"wrote enumerator report to {args.output}")
     _emit("weights", {"n": args.n, "k": args.k, "q": args.q, "threads": args.threads,
                       "budget": gate.budget}, results, seconds)
-    failed = "sweep_postconditions" in results or any(v is False for v in verdicts.values())
-    return 1 if failed else 0
+    return 1 if any(c["pass"] is False for c in checks.values()) else 0
 
 
-def _eta_report(sigma, theta, q: int, n: int) -> dict:
+def _eta_report(sigma, theta) -> dict:
+    n, q = sigma.n, sigma.field.q
     profile = eigen_profile(sigma, theta)
     n1 = sum((q**d - 1) // (q - 1) for d in profile.values())
     eta = count_common_isotropic_lines(sigma, theta)
@@ -293,7 +310,7 @@ def cmd_eta(args) -> int:
     seed = None
     if args.theta == "worst":
         theta = worst_case_theta(sigma)
-        results = _eta_report(sigma, theta, args.q, args.n)
+        results = _eta_report(sigma, theta)
         results["dmin_formula"] = formulas.dmin_line(args.n, args.q)
         results["theta_source"] = "worst"
     elif args.theta == "random":
@@ -302,7 +319,7 @@ def cmd_eta(args) -> int:
         sample, all_zero = [], True  # only the reports that are printed are kept
         for _ in range(args.trials):
             theta = random_alternating_form(f, 2 * args.n, rng)
-            rep = _eta_report(sigma, theta, args.q, args.n)
+            rep = _eta_report(sigma, theta)
             all_zero = all_zero and rep["e1_residual"] == 0
             if len(sample) < 5:
                 sample.append(rep)
@@ -317,7 +334,7 @@ def cmd_eta(args) -> int:
         if form_field != f:
             raise UsageError(f"theta file is over GF({form_field.q}), expected GF({args.q})")
         theta = AlternatingForm(f, gram)
-        results = _eta_report(sigma, theta, args.q, args.n)
+        results = _eta_report(sigma, theta)
         results["theta_source"] = args.theta
     bad = results.get("e1_residual", 0) != 0 or results.get("all_residuals_zero") is False
     _log("line-count identity residual "
@@ -329,9 +346,7 @@ def cmd_eta(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
-    _gate(args)
-    p = formulas.code_params(args.n, args.k, args.q)
-    results: dict = {"N": p.N, "K": p.K, "d_min": p.d_min, "d_min_proved": p.d_min_proved}
+    p, results = _closed_forms(args)
     d = p.d_min
     if args.k == 2:
         g = formulas.grassmann_bound_line(args.n, args.q)
@@ -360,50 +375,31 @@ def cmd_verify(args) -> int:
     gate = _gate(args)
     n, k, q = args.n, args.k, args.q
     f = _field(q)
-    checks: dict[str, dict] = {}
+    checks = Checks()
     seed = args.seed if args.seed is not None else 0
-
-    def record(name: str, ok: bool | None, **info):
-        checks[name] = {"pass": ok, **info}
-        verdict = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
-        _log(f"{verdict} {name}" + (f" {info}" if info else ""))
 
     # point count against the closed-form length, Plücker rank against the dimension
     code = None
     if gate.build is None:
         got = count_isotropic(n, k, f)
-        record("length", got == gate.N, enumerated=got, formula=gate.N)
+        checks.record("length", got == gate.N, enumerated=got, formula=gate.N)
         code = build_code(n, k, f)
-        record("dimension", code.K == gate.K, rank=code.K, formula=gate.K)
+        checks.record("dimension", code.K == gate.K, rank=code.K, formula=gate.K)
     else:
-        record("length", None, reason=gate.build)
-        record("dimension", None, reason=gate.build)
+        checks.record("length", None, reason=gate.build)
+        checks.record("dimension", None, reason=gate.build)
 
     # minimum distance / weight table sweeps
-    p = formulas.code_params(n, k, q)
     if gate.sweep is None:
-        # weight_enumerator asserts the sum, scalar, power-moment and projectivity rules
-        try:
-            we = weight_enumerator(code, method="hyperplane", threads=args.threads)
-        except AssertionError as exc:
-            record("sweep_postconditions", False, error=str(exc))
-        else:
-            if p.d_min_proved:
-                record("d_min", we.d_min == p.d_min, swept=we.d_min, formula=p.d_min)
-            else:
-                record("d_min", None, swept=we.d_min, reason="no proved value")
-            table = formulas.known_table(n, k, q)
-            if table is not None:
-                record("weight_table", we.distribution == table)
-            record("sweep_postconditions", True)
+        _sweep(code, formulas.code_params(n, k, q), args.threads, checks)
     elif code is not None:
-        record("d_min", None, estimate=gate.estimate, reason=gate.sweep)
+        checks.record("d_min", None, estimate=gate.estimate, reason=gate.sweep)
 
     # line-count identity and the worst-case construction (line codes); the
     # forms are built only for a check that runs, as n may be large
     if k == 2 and gate.lines:
-        record("line_identity_random", None, reason=gate.lines)
-        record("worst_case_theta", None, reason=gate.lines)
+        checks.record("line_identity_random", None, reason=gate.lines)
+        checks.record("worst_case_theta", None, reason=gate.lines)
     if k == 2 and (gate.lines is None or code is not None):
         sigma = standard_symplectic(n, f)
         theta = worst_case_theta(sigma)
@@ -416,17 +412,17 @@ def cmd_verify(args) -> int:
                 eta = count_common_isotropic_lines(sigma, random_theta)
                 if (q + 1) * eta != formulas.line_identity_rhs(n, q, n1):
                     bad += 1
-            record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
+            checks.record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
 
-            rep = _eta_report(sigma, theta, q, n)
+            rep = _eta_report(sigma, theta)
             n1, weight = rep["N1"], rep["N_minus_eta"]
             ok = rep["eigen_dims"] == sorted((2, 2 * n - 2)) and n1 == formulas.n1_max(n, q)
-            record("worst_case_theta", ok and weight == formulas.dmin_line(n, q),
-                   eigen_dims=rep["eigen_dims"], N1=n1, weight=weight)
+            checks.record("worst_case_theta", ok and weight == formulas.dmin_line(n, q),
+                          eigen_dims=rep["eigen_dims"], N1=n1, weight=weight)
         if code is not None:
             _, cw_weight = codeword_from_form(code, theta)
-            record("worst_case_codeword", cw_weight == formulas.dmin_line(n, q),
-                   weight=cw_weight)
+            checks.record("worst_case_codeword", cw_weight == formulas.dmin_line(n, q),
+                          weight=cw_weight)
 
     # None when every check was skipped: a verify that checked nothing does not pass
     passes = [c["pass"] for c in checks.values() if c["pass"] is not None]
@@ -453,13 +449,16 @@ def _at_least(low: int):
 
 
 def _threads(text: str) -> int:
-    """At least 1, capped at the number of cores so no request starts more threads."""
-    return min(_at_least(1)(text), os.cpu_count() or 1)
+    """At least 1, capped at the CPUs this process may run on (its affinity
+    set where the platform reports one) so no request starts more threads."""
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    return min(_at_least(1)(text), usable)
 
 
 def _add_common(sp):
     sp.add_argument("--threads", type=_threads, default=1,
-                    help="worker threads for sweeps (capped at the core count)")
+                    help="worker threads for sweeps (capped at the usable cores)")
     sp.add_argument("--budget", type=_at_least(1), default=None,
                     help=f"sweep operation budget (default {DEFAULT_BUDGET:.0e})")
     sp.add_argument("--slow", action="store_true",
@@ -478,45 +477,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symplectic Grassmann codes: parameters, weight enumerators, verification",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("params", help="print N, K and (when proved) d_min")
-    for name in ("n", "k", "q"):
-        sp.add_argument(name, type=int)
-    sp.set_defaults(func=cmd_params)
-
-    sp = sub.add_parser("build", help="write the generator matrix to a file")
-    for name in ("n", "k", "q"):
-        sp.add_argument(name, type=int)
-    sp.add_argument("--output", required=True)
-    sp.set_defaults(func=cmd_build)
-
-    sp = sub.add_parser("weights", help="exact weight enumerator by exhaustive sweep")
-    for name in ("n", "k", "q"):
-        sp.add_argument(name, type=int)
-    _add_common(sp)
-    sp.add_argument("--output", default=None, help="also write the enumerator JSON here")
-    sp.set_defaults(func=cmd_weights)
-
-    sp = sub.add_parser("eta", help="common-isotropic-line counts for a second form")
-    sp.add_argument("n", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--theta", default="worst",
-                    help="'worst', 'random', or a matrix text file path")
-    _add_trials(sp)
-    sp.set_defaults(func=cmd_eta, k=2)  # eta counts lines
-
-    sp = sub.add_parser("verify", help="run every applicable check for (n,k,q)")
-    for name in ("n", "k", "q"):
-        sp.add_argument(name, type=int)
-    _add_common(sp)
-    _add_trials(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("bounds", help="lower/upper bounds with ordering verdicts")
-    for name in ("n", "k", "q"):
-        sp.add_argument(name, type=int)
-    sp.set_defaults(func=cmd_bounds)
-
+    nkq = ("n", "k", "q")
+    # name, handler, help, positionals, options of its own, option groups
+    for name, handler, text, positionals, options, groups in (
+        ("params", cmd_params, "print N, K and (when proved) d_min", nkq, {}, ()),
+        ("build", cmd_build, "write the generator matrix to a file", nkq,
+         {"--output": {"required": True}}, ()),
+        ("weights", cmd_weights, "exact weight enumerator by exhaustive sweep", nkq,
+         {"--output": {"default": None, "help": "also write the enumerator JSON here"}},
+         (_add_common,)),
+        ("eta", cmd_eta, "common-isotropic-line counts for a second form", ("n", "q"),
+         {"--theta": {"default": "worst",
+                      "help": "'worst', 'random', or a matrix text file path"}},
+         (_add_trials,)),
+        ("verify", cmd_verify, "run every applicable check for (n,k,q)", nkq, {},
+         (_add_common, _add_trials)),
+        ("bounds", cmd_bounds, "lower/upper bounds with ordering verdicts", nkq, {}, ()),
+    ):
+        sp = sub.add_parser(name, help=text)
+        for positional in positionals:
+            sp.add_argument(positional, type=int)
+        for flag, spec in options.items():
+            sp.add_argument(flag, **spec)
+        for group in groups:
+            group(sp)
+        sp.set_defaults(func=handler)
+    sub.choices["eta"].set_defaults(k=2)  # eta counts lines
     return ap
 
 

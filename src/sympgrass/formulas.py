@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -32,15 +32,12 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
 
 
 def length(n: int, k: int, q: int) -> int:
-    """Number of totally isotropic k-subspaces of V(2n, q) = code length N."""
+    """Number of totally isotropic k-subspaces of V(2n, q) = code length N,
+    prod_{i<k} (q^(2n-2i) - 1)/(q^(i+1) - 1).  As q^(2m) - 1 = (q^m - 1)(q^m + 1),
+    that is the Gaussian binomial [n, k]_q times prod_{i<k} (q^(n-i) + 1)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (2 * n - 2 * i) - 1
-        den *= q ** (i + 1) - 1
-    return _exact_div(num, den)
+    return gaussian_binomial(n, k, q) * prod(q ** (n - i) + 1 for i in range(k))
 
 
 def dimension(n: int, k: int) -> int:

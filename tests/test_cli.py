@@ -94,7 +94,7 @@ def test_weights_w22_match(capsys):
     assert res["distribution"] == {"0": 1, "6": 10, "8": 15, "10": 6}
     assert res["d_min"] == 6
     assert res["table_match"] is True and res["dmin_match"] is True
-    assert "MATCH" in err
+    assert "PASS weight_table" in err and "PASS d_min" in err
 
 
 def test_weights_budget_refusal(capsys):
@@ -395,13 +395,21 @@ def test_order_zero_is_a_usage_error(capsys, tmp_path):
 
 def test_threads_and_trials_validated(capsys):
     args = build_parser().parse_args(["weights", "2", "2", "2", "--threads", "100000"])
-    assert args.threads == (os.cpu_count() or 1)  # capped before any thread starts
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert args.threads == usable  # capped before any thread starts
     assert run_cli(capsys, "weights", "2", "2", "2", "--threads", "0")[0] == 2
     assert run_cli(capsys, "eta", "2", "3", "--theta", "random", "--trials", "0")[0] == 2
     assert run_cli(capsys, "verify", "2", "2", "2", "--trials", "0")[0] == 2
     assert run_cli(capsys, "weights", "2", "2", "2", "--seed", "1")[0] == 2  # no such option
     assert run_cli(capsys, "weights", "2", "2", "3", "--budget", "-1")[0] == 2
     assert run_cli(capsys, "verify", "2", "2", "3", "--budget", "0")[0] == 2
+
+
+def test_threads_capped_at_the_cpus_the_process_may_use(monkeypatch):
+    # under taskset or a cpuset fewer cores are usable than the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for command in ("weights", "verify"):
+        assert build_parser().parse_args([command, "2", "2", "2", "--threads", "2"]).threads == 1
 
 
 def test_a_negative_seed_is_refused_before_any_work(capsys, monkeypatch):
