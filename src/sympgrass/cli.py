@@ -36,8 +36,6 @@ from .grassmann import count_isotropic
 from .linalg import read_matrix_text
 
 DEFAULT_BUDGET = 10**11
-SLOW_BUDGET = 10**13
-SLOW_THRESHOLD = 10**9  # sweeps estimated above this run only with --slow
 # larger point sets are refused (exit 3) or skipped; W(11,1) q=2 has this many,
 # and every point set within it has N < 2^24 and at most 2^28 Plücker minors
 BUILD_POINTS = 4_194_303
@@ -108,14 +106,12 @@ def _eta_ops(n: int, q: int, counts: int) -> int:
     return counts * 4 * n * formulas.gaussian_binomial(2 * n, 2, q)
 
 
-def _verdict(what: str, estimate: int, limits: list) -> str | None:
-    """None if the estimate is within every (limit, name, remedy) of limits,
-    else the reason: each limit it crosses, with what lifts it."""
-    over = [f"the {name} of {_sci(limit)} ({remedy})" for limit, name, remedy in limits
-            if estimate > limit]
-    if not over:
+def _verdict(what: str, estimate: int, budget: int, remedy: str) -> str | None:
+    """None if the estimate is within the budget, else the reason and its remedy."""
+    if estimate <= budget:
         return None
-    return f"{what} estimated at {_sci(estimate)} symbol operations, over " + " and ".join(over)
+    return (f"{what} estimated at {_sci(estimate)} symbol operations, over the budget of "
+            f"{_sci(budget)} ({remedy})")
 
 
 class Gate(NamedTuple):
@@ -136,14 +132,14 @@ def _gate(args) -> Gate:
     command may build, sweep and count.
 
     A point set is built only within BUILD_POINTS, which no option lifts.  A
-    sweep or verify's line checks are admitted if the estimate is within the
-    budget and, without --slow, within SLOW_THRESHOLD; eta's counts, which
-    have neither option, within the budget.  build, weights and eta raise the
-    verdict of their stage (BudgetError, exit 3); verify records each one as
-    the reason its checks are skipped.  q^K is only computed for a point set
-    within BUILD_POINTS, so that no n makes the estimate itself costly.
-    N bounds every closed form a report prints, so an N too long to print
-    is a usage error.
+    sweep, verify's line checks and eta's counts are each admitted if their
+    estimate is within the one budget: --budget where the command has it,
+    else DEFAULT_BUDGET.  build, weights and eta raise the verdict of their
+    stage (BudgetError, exit 3); verify records each one as the reason its
+    checks are skipped.  q^K is only computed for a point set within
+    BUILD_POINTS, so that no n makes the estimate itself costly.  N bounds
+    every closed form a report prints, so an N too long to print is a usage
+    error.
     """
     n, k, q, command = args.n, args.k, args.q, args.subcommand
     _check_nkq(n, k, q)
@@ -153,26 +149,22 @@ def _gate(args) -> Gate:
         raise UsageError(f"W({n},{k}) over GF({q}): N has {_exponent(big_n) + 1} digits, over "
                          f"Python's limit of {max_digits} digits for printing an integer")
     big_k = formulas.dimension(n, k)
-    slow = getattr(args, "slow", False)
-    budget = getattr(args, "budget", None) or (SLOW_BUDGET if slow else DEFAULT_BUDGET)
-    rule = [(budget, "budget", "raise --budget")]
-    if not slow:
-        rule.append((SLOW_THRESHOLD, "SLOW_THRESHOLD", "rerun with --slow"))
+    budget = getattr(args, "budget", None) or DEFAULT_BUDGET
 
     lines = None
-    if command == "eta":
-        trials = args.trials if args.theta == "random" else 1
-        lines = _verdict("eta counts", _eta_ops(n, q, trials),
-                         [(budget, "budget", "lower n, q or --trials")])
+    if command == "eta":  # --trials counts only for random forms
+        random = args.theta == "random"
+        lines = _verdict("eta counts", _eta_ops(n, q, args.trials if random else 1), budget,
+                         "lower n, q or --trials" if random else "lower n or q")
     elif command == "verify" and k == 2:  # the random trials and the worst case
-        lines = _verdict("eta counts", _eta_ops(n, q, args.trials + 1), rule)
+        lines = _verdict("eta counts", _eta_ops(n, q, args.trials + 1), budget, "raise --budget")
     est = build = None
     if big_n > BUILD_POINTS:
         build = sweep = (f"W({n},{k}) over GF({q}) has {_sci(big_n)} points, over the "
                          f"BUILD_POINTS limit of {_sci(BUILD_POINTS)}; no option lifts it")
     else:
         est = _estimate_ops(q, big_k, big_n)
-        sweep = _verdict("sweep", est, rule)
+        sweep = _verdict("sweep", est, budget, "raise --budget")
     return Gate(big_n, big_k, budget, est, build, sweep, lines)
 
 
@@ -429,8 +421,8 @@ def cmd_verify(args) -> int:
     overall = all(passes) if passes else None
     _log("verify: " + {True: "ALL CHECKS PASS", False: "MISMATCH DETECTED",
                        None: "NO CHECK RAN"}[overall])
-    _emit("verify", {"n": n, "k": k, "q": q, "slow": args.slow, "trials": args.trials,
-                     "threads": args.threads, "budget": gate.budget},
+    _emit("verify", {"n": n, "k": k, "q": q, "trials": args.trials, "threads": args.threads,
+                     "budget": gate.budget},
           {"checks": checks, "overall_pass": overall}, time.perf_counter() - t0, seed=seed)
     return {True: 0, False: 1, None: 3}[overall]
 
@@ -460,10 +452,8 @@ def _add_common(sp):
     sp.add_argument("--threads", type=_threads, default=1,
                     help="worker threads for sweeps (capped at the usable cores)")
     sp.add_argument("--budget", type=_at_least(1), default=None,
-                    help=f"sweep operation budget (default {DEFAULT_BUDGET:.0e})")
-    sp.add_argument("--slow", action="store_true",
-                    help="unlock the long sweeps (W(3,2) q=3, W(3,3) q=3, W(4,2) q=2, "
-                         "W(3,2) and W(3,3) q=4)")
+                    help="symbol operations allowed to the sweep and the line checks "
+                         f"(default {DEFAULT_BUDGET:.0e})")
 
 
 def _add_trials(sp):

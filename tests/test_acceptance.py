@@ -116,8 +116,8 @@ def run_weights(capsys, *argv) -> tuple[int, dict, float]:
 
 @pytest.mark.slow
 def test_criterion_03_line_dmin_34_slow(capsys):
-    """`weights 3 2 4 --slow`: all 4^14 codewords of length 23205."""
-    rc, res, elapsed = run_weights(capsys, "3", "2", "4", "--slow")
+    """`weights 3 2 4 --budget 1e13`: all 4^14 codewords of length 23205."""
+    rc, res, elapsed = run_weights(capsys, "3", "2", "4", "--budget", "10000000000000")
     expected = formulas.dmin_line(3, 4)
     ok = rc == 0 and res["d_min"] == expected
     report("3 d_min W(3,2) q=4 [slow]", ok, f"d={res['d_min']} in {elapsed:.1f}s")
@@ -167,8 +167,8 @@ def test_criterion_05_w33_table_q3_slow():
 
 @pytest.mark.slow
 def test_criterion_05_w33_table_q4_slow(capsys):
-    """`weights 3 3 4 --slow`: the rank 3 Lagrangian-Grassmannian table over GF(4)."""
-    rc, res, elapsed = run_weights(capsys, "3", "3", "4", "--slow")
+    """`weights 3 3 4 --budget 1e13`: the rank 3 Lagrangian-Grassmannian table over GF(4)."""
+    rc, res, elapsed = run_weights(capsys, "3", "3", "4", "--budget", "10000000000000")
     got = {int(w): c for w, c in res["distribution"].items()}
     expected = formulas.w33_table(4)
     ok = rc == 0 and got == expected

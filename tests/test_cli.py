@@ -67,8 +67,9 @@ def test_usage_errors(capsys):
 
 def test_readme_cli_commands_parse():
     # each sympgrass line of the README's CLI block, less its environment
-    # assignments and comment, is accepted by the parser (nothing runs), so
-    # the README shows no option the CLI has dropped
+    # assignments and comment, is accepted by the parser and admitted by the
+    # gate as written (nothing runs), so the README shows no option the CLI
+    # has dropped and no run its budget refuses
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     commands = []
@@ -82,9 +83,11 @@ def test_readme_cli_commands_parse():
     assert len(commands) >= 10
     for argv in commands:
         try:
-            build_parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"the README's `sympgrass {shlex.join(argv)}` does not parse")
+        gate = cli._gate(args)
+        assert gate.build is gate.sweep is gate.lines is None, argv
 
 
 def test_weights_w22_match(capsys):
@@ -238,8 +241,9 @@ def test_verify_small_passes(capsys):
 
 
 def test_verify_skips_locked_sweep(capsys):
-    # W(3,2) q=3 sweep is gated behind --slow; verify still runs counts
-    code, report, _ = run_cli(capsys, "verify", "3", "2", "3", "--trials", "5",
+    # the W(3,2) q=4 sweep (2.1e12) is over the default budget; verify still
+    # runs counts
+    code, report, _ = run_cli(capsys, "verify", "3", "2", "4", "--trials", "5",
                               "--seed", "1")
     assert code == 0
     checks = report["results"]["checks"]
@@ -249,29 +253,25 @@ def test_verify_skips_locked_sweep(capsys):
 
 
 def test_verify_names_the_limit_a_skipped_sweep_crosses(capsys):
-    # with --slow set, a sweep over --budget is skipped for the budget alone
-    code, report, _ = run_cli(capsys, "verify", "2", "2", "3", "--slow", "--budget", "1000")
+    # a sweep over --budget is skipped, and its reason names the budget
+    code, report, _ = run_cli(capsys, "verify", "2", "2", "3", "--budget", "1000")
     assert code == 0
     checks = report["results"]["checks"]
     reason = checks["d_min"]["reason"]
     assert "4.84e+03" in reason and "budget of 1.00e+03" in reason and "--budget" in reason
-    assert "--slow" not in reason
     # and so are the line checks, whose reason names the same limit
     for name in ("line_identity_random", "worst_case_theta"):
         assert checks[name]["pass"] is None and checks[name]["reason"] == (
             "eta counts estimated at 2.70e+04 symbol operations, over the budget of "
             "1.00e+03 (raise --budget)"), name
-    # W(3,2) q=3, 8.72e9: over SLOW_THRESHOLD, so --slow names only the budget
+    # W(3,2) q=3, 8.72e9: over a budget of 1e9, and within the default one
     code, report, _ = run_cli(capsys, "verify", "3", "2", "3", "--trials", "1",
-                              "--slow", "--budget", "1000000000")
+                              "--budget", "1000000000")
     reason = report["results"]["checks"]["d_min"]["reason"]
-    assert code == 0 and "budget of 1.00e+09" in reason
-    assert "--slow" not in reason and "SLOW_THRESHOLD" not in reason
-    # without --slow it is within the default budget but over SLOW_THRESHOLD
-    code, report, _ = run_cli(capsys, "verify", "3", "2", "3", "--trials", "1")
-    reason = report["results"]["checks"]["d_min"]["reason"]
-    assert code == 0 and "SLOW_THRESHOLD" in reason and "--slow" in reason
-    assert "--budget" not in reason
+    assert code == 0 and reason == ("sweep estimated at 8.71e+09 symbol operations, over the "
+                                    "budget of 1.00e+09 (raise --budget)")
+    gate = cli._gate(build_parser().parse_args(["verify", "3", "2", "3"]))  # not run here
+    assert gate.sweep is None and gate.budget == cli.DEFAULT_BUDGET
 
 
 def move_one_word(monkeypatch):
@@ -316,11 +316,12 @@ def test_weights_reports_a_failed_sweep_postcondition(capsys, monkeypatch, tmp_p
 
 
 def test_verify_that_runs_no_check_does_not_pass(capsys, monkeypatch):
-    # W(4,3) q=4 and W(7,2) q=2 are over BUILD_POINTS, and their line checks
-    # (k = 2) over SLOW_THRESHOLD; so is W(300,2) q=16 with one trial
+    # W(4,3) q=4 and W(8,2) q=2 are over BUILD_POINTS, and the line checks
+    # (k = 2) of W(8,2) q=2 (6.0e11) over the default budget; so are those of
+    # W(300,2) q=16 with one trial
     for name in ("build_code", "count_isotropic", "weight_enumerator", "standard_symplectic"):
         monkeypatch.setattr(cli, name, refuse)
-    for argv in (["4", "3", "4"], ["7", "2", "2"], ["300", "2", "16", "--trials", "1"]):
+    for argv in (["4", "3", "4"], ["8", "2", "2"], ["300", "2", "16", "--trials", "1"]):
         code, report, err = run_cli(capsys, "verify", *argv)
         checks = report["results"]["checks"]
         assert code == 3 and report["results"]["overall_pass"] is None, argv
@@ -362,7 +363,8 @@ def test_unwritable_output_fails_before_the_work(capsys, tmp_path):
     # creates no file
     missing = str(tmp_path / "no_such_dir" / "x")
     start = time.perf_counter()
-    assert run_cli(capsys, "weights", "4", "2", "2", "--slow", "--output", missing)[0] == 2
+    assert run_cli(capsys, "weights", "4", "2", "2", "--budget", "1000000000000",
+                   "--output", missing)[0] == 2
     assert run_cli(capsys, "build", "4", "3", "3", "--output", missing)[0] == 2
     assert time.perf_counter() - start < 1
     out = tmp_path / "out"
@@ -465,19 +467,17 @@ def test_gate_refuses_before_building(capsys, monkeypatch):
     assert code == 3 and report["results"]["checks"]["length"]["pass"] is None
 
 
-def test_weights_long_sweep_needs_slow(capsys, monkeypatch):
-    # W(3,2) q=3 is estimated at 8.7e9 operations: within the budget but
-    # over SLOW_THRESHOLD, so weights refuses it unless --slow is given
-    def no_build(*args):
-        raise AssertionError("built a code the gate should have refused")
-
-    monkeypatch.setattr(cli, "build_code", no_build)
-    code, _, err = run_cli(capsys, "weights", "3", "2", "3")
-    assert code == 3 and "--slow" in err
-    args = build_parser().parse_args(["weights", "3", "2", "3", "--slow"])
-    gate = cli._gate(args)  # the sweep itself is not run
-    assert cli.SLOW_THRESHOLD < gate.estimate <= gate.budget and gate.sweep is None
-    # W(2,2) q=16: 69 905 projective messages of length 4369, 3.1e8, needs no --slow
+def test_weights_admits_every_sweep_within_the_budget(capsys, monkeypatch):
+    # W(3,2) q=3 is estimated at 8.7e9 operations, within the default
+    # budget, so the gate admits it with no option; --slow is not an option,
+    # so it is a usage error that prints no JSON
+    monkeypatch.setattr(cli, "build_code", refuse)
+    gate = cli._gate(build_parser().parse_args(["weights", "3", "2", "3"]))  # not run here
+    assert gate.estimate <= gate.budget == cli.DEFAULT_BUDGET and gate.sweep is None
+    for command in ("weights", "verify"):
+        code, report, err = run_cli(capsys, command, "3", "2", "3", "--slow")
+        assert code == 2 and report is None and "unrecognized arguments: --slow" in err
+    # W(2,2) q=16: 69 905 projective messages of length 4369, 3.1e8
     gate = cli._gate(build_parser().parse_args(["weights", "2", "2", "16"]))
     assert gate.sweep is None and gate.estimate == (16**5 - 1) // 15 * 4369
 
@@ -544,35 +544,50 @@ def test_eta_refuses_over_the_budget(capsys, monkeypatch):
     for mod in (cli, forms):
         monkeypatch.setattr(mod, "count_common_isotropic_lines", refuse)
     monkeypatch.setattr(cli, "standard_symplectic", refuse)
-    assert run_cli(capsys, "eta", "12", "2")[0] == 3
+    code, _, err = run_cli(capsys, "eta", "12", "2")
+    # one count whatever --trials says, so the remedy does not name it
+    assert code == 3 and err.endswith("(lower n or q)\n")
     assert run_cli(capsys, "eta", "9", "3", "--theta", "random")[0] == 3
-    assert run_cli(capsys, "eta", "3", "2", "--theta", "random",
-                   "--trials", "100000000")[0] == 3
+    code, _, err = run_cli(capsys, "eta", "3", "2", "--theta", "random", "--trials", "100000000")
+    assert code == 3 and err.endswith("(lower n, q or --trials)\n")
 
 
-def test_verify_skips_line_checks_over_the_threshold(capsys, monkeypatch):
-    # W(7,2) q=2: 26 eta counts of 4.5e7 candidates are over SLOW_THRESHOLD,
-    # and the 22 million points are over BUILD_POINTS
-    for mod in (cli, forms):
-        monkeypatch.setattr(mod, "count_common_isotropic_lines", refuse)
+def test_eta_and_verify_decide_the_same_counts_alike():
+    # verify's line checks are 25 random counts and the worst case, so they
+    # are admitted exactly where eta's 26 random counts are
+    for n in range(2, 13):
+        for q in FIELD_ORDERS:
+            eta = cli._gate(build_parser().parse_args(
+                ["eta", str(n), str(q), "--theta", "random", "--trials", "26"]))
+            verify = cli._gate(build_parser().parse_args(["verify", str(n), "2", str(q)]))
+            assert (eta.lines is None) == (verify.lines is None), (n, q)
+
+
+def test_verify_skips_line_checks_over_the_budget(capsys, monkeypatch):
+    # W(7,2) q=2: 26 eta counts, estimated at 3.3e10, are within the default
+    # budget and run, though its 22 million points are over BUILD_POINTS
     monkeypatch.setattr(cli, "build_code", refuse)
     monkeypatch.setattr(cli, "count_isotropic", refuse)
-    code, report, err = run_cli(capsys, "verify", "7", "2", "2")
+    code, report, _ = run_cli(capsys, "verify", "7", "2", "2", "--seed", "1")
+    checks = report["results"]["checks"]
+    assert code == 0 and report["results"]["overall_pass"] is True
+    assert checks["line_identity_random"]["pass"] is checks["worst_case_theta"]["pass"] is True
+    # W(8,2) q=2: those of 6.0e11 are over it, and the 358 million points too
+    for mod in (cli, forms):
+        monkeypatch.setattr(mod, "count_common_isotropic_lines", refuse)
+    code, report, err = run_cli(capsys, "verify", "8", "2", "2")
     assert code == 3  # no check ran
     checks = report["results"]["checks"]
     for name in ("line_identity_random", "worst_case_theta"):
         reason = checks[name]["reason"]
         assert checks[name]["pass"] is None and reason == (
-            "eta counts estimated at 3.26e+10 symbol operations, over the SLOW_THRESHOLD "
-            "of 1.00e+09 (rerun with --slow)"), name
+            "eta counts estimated at 5.96e+11 symbol operations, over the budget "
+            "of 1.00e+11 (raise --budget)"), name
     assert "worst_case_codeword" not in checks and "d_min" not in checks
     for name in ("length", "dimension"):
         assert checks[name] == {"pass": None, "reason": (
-            "W(7,2) over GF(2) has 2.24e+07 points, over the BUILD_POINTS limit of "
+            "W(8,2) over GF(2) has 3.58e+08 points, over the BUILD_POINTS limit of "
             "4.19e+06; no option lifts it")}, name
-    args = build_parser().parse_args(["verify", "7", "2", "2", "--slow"])
-    gate = cli._gate(args)  # admitted with --slow; not run here
-    assert gate.lines is None and gate.budget == cli.SLOW_BUDGET
 
 
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -580,7 +595,7 @@ FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 def test_bounds_reports_unproved_codes_from_closed_forms(capsys, monkeypatch):
     # every unproved code has K >= 42, so its sweep, (q^K - 1)/(q - 1) N, is over
-    # SLOW_THRESHOLD, and bounds (no --slow) reports the closed forms alone
+    # the default budget, and bounds (no --budget) reports the closed forms alone
     monkeypatch.setattr(cli, "build_code", refuse)
     monkeypatch.setattr(cli, "weight_enumerator", refuse)
     cases = [(n, k, q) for q in FIELD_ORDERS for n in range(4, 12) for k in range(3, n + 1)]
@@ -629,12 +644,13 @@ def test_every_admitted_point_set_fits_the_build():
 
 
 def test_weights_refusal_names_each_limit_like_verify(capsys):
-    # W(3,2) q=4, 2.1e12 operations: over the default budget and
-    # SLOW_THRESHOLD, and still over SLOW_THRESHOLD with a budget of 1e13;
-    # weights refuses with the reason verify records for the skipped sweep
-    for extra in ([], ["--budget", "10000000000000"]):
-        code, _, err = run_cli(capsys, "weights", "3", "2", "4", *extra)
-        assert code == 3 and "SLOW_THRESHOLD" in err and "--slow" in err, extra
-        _, report, _ = run_cli(capsys, "verify", "3", "2", "4", "--trials", "1", *extra)
-        assert err == f"refused: {report['results']['checks']['d_min']['reason']}\n", extra
-    assert "budget" not in err
+    # W(3,2) q=4, 2.1e12 operations: over the default budget; weights refuses
+    # with the reason verify records for the skipped sweep
+    code, _, err = run_cli(capsys, "weights", "3", "2", "4")
+    assert code == 3 and err.endswith("over the budget of 1.00e+11 (raise --budget)\n")
+    _, report, _ = run_cli(capsys, "verify", "3", "2", "4", "--trials", "1")
+    assert err == f"refused: {report['results']['checks']['d_min']['reason']}\n"
+    # a budget of 1e13 alone admits it (the sweep itself is not run here)
+    args = build_parser().parse_args(["weights", "3", "2", "4", "--budget", "10000000000000"])
+    gate = cli._gate(args)
+    assert gate.sweep is None and gate.estimate <= gate.budget == 10**13

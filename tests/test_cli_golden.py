@@ -32,7 +32,8 @@ INVOCATIONS = [
     "weights 2 2 3",
     "weights 2 1 3",
     "weights 4 2 2",
-    "weights 3 2 3 --slow",
+    "weights 3 2 3",
+    "weights 3 3 3",
     "weights 3 3 3 --slow",
     "eta 3 2 --theta worst",
     "eta 2 3 --theta random --seed 7 --trials 10",
@@ -40,7 +41,7 @@ INVOCATIONS = [
     "verify 2 2 3 --trials 3 --seed 5",
     "verify 3 3 2",
     "verify 4 3 4",
-    "verify 2 2 3 --slow --budget 1000",
+    "verify 2 2 3 --budget 1000",
     "verify 3 1 2",
     "build 2 2 3 --output GEN",
 ]

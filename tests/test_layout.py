@@ -171,7 +171,7 @@ def test_the_import_guard_sees_an_unused_import(tmp_path):
     assert unused_imports(tmp_path) == ["mod: os", "mod: rref"]
 
 
-LIMITS = {"DEFAULT_BUDGET", "SLOW_BUDGET", "SLOW_THRESHOLD", "BUILD_POINTS"}
+LIMITS = {"DEFAULT_BUDGET", "BUILD_POINTS"}
 LIMIT_READERS = {"_gate", "_add_common"}  # the gate and the parser's help text
 
 
@@ -200,7 +200,7 @@ def test_the_limit_guard_sees_a_command_that_reads_one(tmp_path):
         "\n"
         "def cmd_weights(args):\n"
         "    def admitted(est):\n"
-        "        return est <= SLOW_THRESHOLD\n"
+        "        return est <= DEFAULT_BUDGET\n"
         "    return admitted(args.budget)\n"
         "\n"
         "\n"
@@ -208,4 +208,4 @@ def test_the_limit_guard_sees_a_command_that_reads_one(tmp_path):
         "    return args.n <= BUILD_POINTS\n"
     )
     assert limit_readers(tmp_path / "cli.py") == {
-        "cmd_weights": {"SLOW_THRESHOLD"}, "_gate": {"BUILD_POINTS"}}
+        "cmd_weights": {"DEFAULT_BUDGET"}, "_gate": {"BUILD_POINTS"}}
