@@ -2,7 +2,12 @@
 
 import hashlib
 import io
+import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from sympgrass.linalg import rank, read_matrix_text, rref
 from oracles import form_values_reference, oracle_weight_enumerator, oracle_weight_enumerator_gf2
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
@@ -62,7 +68,8 @@ GENERATOR_CASES = [
 @lru_cache(maxsize=None)
 def transposed_rref(n, k, q):
     """rref(pl.T) of W(n,k)'s Plücker matrix, reduced once for both generator
-    tests (at W(4,3) q=3 the reduction takes about 7 s); shared, so read-only."""
+    tests (at W(4,3) q=3 the 56 x 918 400 reduction takes 6-7 s, the longest
+    step of tier-1); shared, so read-only."""
     f = GF(q)
     pl = plucker_batch(f, isotropic_stack(n, k, f))
     reduced, rk, pivots = rref(f, np.ascontiguousarray(pl.T))
@@ -123,8 +130,8 @@ def test_plucker_map_takes_the_generator_to_the_minors(n, k, q):
 
 
 # SHA-256 of the point stack, the Plücker matrix (row-major) and the
-# generator, as the float-product isotropy filter, the point-major Plücker
-# array and the transposed-view generator made them
+# generator, pinned before the combination-table filter, the minor-major
+# array and the pivot rows moved in place, which must give the same bytes
 PINNED_DIGESTS = {
     (3, 3, 8): ("c9db97e159f69283def8dc51132c7d857af2674b9498b1399b1b082f77f856d7",
                 "6ef0530da8a0e8550aa921cd72c8fc4135882577b38451802451591a0391c243",
@@ -155,9 +162,9 @@ def test_build_keeps_its_pinned_bytes(n, k, q):
     assert digests == PINNED_DIGESTS[n, k, q]
 
 
-def test_pivot_generator_grows_a_sample_that_misses_a_column(monkeypatch):
-    # column 2 is nonzero only on row 5, which the stride sample skips; the
-    # full check finds it, adds the row and reduces again
+def _sparse_column_matrix():
+    """100 x 4 over GF(3): column 1 is twice column 0, and column 2 is
+    nonzero only on row 5, which the 16-row stride sample skips."""
     f = GF(3)
     rng = np.random.default_rng(11)
     pl = np.zeros((100, 4), dtype=np.uint8)
@@ -165,6 +172,13 @@ def test_pivot_generator_grows_a_sample_that_misses_a_column(monkeypatch):
     pl[:, 1] = f.arr_mul(pl[:, 0], np.uint8(2))
     pl[:, 3] = rng.integers(0, 3, size=100)
     pl[5, 2] = 1
+    return pl
+
+
+def test_pivot_generator_grows_a_sample_that_misses_a_column(monkeypatch):
+    # the full check finds row 5, adds it and reduces again
+    f = GF(3)
+    pl = _sparse_column_matrix()
     sample_rows = []
 
     def counting_rref(field, m):
@@ -172,30 +186,139 @@ def test_pivot_generator_grows_a_sample_that_misses_a_column(monkeypatch):
         return rref(field, m)
 
     monkeypatch.setattr(codes, "rref", counting_rref)
-    gen, r = pivot_generator(f, pl)
-    assert gen.shape == (3, 100)
-    assert np.array_equal(gen, pl[:, [0, 2, 3]].T)
+    pivots, r = pivot_generator(f, pl)
+    assert pivots.dtype == np.intp and pivots.tolist() == [0, 2, 3]
     assert np.array_equal(r, [[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # the first sample has 4 * width rows; one later sample has one more
     assert sample_rows[0] == 16 and 17 in sample_rows
 
 
+@pytest.mark.parametrize("q,a,b", [(4, 2, 3), (9, 5, 7)])
+def test_pivot_generator_weighs_each_term_of_a_relation(monkeypatch, q, a, b):
+    # column 2 is a * column 0 + b * column 1, with a, b != 1, on every row
+    # but row 5, which the stride sample skips: the check must scale both
+    # terms to find row 5, and adds exactly that row to the sample
+    f = GF(q)
+    rng = np.random.default_rng(q)
+    pl = np.zeros((100, 3), dtype=np.uint8)
+    pl[:, 0] = rng.integers(1, q, size=100)
+    pl[:, 1] = rng.integers(0, q, size=100)
+    pl[:, 2] = f.arr_add(f.arr_mul(pl[:, 0], np.uint8(a)), f.arr_mul(pl[:, 1], np.uint8(b)))
+    pl[5, 2] = f.arr_add(pl[5, 2], np.uint8(1))
+    first = np.linspace(0, 99, 12, dtype=np.intp)
+    assert 5 not in first
+    assert np.array_equal(rref(f, pl[first])[0][:2], [[1, 0, a], [0, 1, b]])
+    samples = []
+
+    def recording_rref(field, m):
+        samples.append(m.copy())
+        return rref(field, m)
+
+    monkeypatch.setattr(codes, "rref", recording_rref)
+    pivots, r = pivot_generator(f, pl)
+    assert pivots.tolist() == [0, 1, 2] and np.array_equal(r, np.eye(3, dtype=np.uint8))
+    assert len(samples) == 2
+    assert np.array_equal(samples[0], pl[first])
+    assert np.array_equal(samples[1], pl[np.sort(np.append(first, 5))])
+
+
+def test_pivot_generator_refuses_a_round_that_does_not_raise_the_rank(monkeypatch):
+    # an rref that ignores the rows added to the sample keeps the rank at 2,
+    # which would loop forever; the second round raises instead, naming the
+    # row and both ranks
+    f = GF(3)
+    pl = _sparse_column_matrix()
+    first = pl[np.linspace(0, 99, 16, dtype=np.intp)]
+    monkeypatch.setattr(codes, "rref", lambda field, m: rref(field, first))
+    with pytest.raises(AssertionError, match=r"row 5 breaks the relation but left the rank at 2 "
+                                             r"\(was 2\)"):
+        pivot_generator(f, pl)
+
+
 def test_pivot_generator_skips_the_check_at_full_rank(monkeypatch):
-    # rank = width: the relation has no columns to check
-    f = GF(5)
+    # rank = width: the relation has no columns, so no field operation runs
+    # on pl's rows; rref reduces the sample over its own copy of GF(5)
+    f = Field(5)
     pl = np.tile(np.eye(3, dtype=np.uint8), (7, 1))
 
-    def no_product(a, b):
+    def no_op(*args):
         raise AssertionError("checked a relation with no columns")
 
-    monkeypatch.setattr(f, "matmul", no_product)
-    gen, r = pivot_generator(f, pl)
-    assert np.array_equal(gen, pl.T) and np.array_equal(r, np.eye(3, dtype=np.uint8))
+    for name in ("arr_add", "arr_mul", "arr_neg", "matmul"):
+        monkeypatch.setattr(f, name, no_op)
+    monkeypatch.setattr(codes, "rref", lambda field, m: rref(GF(5), m))
+    pivots, r = pivot_generator(f, pl)
+    assert pivots.tolist() == [0, 1, 2] and np.array_equal(r, np.eye(3, dtype=np.uint8))
 
 
 def test_pivot_generator_of_zero_matrix():
-    gen, r = pivot_generator(GF(2), np.zeros((9, 3), dtype=np.uint8))
-    assert gen.shape == (0, 9) and r.shape == (0, 3)
+    pivots, r = pivot_generator(GF(2), np.zeros((9, 3), dtype=np.uint8))
+    assert pivots.shape == (0,) and r.shape == (0, 3)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from(ALL_Q), data=st.data())
+def test_pivot_generator_is_rref_of_the_whole_matrix(q, data):
+    # a product of (rows x cap) and random (cap x width) factors has rank
+    # below its width; the first left column is nonzero on one row only, so
+    # the stride sample often misses a direction it needs: P and R are still
+    # the pivots and first K rows of rref(pl)
+    f = GF(q)
+    width = data.draw(st.integers(1, 6), label="width")
+    cap = data.draw(st.integers(0, width - 1), label="rank cap")
+    n_rows = data.draw(st.integers(1, 80), label="rows")
+    density = data.draw(st.sampled_from((0.1, 1.0)), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    left = rng.integers(0, q, size=(n_rows, cap), dtype=np.uint8)
+    left[rng.random(left.shape) >= density] = 0
+    if cap:
+        left[:, 0] = 0
+        left[data.draw(st.integers(0, n_rows - 1), label="rare row"), 0] = 1
+    pl = f.matmul(left, rng.integers(0, q, size=(cap, width), dtype=np.uint8))
+    reduced, rk, expect = rref(f, pl)
+    pivots, r = pivot_generator(f, pl)
+    assert pivots.dtype == np.intp and pivots.tolist() == expect
+    assert r.shape == (rk, width) and np.array_equal(r, reduced[:rk])
+
+
+GROWTH_SCRIPT = r"""
+import sys
+from sympgrass import codes, gf
+
+def peak_kb():
+    # VmHWM is the peak resident set of this process's own address space; on
+    # Linux ru_maxrss would also carry the peak of the process that started it
+    with open("/proc/self/status") as status:
+        return int(status.read().split("VmHWM:")[1].split()[0])
+
+n, k, q = map(int, sys.argv[1:])
+field = gf.GF(q)
+before = peak_kb()
+code = codes.build_code(n, k, field)
+print(code.N, code.K, peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+@pytest.mark.parametrize("n,k,q", [
+    (4, 3, 3),
+    pytest.param(5, 4, 2, marks=pytest.mark.slow),
+    pytest.param(4, 4, 4, marks=pytest.mark.slow),
+])
+def test_build_peak_is_the_points_and_the_minors(n, k, q):
+    # a fresh build holds the point stack and the minor-major array, plus at
+    # most 24 MB of chunks and allocator slack: the generator is the array's
+    # first K rows, not a K x N copy (with which W(4,3) q=3 grew by 132-138 MB
+    # against 70 MB of arrays)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", GROWTH_SCRIPT, str(n), str(k), str(q)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    big_n, big_k, grown_kb = map(int, proc.stdout.split())
+    assert (big_n, big_k) == (formulas.length(n, k, q), formulas.dimension(n, k))
+    arrays = big_n * k * 2 * n + math.comb(2 * n, k) * big_n
+    assert grown_kb << 10 <= arrays + (24 << 20), (
+        f"grew {grown_kb >> 10} MB against {arrays >> 20} MB of points and minors")
 
 
 def test_build_w55_q2_has_the_formula_dimension():
