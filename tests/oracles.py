@@ -214,6 +214,18 @@ def oracle_weight_enumerator_gf2(generator_rows_as_ints, big_n):
     return dist
 
 
+def oracle_proportional_pairs(q, generator):
+    """Ordered pairs (i, j), i != j, of nonzero columns with column j equal
+    to some scalar times column i; direct comparison of every pair."""
+    cols = [list(col) for col in zip(*generator) if any(col)]
+    return sum(
+        any(b == [oracle_mul(q, lam, x) for x in a] for lam in range(1, q))
+        for i, a in enumerate(cols)
+        for j, b in enumerate(cols)
+        if i != j
+    )
+
+
 def oracle_common_isotropic_lines(q, gram_s, gram_t):
     """eta by brute force: pairs of distinct projective points on which both
     forms vanish, divided by the C(q+1, 2) such pairs on each common line."""

@@ -35,6 +35,8 @@ INVOCATIONS = [
     "weights 3 2 3",
     "weights 3 3 3",
     "weights 3 3 3 --slow",
+    "weights 8 1 2",
+    "weights 4 1 5",
     "eta 3 2 --theta worst",
     "eta 2 3 --theta random --seed 7 --trials 10",
     "eta 2 3 --theta THETA",

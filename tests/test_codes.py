@@ -34,7 +34,12 @@ from sympgrass.gf import GF, Field
 from sympgrass.grassmann import isotropic_stack, plucker_batch
 from sympgrass.linalg import rank, read_matrix_text, rref
 
-from oracles import form_values_reference, oracle_weight_enumerator, oracle_weight_enumerator_gf2
+from oracles import (
+    form_values_reference,
+    oracle_proportional_pairs,
+    oracle_weight_enumerator,
+    oracle_weight_enumerator_gf2,
+)
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 ROOT = Path(__file__).resolve().parent.parent
@@ -477,13 +482,55 @@ def test_sweep_kernel_against_oracle(case):
                 assert weight_enumerator(code, method=method).distribution == expected
 
 
+@st.composite
+def binary_generators(draw):
+    """A K x N binary generator (K <= 8, N <= 24) whose columns are random,
+    zero or a repeat of an earlier column."""
+    big_k = draw(st.integers(1, 8))
+    cols: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat")))
+        if kind == "zero":
+            col = [0] * big_k
+        elif kind == "repeat" and cols:
+            col = list(draw(st.sampled_from(cols)))
+        else:
+            col = [draw(st.integers(0, 1)) for _ in range(big_k)]
+        cols.append(col)
+    return np.array(cols, dtype=np.uint8).T.copy()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(binary_generators())
+def test_signed_binary_transform_against_bitmask_oracle(gen):
+    # GF(2) tallies one signed channel F(u, 0) - F(u, 1) and transforms it
+    # by +-1 Hadamard stages.  As shipped t = K whenever 2^(K-1) < 4N: one
+    # block and no outer rows.  With blocks of 2^3 entries t = 1 and
+    # high = K - 1 blocks of outer digits; with 2^5 entries at radix 2,
+    # t = min(K, 3), so a stage of one digit follows a stage of two
+    big_k, big_n = gen.shape
+    code = LinearCode(field=GF(2), n=None, k=None, N=big_n, K=big_k, generator=gen)
+    expected = oracle_weight_enumerator_gf2(
+        [sum(int(x) << j for j, x in enumerate(row)) for row in gen.tolist()], big_n)
+    for block in (None, 2**3, 2**5):
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(codes, "_TRANSFORM_BLOCK", block)
+                mp.setattr(codes, "_RADIX", {2: 2})
+            for method in ("codeword", "hyperplane"):
+                for threads in (1, 2):
+                    assert weight_enumerator(code, method, threads).distribution == expected
+
+
 @pytest.mark.parametrize("big_k,big_n", [(0, 3), (2, 0)])
 def test_sweep_of_an_empty_generator(big_k, big_n):
-    # no rows or no columns: all q^K words have weight 0
-    gen = np.zeros((big_k, big_n), dtype=np.uint8)
-    code = LinearCode(field=GF(3), n=None, k=None, N=big_n, K=big_k, generator=gen)
-    for method in ("codeword", "hyperplane"):
-        assert weight_enumerator(code, method=method).distribution == {0: 3**big_k}
+    # no rows or no columns: all q^K words have weight 0, over GF(2)'s
+    # signed channel and GF(3)'s q channels alike
+    for q in (2, 3):
+        gen = np.zeros((big_k, big_n), dtype=np.uint8)
+        code = LinearCode(field=GF(q), n=None, k=None, N=big_n, K=big_k, generator=gen)
+        for method in ("codeword", "hyperplane"):
+            assert weight_enumerator(code, method=method).distribution == {0: q**big_k}
 
 
 @pytest.mark.parametrize("q,big_k,block,high", [
@@ -663,31 +710,35 @@ def test_power_moments_hold_for_any_generator():
 
 @pytest.mark.parametrize("moment", ["first", "second"])
 def test_power_moments_catch_a_wrong_histogram(monkeypatch, moment):
-    # keep the q^K total and the scalar rule but move weight, q - 1 = 2
-    # words at a time: from w to w+1 breaks the first moment; from each of
-    # w-1 and w+1 to w keeps it and breaks the second
+    # keep the q^K total and the scalar rule but move weight, q - 1 words
+    # at a time (2 over GF(3), 1 over GF(2)'s signed channel): from w to
+    # w+1 breaks the first moment; from each of w-1 and w+1 to w keeps it
+    # and breaks the second
     orig = codes._transform_histogram
 
-    def wrong(*args):
-        hist = orig(*args).copy()
-        w = int(np.nonzero(hist[1:])[0][0]) + 2
+    def wrong(f, *args):
+        hist = orig(f, *args).copy()
+        w, step = int(np.nonzero(hist[1:])[0][0]) + 2, f.q - 1
         if moment == "first":
-            hist[w - 1] -= 2
-            hist[w] += 2
+            hist[w - 1] -= step
+            hist[w] += step
         else:
-            hist[w - 1] -= 2
-            hist[w + 1] -= 2
-            hist[w] += 4
+            hist[w - 1] -= step
+            hist[w + 1] -= step
+            hist[w] += 2 * step
         return hist
 
     monkeypatch.setattr(codes, "_transform_histogram", wrong)
-    with pytest.raises(AssertionError, match=f"{moment} power moment"):
-        weight_enumerator(build_code(2, 2, GF(3)))
+    for q in (3, 2):
+        with pytest.raises(AssertionError, match=f"{moment} power moment"):
+            weight_enumerator(build_code(2, 2, GF(q)))
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (8, 2), (6, 3)])
 def test_simplex_codes_match_their_table(n, q):
-    # every vector is isotropic: W(n,1) is the simplex code
+    # every vector is isotropic: W(n,1) is the simplex code; W(8,1) q=2
+    # (N = 65 535) and W(6,1) q=3 (N = 265 720) also run the postconditions
+    # over long codes
     code = build_code(n, 1, GF(q))
     table = formulas.known_table(n, 1, q)
     for method in ("codeword", "hyperplane"):
@@ -718,6 +769,27 @@ def test_projectivity_is_checked_for_codes_with_an_origin():
         subcode = LinearCode(field=GF(3), n=None, k=None, N=41, K=gen.shape[0],
                              generator=extra.copy())
         assert weight_enumerator(subcode).total() == 3 ** gen.shape[0]
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_proportional_pairs_against_direct_comparison(q):
+    # random nonzero columns, then planted zero, equal and scaled copies;
+    # K up to 20 puts q^K far beyond int64 at q = 16
+    f, rng = GF(q), np.random.default_rng(q)
+    for big_k in (1, 2, 3, 5, 20):
+        cols = [c for c in rng.integers(0, q, size=(12, big_k)).tolist() if any(c)]
+        for kind in rng.choice(("zero", "equal", "scaled"), size=8).tolist():
+            pick = cols[rng.integers(len(cols))] if cols else [1] * big_k
+            lam = int(rng.integers(1, q))
+            cols.append([0] * big_k if kind == "zero" else
+                        pick if kind == "equal" else [int(f.mul_table[lam, x]) for x in pick])
+        gen = np.array(cols, dtype=np.uint8)[rng.permutation(len(cols))].T.copy()
+        z = int(np.count_nonzero(gen.any(axis=0)))
+        pp = oracle_proportional_pairs(q, gen.tolist())
+        with pytest.raises(AssertionError) as exc:
+            codes._check_power_moments(f, gen, WeightEnumerator({}), projective=True)
+        assert str(exc.value) == (f"projectivity: {z} nonzero columns, expected N = {gen.shape[1]}; "
+                                  f"{pp} ordered pairs of proportional columns, expected 0")
 
 
 def test_weight_enumerator_dataclass_helpers():
