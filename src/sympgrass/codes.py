@@ -11,9 +11,8 @@ column, exact with no float bound (0.02 s for the six bench builds on a
 2-core x86); a row that breaks it joins the sample, so K = |P| is exact.
 
 Weight enumeration has one engine for every q, a count-vector transform
-(_transform_histogram) of float32 products, exact while N < 2^24, over
-two message sets that must agree: 'codeword' tallies all q^K messages,
-'hyperplane' one block and, scaled by q - 1, one message per projective
+(_transform_histogram) of float32 products, exact while N < 2^24, over one
+message set: one block, and, scaled by q - 1, one message per projective
 functional among the rest; over GF(2) it carries one signed count channel
 through +-1 stages.  Every distribution is checked against q^K
 words, the scalar rule and the first two power moments, and a code built
@@ -192,8 +191,8 @@ def _transform_digits(q: int, big_k: int, big_n: int) -> tuple[int, int]:
     return t, min(big_k - t, top - t)
 
 
-def _transform_histogram(f: Field, gen: np.ndarray, method: str, threads: int) -> np.ndarray:
-    """Exact weight histogram (length N+1 int64) of the messages `method` names.
+def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
+    """Exact weight histogram (length N+1 int64) of all q^K messages of gen.
 
     F(m, c) counts the columns g with m.g = c, so message m weighs
     N - F(m, 0).  The last t generator rows are the inner digits u of a
@@ -213,11 +212,11 @@ def _transform_histogram(f: Field, gen: np.ndarray, method: str, threads: int) -
     arithmetic is exact while N < 2^24.
 
     Block i holds the messages whose first high = K - t - b digits are the
-    base-q digits of i.  'codeword' tallies every block.  'hyperplane'
-    tallies block 0 (high digits zero) once and, times q - 1, the blocks
-    whose first nonzero digit is 1, ids [q^j, 2 q^j) for j < high: a
-    message with a nonzero high part has exactly one scalar multiple whose
-    first nonzero high digit is 1, and of the same weight.
+    base-q digits of i.  Block 0 (high digits zero) is tallied once and,
+    times q - 1, the blocks whose first nonzero digit is 1, ids [q^j, 2 q^j)
+    for j < high: a message with a nonzero high part has exactly one scalar
+    multiple whose first nonzero high digit is 1, and of the same weight.
+    So (q^high - 1)/(q - 1) + 1 of the q^high blocks are transformed.
     """
     big_k, big_n = gen.shape
     q = f.q
@@ -275,34 +274,31 @@ def _transform_histogram(f: Field, gen: np.ndarray, method: str, threads: int) -
                                           minlength=zeros_hist.size)
         return zeros_hist
 
-    high = big_k - t - b
-    if method == "codeword":
-        hist = _run_tasks(run, range(q**high), threads)
-    else:
-        lead = [i for j in range(high) for i in range(q**j, 2 * q**j)]
-        hist = run([0]) + (q - 1) * _run_tasks(run, lead, threads)
+    lead = [i for j in range(big_k - t - b) for i in range(q**j, 2 * q**j)]
+    hist = run([0]) + (q - 1) * _run_tasks(run, lead, threads)
     return hist[::-step].copy()
 
 
 def weight_enumerator(
     code: LinearCode,
-    method: str = "codeword",
+    method: str = "hyperplane",
     threads: int = 1,
 ) -> WeightEnumerator:
     """Exact weight distribution of the code, by the count-vector transform
-    (_transform_histogram), exact while N < 2^24.
-
-    method 'codeword' sweeps all q^K messages; 'hyperplane' sweeps one
-    message per projective functional outside the first block and scales
-    its counts by q - 1.  Both share their blocks over `threads`; a longer
-    code raises ValueError before any product is taken.  The result must
-    sum to q^K, have each A_w (w > 0) divisible by q - 1 and pass
-    _check_power_moments; a failure raises AssertionError.
+    (_transform_histogram), exact while N < 2^24: one message per
+    projective functional outside the first block, its counts scaled by
+    q - 1, the blocks shared over `threads`; a longer code raises
+    ValueError before any product is taken.  method 'codeword' and
+    'hyperplane' both run this one sweep, and any other name raises
+    ValueError; ROADMAP item 1's bench change, which stops the bench naming
+    a method, removes the keyword.  The result must sum to q^K, have each
+    A_w (w > 0) divisible by q - 1 and pass _check_power_moments; a failure
+    raises AssertionError.
     """
     if method not in ("codeword", "hyperplane"):
         raise ValueError(f"unknown sweep method {method!r}")
     f = code.field
-    hist = _transform_histogram(f, code.generator, method, threads)
+    hist = _transform_histogram(f, code.generator, threads)
     we = WeightEnumerator.from_histogram(hist)
     if we.total() != f.q**code.K:
         raise AssertionError("sweep histogram does not sum to q^K; internal error")

@@ -183,7 +183,10 @@ def _filter_extend(
     so the table is exact in uint8.  A candidate survives when its values
     are zero in all r * forms columns of its frame; read off the transposed
     (frames, candidates) mask, the survivors come frame by frame and in
-    candidate order within a frame, with no sort.
+    candidate order within a frame, with no sort.  The table stays
+    candidate-major: a frame-major one skips the mask's transposed copy, but
+    its first digit steps add along inner axes of 1 to q entries, and the six
+    bench enumerations took 0.27-0.40 s against 0.18-0.27 s (2-core x86).
 
     The frames are extended chunk by chunk, so that a chunk's table, its
     zero mask and its frames' float32 digits in Field.matmul hold at most

@@ -313,9 +313,12 @@ print(code.N, code.K, peak_kb() - before)
 def test_build_peak_is_the_points_and_the_minors(n, k, q):
     # a fresh build holds the point stack and the minor-major array, plus at
     # most 24 MB of chunks and allocator slack: the generator is the array's
-    # first K rows, not a K x N copy (with which W(4,3) q=3 grew by 132-138 MB
-    # against 70 MB of arrays)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    # first K rows, not a K x N copy (with which W(4,3) q=3 grew by 113 MB
+    # against 70 MB of arrays).  A fixed mmap threshold keeps glibc from
+    # holding freed temporaries on its heap after its dynamic threshold rose,
+    # which moved W(4,4) q=4's growth by 30 MB with the environment's size
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               MALLOC_MMAP_THRESHOLD_="131072")
     proc = subprocess.run([sys.executable, "-c", GROWTH_SCRIPT, str(n), str(k), str(q)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -370,11 +373,40 @@ def test_packed_sweep_against_bitmask_oracle():
     "n,k,q", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 2, 4), (2, 2, 5), (2, 2, 8), (2, 2, 13)]
 )
 def test_method_agreement(n, k, q):
-    # all q^K messages against the blocks of projective functionals
+    # the sweep of projective functionals against the paper's closed-form
+    # tables of W(2,2) and W(3,3)
     code = build_code(n, k, GF(q))
+    table = formulas.w22_table(q) if k == 2 else formulas.w33_table(q)
+    assert weight_enumerator(code).distribution == table
+
+
+def test_both_method_names_run_the_one_sweep():
+    code = build_code(2, 2, GF(3))
     cw = weight_enumerator(code, method="codeword")
-    hp = weight_enumerator(code, method="hyperplane")
-    assert cw.distribution == hp.distribution
+    assert cw.distribution == weight_enumerator(code, method="hyperplane").distribution
+    with pytest.raises(ValueError, match="unknown sweep method 'x'"):
+        weight_enumerator(code, method="x")
+
+
+def test_codeword_sweep_transforms_only_the_lead_blocks(monkeypatch):
+    # W(2,2) q=13 has high >= 1 outer digits beyond its block; the sweep
+    # hands the threads the blocks [q^j, 2 q^j), j < high, sum_j q^j of
+    # them, and not all q^high (block 0 is run directly)
+    handed = []
+    orig = codes._run_tasks
+
+    def record(run, tasks, threads):
+        handed.append(list(tasks))
+        return orig(run, tasks, threads)
+
+    monkeypatch.setattr(codes, "_run_tasks", record)
+    q = 13
+    code = build_code(2, 2, GF(q))
+    assert weight_enumerator(code, method="codeword").distribution == formulas.w22_table(q)
+    high = code.K - sum(codes._transform_digits(q, code.K, code.N))
+    assert high >= 1
+    assert handed == [[i for j in range(high) for i in range(q**j, 2 * q**j)]]
+    assert len(handed[0]) == sum(q**j for j in range(high))
 
 
 @pytest.mark.parametrize("n,k,q", [(2, 2, 3), (3, 3, 2), (2, 2, 4)])
@@ -414,14 +446,10 @@ def test_threads_do_not_change_distribution(monkeypatch):
     big_k = code.K
     t, b = codes._transform_digits(2, big_k, code.N)
     assert big_k - t - b >= 4  # at least 16 blocks
-    one = weight_enumerator(code, threads=1)
-    four = weight_enumerator(code, threads=4)
-    assert one.distribution == four.distribution == formulas.w33_table(2)
-    hp1 = weight_enumerator(code, method="hyperplane", threads=1)
-    hp3 = weight_enumerator(code, method="hyperplane", threads=3)
-    assert hp1.distribution == hp3.distribution
+    dists = [weight_enumerator(code, threads=t).distribution for t in (1, 3, 4)]
+    assert dists == [formulas.w33_table(2)] * 3
     # W(2,2) over GF(3) and GF(4).  At 64 entries the transform has 27 and
-    # 64 blocks and high = 3, and the hyperplane sweep's 13 and 21 lead
+    # 64 blocks and high = 3, and the sweep's 13 and 21 lead
     # blocks go to the threads in chunks, one of which (q = 4, two threads)
     # holds blocks 1 and 4.  At q^4 entries high = 2, and at one thread the
     # first outer product takes two or three lead blocks, 1 and q among them.
@@ -430,10 +458,8 @@ def test_threads_do_not_change_distribution(monkeypatch):
         for block, high in ((64, 3), (q**4, 2)):
             monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", block)
             assert code.K - sum(codes._transform_digits(q, code.K, code.N)) == high
-            for method in ("codeword", "hyperplane"):
-                dists = [weight_enumerator(code, method=method, threads=t).distribution
-                         for t in (1, 2, 3, 4)]
-                assert dists == [formulas.w22_table(q)] * 4
+            dists = [weight_enumerator(code, threads=t).distribution for t in (1, 2, 3, 4)]
+            assert dists == [formulas.w22_table(q)] * 4
 
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -467,8 +493,8 @@ def small_generators(draw):
 def test_sweep_kernel_against_oracle(case):
     # once as shipped, then with transform blocks of q^3 and q^5 entries at
     # radix 2, so that outer-digit block boundaries fall inside the message
-    # space, high = K - t - b reaches 2 and 3 (several lead ranges for the
-    # hyperplane method), and a stage of one digit follows a stage of two
+    # space, high = K - t - b reaches 2 and 3 (several lead ranges), and a
+    # stage of one digit follows a stage of two
     q, gen = case
     code = LinearCode(field=GF(q), n=None, k=None, N=gen.shape[1], K=gen.shape[0],
                       generator=gen)
@@ -478,8 +504,7 @@ def test_sweep_kernel_against_oracle(case):
             if block:
                 mp.setattr(codes, "_TRANSFORM_BLOCK", block)
                 mp.setattr(codes, "_RADIX", {q: 2})
-            for method in ("codeword", "hyperplane"):
-                assert weight_enumerator(code, method=method).distribution == expected
+            assert weight_enumerator(code).distribution == expected
 
 
 @st.composite
@@ -517,9 +542,8 @@ def test_signed_binary_transform_against_bitmask_oracle(gen):
             if block:
                 mp.setattr(codes, "_TRANSFORM_BLOCK", block)
                 mp.setattr(codes, "_RADIX", {2: 2})
-            for method in ("codeword", "hyperplane"):
-                for threads in (1, 2):
-                    assert weight_enumerator(code, method, threads).distribution == expected
+            for threads in (1, 2):
+                assert weight_enumerator(code, threads=threads).distribution == expected
 
 
 @pytest.mark.parametrize("big_k,big_n", [(0, 3), (2, 0)])
@@ -529,8 +553,7 @@ def test_sweep_of_an_empty_generator(big_k, big_n):
     for q in (2, 3):
         gen = np.zeros((big_k, big_n), dtype=np.uint8)
         code = LinearCode(field=GF(q), n=None, k=None, N=big_n, K=big_k, generator=gen)
-        for method in ("codeword", "hyperplane"):
-            assert weight_enumerator(code, method=method).distribution == {0: q**big_k}
+        assert weight_enumerator(code).distribution == {0: q**big_k}
 
 
 @pytest.mark.parametrize("q,big_k,block,high", [
@@ -547,8 +570,7 @@ def test_hyperplane_lead_blocks(monkeypatch, q, big_k, block, high):
     assert big_k - sum(codes._transform_digits(q, big_k, 10)) == high
     expected = oracle_weight_enumerator(q, gen.tolist())
     for threads in (1, 3):
-        for method in ("codeword", "hyperplane"):
-            assert weight_enumerator(code, method, threads).distribution == expected
+        assert weight_enumerator(code, threads=threads).distribution == expected
 
 
 def test_float32_exactness_guard(monkeypatch):
@@ -565,12 +587,12 @@ def test_float32_exactness_guard(monkeypatch):
         weight_enumerator(code, method="hyperplane")
     # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
-        codes._transform_histogram(GF(2), wide[:, 1:], "hyperplane", 1)
+        codes._transform_histogram(GF(2), wide[:, 1:], 1)
 
 
 def test_float32_exactness_guard_codeword(monkeypatch):
-    # the transform: N = 2^24 breaks N < 2^24, refused before the stage
-    # matrices of its products are fetched
+    # the method name 'codeword' runs the same transform: N = 2^24 breaks
+    # N < 2^24, refused before the stage matrices of its products are fetched
     def no_product(*args):
         raise AssertionError("product taken")
 
@@ -579,10 +601,10 @@ def test_float32_exactness_guard_codeword(monkeypatch):
     wide[0, 0] = 1
     code = LinearCode(field=GF(2), n=None, k=None, N=1 << 24, K=1, generator=wide)
     with pytest.raises(ValueError, match=r"needs N < 2\^24"):
-        weight_enumerator(code)
+        weight_enumerator(code, method="codeword")
     # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
-        codes._transform_histogram(GF(2), wide[:, 1:], "codeword", 1)
+        codes._transform_histogram(GF(2), wide[:, 1:], 1)
 
 
 def test_codeword_from_sigma_is_zero():
@@ -703,9 +725,8 @@ def odd_code():
 
 def test_power_moments_hold_for_any_generator():
     code = odd_code()
-    for method in ("codeword", "hyperplane"):
-        we = weight_enumerator(code, method=method)
-        assert we.distribution == oracle_weight_enumerator(3, ODD_GENERATOR.tolist())
+    we = weight_enumerator(code)
+    assert we.distribution == oracle_weight_enumerator(3, ODD_GENERATOR.tolist())
 
 
 @pytest.mark.parametrize("moment", ["first", "second"])
@@ -741,10 +762,9 @@ def test_simplex_codes_match_their_table(n, q):
     # over long codes
     code = build_code(n, 1, GF(q))
     table = formulas.known_table(n, 1, q)
-    for method in ("codeword", "hyperplane"):
-        we = weight_enumerator(code, method=method)
-        assert we.distribution == table
-        assert we.d_min == formulas.code_params(n, 1, q).d_min
+    we = weight_enumerator(code)
+    assert we.distribution == table
+    assert we.d_min == formulas.code_params(n, 1, q).d_min
 
 
 def test_projectivity_is_checked_for_codes_with_an_origin():
@@ -752,11 +772,10 @@ def test_projectivity_is_checked_for_codes_with_an_origin():
     # 2, 3, 6): as a subcode (n = None) it sweeps, with an origin it is refused
     gen = ODD_GENERATOR.copy()
     code = LinearCode(field=GF(3), n=2, k=1, N=7, K=5, generator=gen)
-    for method in ("codeword", "hyperplane"):
-        with pytest.raises(AssertionError) as exc:
-            weight_enumerator(code, method=method)
-        assert str(exc.value) == ("projectivity: 6 nonzero columns, expected N = 7; "
-                                  "8 ordered pairs of proportional columns, expected 0")
+    with pytest.raises(AssertionError) as exc:
+        weight_enumerator(code)
+    assert str(exc.value) == ("projectivity: 6 nonzero columns, expected N = 7; "
+                              "8 ordered pairs of proportional columns, expected 0")
     # a scaled copy of a column is proportional too; the zero column alone is caught
     gen = build_code(2, 2, GF(3)).generator
     scaled = np.concatenate([gen, GF(3).arr_mul(gen[:, :1], np.uint8(2))], axis=1)
