@@ -654,3 +654,58 @@ def test_weights_refusal_names_each_limit_like_verify(capsys):
     args = build_parser().parse_args(["weights", "3", "2", "4", "--budget", "10000000000000"])
     gate = cli._gate(args)
     assert gate.sweep is None and gate.estimate <= gate.budget == 10**13
+
+
+# each verify case with the stages its gate refuses and its checks, in the
+# order they are logged, with their "pass"
+BUILT = ("length", "dimension")
+SWEPT = ("d_min", "weight_table", "sweep_postconditions")
+LINES = ("line_identity_random", "worst_case_theta")
+CODEWORD = ("worst_case_codeword",)
+SKIPPED_SWEEP = ("d_min",)  # a refused sweep records d_min alone
+
+
+def passes(*groups):
+    """{check: pass} for each (names, pass) group, in order."""
+    return {name: ok for names, ok in groups for name in names}
+
+
+GATE_CASES = [
+    (["2", "2", "3"], (), 0,
+     passes((BUILT, True), (SWEPT, True), (LINES, True), (CODEWORD, True))),
+    (["3", "2", "4", "--trials", "1"], ("sweep",), 0,
+     passes((BUILT, True), (SKIPPED_SWEEP, None), (LINES, True), (CODEWORD, True))),
+    (["2", "2", "3", "--budget", "10000"], ("lines",), 0,
+     passes((BUILT, True), (SWEPT, True), (LINES, None), (CODEWORD, True))),
+    (["2", "2", "3", "--budget", "1000"], ("sweep", "lines"), 0,
+     passes((BUILT, True), (SKIPPED_SWEEP, None), (LINES, None), (CODEWORD, True))),
+    (["7", "2", "2"], ("build", "sweep"), 0, passes((BUILT, None), (LINES, True))),
+    (["8", "2", "2"], ("build", "sweep", "lines"), 3, passes((BUILT, None), (LINES, None))),
+    (["3", "3", "2"], (), 0, passes((BUILT, True), (SWEPT, True))),
+    (["3", "3", "2", "--budget", "1000"], ("sweep",), 0,
+     passes((BUILT, True), (SKIPPED_SWEEP, None))),
+    (["4", "3", "4"], ("build", "sweep"), 3, passes((BUILT, None))),
+]
+REFUSED_WORK = {
+    "build": ("build_code", "count_isotropic"),
+    "sweep": ("weight_enumerator",),
+    "lines": ("count_n1", "count_common_isotropic_lines"),
+}
+
+
+@pytest.mark.parametrize("argv, refused, exit_code, expected", GATE_CASES,
+                         ids=[" ".join(case[0]) for case in GATE_CASES])
+def test_verify_records_each_gate_verdict_combination(capsys, monkeypatch, argv, refused,
+                                                      exit_code, expected):
+    # a refused stage records its checks as SKIP (a refused build leaves out
+    # the checks that need the code) and does none of its work
+    for stage in refused:
+        for name in REFUSED_WORK[stage]:
+            monkeypatch.setattr(cli, name, refuse)
+    code, report, err = run_cli(capsys, "verify", *argv, "--seed", "1")
+    assert code == exit_code
+    checks = report["results"]["checks"]
+    assert {name: c["pass"] for name, c in checks.items()} == expected
+    logged = [line.split()[1] for line in err.splitlines()
+              if line.split(" ", 1)[0] in ("PASS", "FAIL", "SKIP")]
+    assert logged == list(expected) and len(set(logged)) == len(logged)
