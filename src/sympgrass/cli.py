@@ -115,8 +115,8 @@ def _verdict(what: str, estimate: int, budget: int, remedy: str) -> str | None:
 
 
 class Gate(NamedTuple):
-    """build, sweep and lines are the verdicts of the stages: None if the
-    stage is admitted, else the reason it is not."""
+    """The stages' verdicts, each None if admitted, else the reason it is not;
+    in verify's table build admits length and dimension, and sweep d_min."""
 
     N: int
     K: int
@@ -369,52 +369,51 @@ def cmd_verify(args) -> int:
     f = _field(q)
     checks = Checks()
     seed = args.seed if args.seed is not None else 0
+    code = sigma = theta = None
+    if k == 2 and (gate.lines is None or gate.build is None):  # a k = 2 row runs (n may be large)
+        sigma = standard_symplectic(n, f)
+        theta = worst_case_theta(sigma)
 
-    # point count against the closed-form length, Plücker rank against the dimension
-    code = None
-    if gate.build is None:
+    def build():  # point count against the closed-form length, Plücker rank against K
+        nonlocal code
         got = count_isotropic(n, k, f)
         checks.record("length", got == gate.N, enumerated=got, formula=gate.N)
         code = build_code(n, k, f)
         checks.record("dimension", code.K == gate.K, rank=code.K, formula=gate.K)
-    else:
-        checks.record("length", None, reason=gate.build)
-        checks.record("dimension", None, reason=gate.build)
 
-    # minimum distance / weight table sweeps
-    if gate.sweep is None:
-        _sweep(code, formulas.code_params(n, k, q), args.threads, checks)
-    elif code is not None:
-        checks.record("d_min", None, estimate=gate.estimate, reason=gate.sweep)
+    def lines():  # the line-count identity for random forms, and the worst-case form
+        rng = np.random.default_rng(seed)
+        thetas = (random_alternating_form(f, 2 * n, rng) for _ in range(args.trials))
+        bad = sum((q + 1) * count_common_isotropic_lines(sigma, t)
+                  != formulas.line_identity_rhs(n, q, count_n1(sigma, t)) for t in thetas)
+        checks.record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
+        rep = _eta_report(sigma, theta)
+        ok = rep["eigen_dims"] == [2, 2 * n - 2] and rep["N1"] == formulas.n1_max(n, q)
+        checks.record("worst_case_theta", ok and rep["N_minus_eta"] == formulas.dmin_line(n, q),
+                      eigen_dims=rep["eigen_dims"], N1=rep["N1"], weight=rep["N_minus_eta"])
 
-    # line-count identity and the worst-case construction (line codes); the
-    # forms are built only for a check that runs, as n may be large
-    if k == 2 and gate.lines:
-        checks.record("line_identity_random", None, reason=gate.lines)
-        checks.record("worst_case_theta", None, reason=gate.lines)
-    if k == 2 and (gate.lines is None or code is not None):
-        sigma = standard_symplectic(n, f)
-        theta = worst_case_theta(sigma)
-        if gate.lines is None:
-            rng = np.random.default_rng(seed)
-            bad = 0
-            for _ in range(args.trials):
-                random_theta = random_alternating_form(f, 2 * n, rng)
-                n1 = count_n1(sigma, random_theta)
-                eta = count_common_isotropic_lines(sigma, random_theta)
-                if (q + 1) * eta != formulas.line_identity_rhs(n, q, n1):
-                    bad += 1
-            checks.record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
+    def codeword():
+        weight = codeword_from_form(code, theta)[1]
+        checks.record("worst_case_codeword", weight == formulas.dmin_line(n, q), weight=weight)
 
-            rep = _eta_report(sigma, theta)
-            n1, weight = rep["N1"], rep["N_minus_eta"]
-            ok = rep["eigen_dims"] == sorted((2, 2 * n - 2)) and n1 == formulas.n1_max(n, q)
-            checks.record("worst_case_theta", ok and weight == formulas.dmin_line(n, q),
-                          eigen_dims=rep["eigen_dims"], N1=n1, weight=weight)
-        if code is not None:
-            _, cw_weight = codeword_from_form(code, theta)
-            checks.record("worst_case_codeword", cw_weight == formulas.dmin_line(n, q),
-                          weight=cw_weight)
+    # each row: its checks, whether they apply to (n, k), whether they need the
+    # code (such a row is left out where the build is refused), the verdict that
+    # admits them (None: no verdict of their own), the info each SKIP records
+    # beside the verdict as its reason, and what runs them
+    for names, applies, needs_code, verdict, info, run in (
+        (("length", "dimension"), True, False, gate.build, {}, build),
+        (("d_min",), True, True, gate.sweep, {"estimate": gate.estimate},
+         lambda: _sweep(code, formulas.code_params(n, k, q), args.threads, checks)),
+        (("line_identity_random", "worst_case_theta"), k == 2, False, gate.lines, {}, lines),
+        (("worst_case_codeword",), k == 2, True, None, {}, codeword),
+    ):
+        if not applies or needs_code and gate.build:  # a refused build lists no such check
+            continue
+        if verdict:
+            for name in names:
+                checks.record(name, None, **info, reason=verdict)
+        else:
+            run()
 
     # None when every check was skipped: a verify that checked nothing does not pass
     passes = [c["pass"] for c in checks.values() if c["pass"] is not None]
