@@ -397,9 +397,9 @@ def cmd_verify(args) -> int:
         checks.record("worst_case_codeword", weight == formulas.dmin_line(n, q), weight=weight)
 
     # each row: its checks, whether they apply to (n, k), whether they need the
-    # code (such a row is left out where the build is refused), the verdict that
-    # admits them (None: no verdict of their own), the info each SKIP records
-    # beside the verdict as its reason, and what runs them
+    # code (such a row is left out where the build is refused), the gate verdict
+    # that admits them (None: no verdict of their own), the info each SKIP
+    # records beside the verdict as its reason, and what runs them
     for names, applies, needs_code, verdict, info, run in (
         (("length", "dimension"), True, False, gate.build, {}, build),
         (("d_min",), True, True, gate.sweep, {"estimate": gate.estimate},
@@ -407,7 +407,7 @@ def cmd_verify(args) -> int:
         (("line_identity_random", "worst_case_theta"), k == 2, False, gate.lines, {}, lines),
         (("worst_case_codeword",), k == 2, True, None, {}, codeword),
     ):
-        if not applies or needs_code and gate.build:  # a refused build lists no such check
+        if not applies or needs_code and gate.build:
             continue
         if verdict:
             for name in names:
