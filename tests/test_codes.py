@@ -532,18 +532,36 @@ def test_signed_binary_transform_against_bitmask_oracle(gen):
     # by +-1 Hadamard stages.  As shipped t = K whenever 2^(K-1) < 4N: one
     # block and no outer rows.  With blocks of 2^3 entries t = 1 and
     # high = K - 1 blocks of outer digits; with 2^5 entries at radix 2,
-    # t = min(K, 3), so a stage of one digit follows a stage of two
+    # t = min(K, 3), so a stage of one digit follows a stage of two; with
+    # 2^10 entries a code with 4 < N <= 2^(K-3) has three stages and q^b > 1
     big_k, big_n = gen.shape
     code = LinearCode(field=GF(2), n=None, k=None, N=big_n, K=big_k, generator=gen)
     expected = oracle_weight_enumerator_gf2(
         [sum(int(x) << j for j, x in enumerate(row)) for row in gen.tolist()], big_n)
-    for block in (None, 2**3, 2**5):
+    for block in (None, 2**3, 2**5, 2**10):
         with pytest.MonkeyPatch.context() as mp:
             if block:
                 mp.setattr(codes, "_TRANSFORM_BLOCK", block)
                 mp.setattr(codes, "_RADIX", {2: 2})
             for threads in (1, 2):
                 assert weight_enumerator(code, threads=threads).distribution == expected
+
+
+def test_signed_binary_transform_runs_a_stage_on_every_axis(monkeypatch):
+    # blocks of 2^10 entries at radix 2: K = 10, N = 20 gives t = 7 inner
+    # digits in four stages, three of 2 digits and one of 1, and q^b > 1
+    # outer values a block, so the first, a middle and the last stage each
+    # see several rows, and high >= 1 lead blocks go to the threads
+    gen = np.random.default_rng(33).integers(0, 2, size=(10, 20), dtype=np.uint8)
+    code = LinearCode(field=GF(2), n=None, k=None, N=20, K=10, generator=gen)
+    monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", 2**10)
+    monkeypatch.setattr(codes, "_RADIX", {2: 2})
+    t, b = codes._transform_digits(2, 10, 20)
+    assert t == 7 and b >= 1 and 10 - t - b >= 1
+    expected = oracle_weight_enumerator_gf2(
+        [sum(int(x) << j for j, x in enumerate(row)) for row in gen.tolist()], 20)
+    for threads in (1, 2):
+        assert weight_enumerator(code, threads=threads).distribution == expected
 
 
 @pytest.mark.parametrize("big_k,big_n", [(0, 3), (2, 0)])
