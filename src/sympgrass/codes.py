@@ -14,9 +14,11 @@ Weight enumeration has one engine for every q, a count-vector transform
 (_transform_histogram) of float32 products, exact while N < 2^24, over one
 message set: one block, and, scaled by q - 1, one message per projective
 functional among the rest; over GF(2) it carries one signed count channel
-through +-1 stages.  Every distribution is checked against q^K
-words, the scalar rule and the first two power moments, and a code built
-from the point set must be projective (weight_enumerator).
+through +-1 stages, each along its own digits of two reused buffers, where
+the other fields rotate their digits after each stage.  Every distribution
+is checked against q^K words, the scalar rule and the first two power
+moments, and a code built from the point set must be projective
+(weight_enumerator).
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _run_tasks(run, tasks, threads: int) -> np.ndarray:
 
 
 _TRANSFORM_BLOCK = 1 << 18  # float32 entries of one block of F (at most 2^20)
-_RADIX = {2: 5, 3: 3, 4: 2}  # digits per stage, measured (GF(2) on +-1 stages); 1 otherwise
+_RADIX = {2: 4, 3: 3, 4: 2}  # digits per stage, measured (GF(2) on +-1 stages); 1 otherwise
 
 
 @lru_cache(maxsize=None)
@@ -197,19 +199,32 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     F(m, c) counts the columns g with m.g = c, so message m weighs
     N - F(m, 0).  The last t generator rows are the inner digits u of a
     column and the rows before them the outer digits.  For each outer
-    value, np.bincount tallies the columns by (u, c), c the outer value's
-    dot product with the column, into ch channels; a block stacks q^b
-    outer values.  The inner digits are then transformed s at a time, by
-    one product with _stage_matrix(f, s) per stage: the stage's digits sit
-    next to the channels, and after the product the transformed digits
-    rotate to the front (one copy).  With ch = q channels, F itself, the
-    last stage keeps only the c' = 0 columns.  Over GF(2) ch = 1: D(u) =
-    F(u, 0) - F(u, 1), tallied with weights +-1, goes through Hadamard
-    stages, and F(m, 0) = (N + D(m))/2 is read from the even bins of a
-    histogram of N + D.  Every entry of F or D, of a product and of its
-    partial sums is a sum (signed over GF(2)) of counts of disjoint column
-    sets, so it is an integer of magnitude at most N, and the float32
-    arithmetic is exact while N < 2^24.
+    value, the columns are tallied by (u, c), c the outer value's dot
+    product with the column, into ch channels; a block stacks q^b outer
+    values.  The inner digits are then transformed s at a time, by one
+    product with _stage_matrix(f, s) per stage, in buffers that run()
+    allocates once, and the zero counts are cast once for one np.bincount.
+    With ch = q channels, F itself, the stage's digits sit next to the
+    channels, after the product the transformed digits rotate to the front
+    (one copy), and the last stage keeps only the c' = 0 columns.  Over
+    GF(2) ch = 1: D(u) = F(u, 0) - F(u, 1) is tallied by np.add.at with
+    weights +-1, and the +-1 matrix H of a stage acts along its own digits,
+    the middle axis of the block viewed as (a, 2^s, inner) (the last stage
+    as (a, 2^s) @ H), each product written into the other of two buffers.
+    No digit moves: H is symmetric and the histogram ignores message order.
+    F(m, 0) = (N + D(m))/2 is read from the even bins of a histogram of
+    N + D.  Every entry of F or D, of a product and of its partial sums, in
+    any stage order, is a sum (signed over GF(2)) of counts of disjoint
+    column sets, so it is an integer of magnitude at most N, and the
+    float32 arithmetic is exact while N < 2^24; so is the even N + D(m).
+
+    On the bench's GF(2) job (24 rows of W(4,2), t = 15, b = 2, one BLAS
+    thread, 2-core x86) the rotating stages took 135-147 ms and these take
+    79-86 ms (best of 7, five alternating rounds), a third of it in the
+    bincounts.  The short stage runs first (3, 4, 4, 4 digits), as the
+    last, 2-d, product is fastest at full side; radix 3, 5 or 6 took
+    89-108 ms, and blocks of 2^16 or 2^18 entries (filling
+    _TRANSFORM_BLOCK) 85-88 ms.
 
     Block i holds the messages whose first high = K - t - b digits are the
     base-q digits of i.  Block 0 (high digits zero) is tallied once and,
@@ -227,6 +242,8 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     t, b = _transform_digits(q, big_k, big_n)
     radix = _RADIX.get(q, 1)
     stages = [radix] * (t // radix) + ([t % radix] if t % radix else [])
+    if q == 2:
+        stages.reverse()  # the short stage first, the last at full side
     mats = [_stage_matrix(f, s) for s in stages]
     # zeros_hist counts message m in bin level + step F(m, 0), over GF(2) N + D(m)
     ch, level, step = (1, big_n, 2) if q == 2 else (q, 0, 1)
@@ -243,9 +260,22 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     offsets = (np.arange(n_block, dtype=np.int64)[:, None] * q**t + inner) * ch
     powers = q ** np.arange(big_k - t - 1, -1, -1, dtype=np.int64)
     per_chunk = max(1, block // max(1, n_block * big_n))  # blocks per outer product
+    # over GF(2), (a, 2^s, inner): the digits before stage i's, its own, those after
+    axes = [(n_block << sum(stages[:i]), 1 << s, 1 << sum(stages[i + 1 :]))
+            for i, s in enumerate(stages)]
 
     def transform(counts: np.ndarray, prod: np.ndarray) -> np.ndarray:
-        """F(m, 0), or D(m) over GF(2), of one block from its tally (overwritten)."""
+        """F(m, 0), or D(m) over GF(2), of one block from its tally in
+        counts; counts and prod are overwritten, and either may hold it."""
+        if ch == 1:
+            for mat, (a, side, after) in zip(mats, axes):
+                if after > 1:
+                    np.matmul(mat, counts.reshape(a, side, after),
+                              out=prod.reshape(a, side, after))
+                else:  # the last digits: H = H.T on the right of one 2-d product
+                    np.matmul(counts.reshape(a, side), mat, out=prod.reshape(a, side))
+                counts, prod = prod, counts
+            return counts
         for mat in mats[:-1]:
             side = mat.shape[0]
             rows = block // side
@@ -258,7 +288,8 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
 
     def run(block_ids) -> np.ndarray:
         zeros_hist = np.zeros(step * big_n + 1, dtype=np.int64)
-        prod = np.empty(block, dtype=np.float32)
+        counts, prod = np.empty((2, block), dtype=np.float32)
+        bins = np.empty(block // ch, dtype=np.intp)
         for i in range(0, len(block_ids), per_chunk):
             ids = np.asarray(block_ids[i : i + per_chunk], dtype=np.int64)
             msgs = (ids[:, None] * n_block + np.arange(n_block)).ravel()
@@ -266,12 +297,15 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
             for j in range(len(ids)):
                 val = vals[j * n_block : (j + 1) * n_block]
                 if ch == 1:
-                    tally = np.bincount(offsets.ravel(), (1.0 - 2.0 * val).ravel(), block)
+                    counts.fill(0)
+                    np.add.at(counts, offsets.ravel(), 1 - 2 * val.ravel().astype(np.float32))
                 else:
-                    tally = np.bincount((offsets + val).ravel(), minlength=block)
-                zeros = transform(tally.astype(np.float32), prod)
-                zeros_hist += np.bincount(zeros.ravel().astype(np.intp) + level,
-                                          minlength=zeros_hist.size)
+                    np.copyto(counts, np.bincount((offsets + val).ravel(), minlength=block))
+                zeros = transform(counts, prod)
+                if level:
+                    zeros += level
+                np.copyto(bins, zeros.reshape(-1), casting="unsafe")
+                zeros_hist += np.bincount(bins, minlength=zeros_hist.size)
         return zeros_hist
 
     lead = [i for j in range(big_k - t - b) for i in range(q**j, 2 * q**j)]
