@@ -209,7 +209,7 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     (one copy), and the last stage keeps only the c' = 0 columns.  Over
     GF(2) ch = 1: D(u) = F(u, 0) - F(u, 1) is tallied by np.add.at with
     weights +-1, and the +-1 matrix H of a stage acts along its own digits,
-    the middle axis of the block viewed as (a, 2^s, inner) (the last stage
+    the middle axis of the block viewed as (a, 2^s, after) (the last stage
     as (a, 2^s) @ H), each product written into the other of two buffers.
     No digit moves: H is symmetric and the histogram ignores message order.
     F(m, 0) = (N + D(m))/2 is read from the even bins of a histogram of
@@ -220,10 +220,10 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
 
     On the bench's GF(2) job (24 rows of W(4,2), t = 15, b = 2, one BLAS
     thread, 2-core x86) the rotating stages took 135-147 ms and these take
-    79-86 ms (best of 7, five alternating rounds), a third of it in the
-    bincounts.  The short stage runs first (3, 4, 4, 4 digits), as the
-    last, 2-d, product is fastest at full side; radix 3, 5 or 6 took
-    89-108 ms, and blocks of 2^16 or 2^18 entries (filling
+    79-86 ms (best of 7, five alternating rounds), over a third of it in
+    the last np.bincount.  The short stage runs first (3, 4, 4, 4
+    digits), as the last, 2-d, product is fastest at full side; radix 3,
+    5 or 6 took 89-108 ms, and blocks of 2^16 or 2^18 entries (filling
     _TRANSFORM_BLOCK) 85-88 ms.
 
     Block i holds the messages whose first high = K - t - b digits are the
@@ -260,7 +260,7 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     offsets = (np.arange(n_block, dtype=np.int64)[:, None] * q**t + inner) * ch
     powers = q ** np.arange(big_k - t - 1, -1, -1, dtype=np.int64)
     per_chunk = max(1, block // max(1, n_block * big_n))  # blocks per outer product
-    # over GF(2), (a, 2^s, inner): the digits before stage i's, its own, those after
+    # over GF(2), (a, 2^s, after): the digits before stage i's, its own, those after
     axes = [(n_block << sum(stages[:i]), 1 << s, 1 << sum(stages[i + 1 :]))
             for i, s in enumerate(stages)]
 

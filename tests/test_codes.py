@@ -532,7 +532,7 @@ def test_signed_binary_transform_against_bitmask_oracle(gen):
     # by +-1 Hadamard stages.  As shipped t = K whenever 2^(K-1) < 4N: one
     # block and no outer rows.  With blocks of 2^3 entries t = 1 and
     # high = K - 1 blocks of outer digits; with 2^5 entries at radix 2,
-    # t = min(K, 3), so a stage of one digit follows a stage of two; with
+    # t = min(K, 3), so a stage of one digit runs beside one of two; with
     # 2^10 entries a code with 4 < N <= 2^(K-3) has three stages and q^b > 1
     big_k, big_n = gen.shape
     code = LinearCode(field=GF(2), n=None, k=None, N=big_n, K=big_k, generator=gen)
