@@ -564,6 +564,23 @@ def test_signed_binary_transform_runs_a_stage_on_every_axis(monkeypatch):
         assert weight_enumerator(code, threads=threads).distribution == expected
 
 
+@pytest.mark.parametrize("q,big_k,big_n,radix,t", [(3, 7, 24, 2, 5), (4, 6, 12, 1, 3)])
+def test_q_channel_transform_runs_a_stage_on_every_axis(monkeypatch, q, big_k, big_n, radix, t):
+    # blocks of q^(t+2) entries: t inner digits in three stages (2, 2 and 1
+    # digits over GF(3), 1 each over GF(4)), q^b = q outer values a block
+    # and high >= 1 lead blocks, so the first, a middle and the last stage
+    # of the q count channels each see several rows, at one and two threads
+    gen = np.random.default_rng(34).integers(0, q, size=(big_k, big_n), dtype=np.uint8)
+    code = LinearCode(field=GF(q), n=None, k=None, N=big_n, K=big_k, generator=gen)
+    monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", q ** (t + 2))
+    monkeypatch.setattr(codes, "_RADIX", {q: radix})
+    assert codes._transform_digits(q, big_k, big_n) == (t, 1)
+    assert -(-t // radix) == 3 and big_k - t - 1 >= 1
+    expected = oracle_weight_enumerator(q, gen.tolist())
+    for threads in (1, 2):
+        assert weight_enumerator(code, threads=threads).distribution == expected
+
+
 @pytest.mark.parametrize("big_k,big_n", [(0, 3), (2, 0)])
 def test_sweep_of_an_empty_generator(big_k, big_n):
     # no rows or no columns: all q^K words have weight 0, over GF(2)'s
