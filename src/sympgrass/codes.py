@@ -13,12 +13,11 @@ column, exact with no float bound (0.02 s for the six bench builds on a
 Weight enumeration has one engine for every q, a count-vector transform
 (_transform_histogram) of float32 products, exact while N < 2^24, over one
 message set: one block, and, scaled by q - 1, one message per projective
-functional among the rest; over GF(2) it carries one signed count channel
-through +-1 stages, each along its own digits of two reused buffers, where
-the other fields rotate their digits after each stage.  Every distribution
-is checked against q^K words, the scalar rule and the first two power
-moments, and a code built from the point set must be projective
-(weight_enumerator).
+functional among the rest.  Each stage runs along its own digits of two
+reused buffers, and no digit moves; over GF(2) one signed count channel
+goes through +-1 stages.  Every distribution is checked against q^K words,
+the scalar rule and the first two power moments, and a code built from the
+point set must be projective (weight_enumerator).
 """
 
 from __future__ import annotations
@@ -155,23 +154,23 @@ def _run_tasks(run, tasks, threads: int) -> np.ndarray:
 
 
 _TRANSFORM_BLOCK = 1 << 18  # float32 entries of one block of F (at most 2^20)
-_RADIX = {2: 4, 3: 3, 4: 2}  # digits per stage, measured (GF(2) on +-1 stages); 1 otherwise
+_RADIX = {2: 4, 3: 2, 4: 2}  # digits per stage, measured (_transform_histogram); 1 otherwise
 
 
 @lru_cache(maxsize=None)
 def _stage_matrix(f: Field, s: int) -> np.ndarray:
-    """The float32 matrix of one stage over s digits, u and m base-q numbers
-    with the first digit most significant: over GF(2) H[u, m] = (-1)^(m.u),
-    side 2^s; else T[(u, c), (m, c')] = [c' = c + m.u], side q^(s+1)."""
+    """The float32 matrix of one stage over s digits, m and u base-q numbers
+    with the first digit most significant: over GF(2) H[m, u] = (-1)^(m.u),
+    side 2^s; else M[(m, c'), (c, u)] = [c' = c + m.u], side q^(s+1)."""
     q = f.q
     digits = np.arange(q**s)[:, None] // q ** np.arange(s - 1, -1, -1) % q
-    dot = f.matmul(digits, digits.T)  # dot[u, m] = m.u
+    dot = f.matmul(digits, digits.T)  # dot[m, u] = m.u
     if q == 2:
         mat = 1 - 2 * dot.astype(np.float32)
     else:
-        u, m, c = np.ix_(np.arange(q**s), np.arange(q**s), np.arange(q))
-        mat = np.zeros((q**s, q, q**s, q), dtype=np.float32)
-        mat[u, c, m, f.add_table[c, dot[:, :, None]]] = 1
+        m, c, u = np.ix_(np.arange(q**s), np.arange(q), np.arange(q**s))
+        mat = np.zeros((q**s, q, q, q**s), dtype=np.float32)
+        mat[m, f.add_table[c, dot[:, None, :]], c, u] = 1
         mat = mat.reshape(q ** (s + 1), q ** (s + 1))
     mat.setflags(write=False)
     return mat
@@ -199,32 +198,39 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     F(m, c) counts the columns g with m.g = c, so message m weighs
     N - F(m, 0).  The last t generator rows are the inner digits u of a
     column and the rows before them the outer digits.  For each outer
-    value, the columns are tallied by (u, c), c the outer value's dot
-    product with the column, into ch channels; a block stacks q^b outer
-    values.  The inner digits are then transformed s at a time, by one
-    product with _stage_matrix(f, s) per stage, in buffers that run()
-    allocates once, and the zero counts are cast once for one np.bincount.
-    With ch = q channels, F itself, the stage's digits sit next to the
-    channels, after the product the transformed digits rotate to the front
-    (one copy), and the last stage keeps only the c' = 0 columns.  Over
-    GF(2) ch = 1: D(u) = F(u, 0) - F(u, 1) is tallied by np.add.at with
-    weights +-1, and the +-1 matrix H of a stage acts along its own digits,
-    the middle axis of the block viewed as (a, 2^s, after) (the last stage
-    as (a, 2^s) @ H), each product written into the other of two buffers.
-    No digit moves: H is symmetric and the histogram ignores message order.
-    F(m, 0) = (N + D(m))/2 is read from the even bins of a histogram of
-    N + D.  Every entry of F or D, of a product and of its partial sums, in
-    any stage order, is a sum (signed over GF(2)) of counts of disjoint
-    column sets, so it is an integer of magnitude at most N, and the
-    float32 arithmetic is exact while N < 2^24; so is the even N + D(m).
+    value, the columns are tallied by (c, u), c the outer value's dot
+    product with the column, into ch = q channels just before the inner
+    digits; a block stacks q^b outer values.  The inner digits are then
+    transformed s at a time, first digits first, each stage one product
+    with M = _stage_matrix(f, s) along its own axis of the block viewed as
+    (a, ch q^s, after): the digits before the stage's, its channel and
+    digits, those after.  M[(m, c'), (c, u)] puts the channel after the
+    stage's digits, next to the next stage's, so no digit moves, and each
+    product is written into the other of two buffers that run() allocates
+    once.  The last stage is one 2-d product on the right with the c' = 0
+    columns of M, and the zero counts are cast once for one np.bincount.
+    Over GF(2) ch = 1: D(u) = F(u, 0) - F(u, 1) is tallied by np.add.at
+    with weights +-1 and M is the symmetric +-1 matrix H; F(m, 0) =
+    (N + D(m))/2 is read from the even bins of a histogram of N + D.  Every
+    entry of F or D, of a product and of its partial sums, in any stage
+    order, is a sum (signed over GF(2)) of counts of disjoint column sets,
+    so it is an integer of magnitude at most N, and the float32 arithmetic
+    is exact while N < 2^24; so is the even N + D(m).
 
-    On the bench's GF(2) job (24 rows of W(4,2), t = 15, b = 2, one BLAS
-    thread, 2-core x86) the rotating stages took 135-147 ms and these take
-    79-86 ms (best of 7, five alternating rounds), over a third of it in
-    the last np.bincount.  The short stage runs first (3, 4, 4, 4
-    digits), as the last, 2-d, product is fastest at full side; radix 3,
-    5 or 6 took 89-108 ms, and blocks of 2^16 or 2^18 entries (filling
-    _TRANSFORM_BLOCK) 85-88 ms.
+    Stages of _RADIX digits, the short stage first (the last, 2-d, product
+    is fastest at full side), measured with one BLAS thread on a 2-core
+    x86: the bench's GF(2) job (24 rows of W(4,2), t = 15, b = 2; 3, 4, 4,
+    4 digits) took 79-86 ms, against 89-108 ms at radix 3, 5 or 6 and
+    135-147 ms with the digits rotated after each stage.  W(3,3) q=3
+    (t = 8) took 35-37 ms at radix 2, 52-55 ms at radix 3, whose middle
+    stage is 81 products of 81 x 81 by 81 x 9, and 55-58 ms rotated;
+    W(3,2) q=3 (t = 9) 35-38 ms with the short stage first, 60-65 ms last.
+    W(3,3) q=4 took 2.10-2.26 s at radix 2, 2.59 s at radix 1 and 2.51-2.71
+    s rotated.  From q = 5 on radix 1 was fastest (W(2,2) q=8: 1.7 ms, 2.8
+    ms at radix 2); W(2,2) q=16's middle stage, 16 products of 256 x 256
+    by 256 x 16, costs it 13.7 -> 15.9 ms against rotation.  Channel-last
+    tallies, the stages run from the last digits, took 37-39 ms on W(3,3)
+    q=3 against 35-37 ms.
 
     Block i holds the messages whose first high = K - t - b digits are the
     base-q digits of i.  Block 0 (high digits zero) is tallied once and,
@@ -241,50 +247,33 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
         )
     t, b = _transform_digits(q, big_k, big_n)
     radix = _RADIX.get(q, 1)
-    stages = [radix] * (t // radix) + ([t % radix] if t % radix else [])
-    if q == 2:
-        stages.reverse()  # the short stage first, the last at full side
+    stages = ([t % radix] if t % radix else []) + [radix] * (t // radix)
     mats = [_stage_matrix(f, s) for s in stages]
     # zeros_hist counts message m in bin level + step F(m, 0), over GF(2) N + D(m)
     ch, level, step = (1, big_n, 2) if q == 2 else (q, 0, 1)
-    if mats:
-        side = mats[-1].shape[0]
-        mats[-1] = np.ascontiguousarray(mats[-1].reshape(side, side // ch, ch)[:, :, 0])
-    # the ch float32 entries of one (digits, c) row move as one element: as a
-    # 2-d transpose the rotation is several times faster than as a 3-d one
-    rotate = np.dtype((np.void, 4 * ch))
+    if mats:  # the c' = 0 columns of M, on the right of the last product
+        mats[-1] = np.ascontiguousarray(mats[-1].reshape(-1, ch, mats[-1].shape[1])[:, 0].T)
     outer = gen[: big_k - t]
     n_block = q**b
-    block = n_block * q**t * ch
+    block = n_block * ch * q**t
     inner = q ** np.arange(t - 1, -1, -1, dtype=np.int64) @ gen[big_k - t :].astype(np.int64)
-    offsets = (np.arange(n_block, dtype=np.int64)[:, None] * q**t + inner) * ch
+    offsets = np.arange(n_block, dtype=np.int64)[:, None] * (ch * q**t) + inner
+    channel = np.int64(q**t)  # the tally's stride from one channel to the next
     powers = q ** np.arange(big_k - t - 1, -1, -1, dtype=np.int64)
     per_chunk = max(1, block // max(1, n_block * big_n))  # blocks per outer product
-    # over GF(2), (a, 2^s, after): the digits before stage i's, its own, those after
-    axes = [(n_block << sum(stages[:i]), 1 << s, 1 << sum(stages[i + 1 :]))
+    axes = [(n_block * q ** sum(stages[:i]), ch * q**s, q ** sum(stages[i + 1 :]))
             for i, s in enumerate(stages)]
 
     def transform(counts: np.ndarray, prod: np.ndarray) -> np.ndarray:
         """F(m, 0), or D(m) over GF(2), of one block from its tally in
         counts; counts and prod are overwritten, and either may hold it."""
-        if ch == 1:
-            for mat, (a, side, after) in zip(mats, axes):
-                if after > 1:
-                    np.matmul(mat, counts.reshape(a, side, after),
-                              out=prod.reshape(a, side, after))
-                else:  # the last digits: H = H.T on the right of one 2-d product
-                    np.matmul(counts.reshape(a, side), mat, out=prod.reshape(a, side))
-                counts, prod = prod, counts
-            return counts
-        for mat in mats[:-1]:
-            side = mat.shape[0]
-            rows = block // side
-            np.matmul(counts.reshape(rows, side), mat, out=prod.reshape(rows, side))
-            np.copyto(counts.view(rotate).reshape(side // ch, rows),
-                      prod.view(rotate).reshape(rows, side // ch).T)
+        for mat, (a, side, after) in zip(mats[:-1], axes):
+            np.matmul(mat, counts.reshape(a, side, after), out=prod.reshape(a, side, after))
+            counts, prod = prod, counts
         if not mats:
             return counts.reshape(-1, ch)[:, 0]
-        return counts.reshape(-1, mats[-1].shape[0]) @ mats[-1]
+        a, side, _ = axes[-1]
+        return np.matmul(counts.reshape(a, side), mats[-1], out=prod[: block // ch].reshape(a, -1))
 
     def run(block_ids) -> np.ndarray:
         zeros_hist = np.zeros(step * big_n + 1, dtype=np.int64)
@@ -300,7 +289,8 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
                     counts.fill(0)
                     np.add.at(counts, offsets.ravel(), 1 - 2 * val.ravel().astype(np.float32))
                 else:
-                    np.copyto(counts, np.bincount((offsets + val).ravel(), minlength=block))
+                    np.copyto(counts, np.bincount((offsets + channel * val).ravel(),
+                                                  minlength=block))
                 zeros = transform(counts, prod)
                 if level:
                     zeros += level
