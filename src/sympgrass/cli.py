@@ -4,7 +4,8 @@ JSON goes to stdout, human-readable logging to stderr.  Exit codes:
 0 = pass, 1 = verification mismatch, 2 = usage error, 3 = budget refusal
 (and a verify whose every check the gate skipped).
 Identical invocations (including --seed and --threads) produce identical
-JSON except for the elapsed-seconds field.
+JSON except for the elapsed seconds: the top-level "seconds" field, and
+"results.seconds" in a weights report.
 """
 
 from __future__ import annotations

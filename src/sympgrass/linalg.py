@@ -147,10 +147,10 @@ def read_matrix_text(src, header: str = MATRIX_HEADER) -> tuple[Field, np.ndarra
                 continue
             if len(vals) != ncols:
                 raise ValueError(f"row {i}: expected {ncols} entries, got {len(vals)}")
-            row = np.fromiter(map(int, vals), dtype=np.int64, count=ncols)
-            if np.any((row < 0) | (row >= q)):
+            row = [int(x) for x in vals]  # Python ints: no entry overflows
+            if not all(0 <= x < q for x in row):
                 raise ValueError(f"row {i}: entry out of range for GF({q})")
-            rows.append(row.astype(np.uint8))
+            rows.append(np.array(row, dtype=np.uint8))
     if len(rows) != nrows:
         raise ValueError(f"expected {nrows} rows, got {len(rows)}")
     return f, np.array(rows, dtype=np.uint8).reshape(nrows, ncols)

@@ -380,6 +380,10 @@ def test_eta_rejects_malformed_theta_file(capsys, tmp_path):
     assert run_cli(capsys, "eta", "2", "3", "--theta", str(path))[0] == 2
     path.write_text(f"4 1000000000 3\n{rows}\n")  # header claims 10^9 columns
     assert run_cli(capsys, "eta", "2", "3", "--theta", str(path))[0] == 2
+    # an entry past int64 is out of range for GF(3), not an OverflowError
+    path.write_text("4 4 3\n0 99999999999999999999 0 0\n" + "0 0 0 0\n" * 3)
+    code, _, err = run_cli(capsys, "eta", "2", "3", "--theta", str(path))
+    assert code == 2 and "out of range for GF(3)" in err
 
 
 def test_order_zero_is_a_usage_error(capsys, tmp_path):
