@@ -494,7 +494,7 @@ def test_sweep_kernel_against_oracle(case):
     # once as shipped, then with transform blocks of q^3 and q^5 entries at
     # radix 2, so that outer-digit block boundaries fall inside the message
     # space, high = K - t - b reaches 2 and 3 (several lead ranges), and a
-    # stage of one digit follows a stage of two
+    # stage of one digit runs beside one of two
     q, gen = case
     code = LinearCode(field=GF(q), n=None, k=None, N=gen.shape[1], K=gen.shape[0],
                       generator=gen)
