@@ -22,6 +22,7 @@ from sympgrass.linalg import rank
 from oracles import (
     count_n1_direct,
     eigen_analysis,
+    form_values_reference,
     inverse,
     is_totally_isotropic,
     kernel,
@@ -346,17 +347,24 @@ def _theta(sig, kind, lam, seed):
     return random_alternating_form(f, sig.dim, np.random.default_rng(seed))
 
 
+def _common_lines(sig, th):
+    """The RREF bases of sigma's lines on which theta vanishes, counted by
+    direct evaluation of x theta y^T on each basis pair."""
+    return sum(int(np.count_nonzero(form_values_reference(th, batch) == 0))
+               for batch in grassmann.iter_isotropic_batches(sig.field, sig.gram, 2))
+
+
 @pytest.mark.parametrize("n,q", ETA_CASES)
 @settings(max_examples=6, derandomize=True, database=None, deadline=None)
 @given(kind=st.sampled_from(("zero", "scaled", "worst", "random", "wedge")),
        lam=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
 def test_eta_counts_the_lines_it_would_build(n, q, kind, lam, seed):
-    # the counted eta equals the number of frames the two-form enumeration
-    # of lines yields and satisfies the line identity, once as shipped, once
-    # with filter chunks of one frame, so that every cell with more than one
-    # point splits into several chunks, and with eta's slabs cut to five
-    # points, so that cells are split and merged across slab edges, and to
-    # one point where PG(2n - 1, q) has at most 400 (one slab body per point)
+    # the counted eta equals the number of sigma's lines on which theta
+    # vanishes and satisfies the line identity, once as shipped, once with
+    # filter chunks of one frame, so that every cell with more than one point
+    # splits into several chunks, and with eta's slabs cut to five points, so
+    # that cells are split and merged across slab edges, and to one point
+    # where PG(2n - 1, q) has at most 400 (one slab body per point)
     f = GF(q)
     sig = standard_symplectic(n, f)
     th = _theta(sig, kind, 1 + lam % (q - 1), seed)
@@ -365,8 +373,7 @@ def test_eta_counts_the_lines_it_would_build(n, q, kind, lam, seed):
         with pytest.MonkeyPatch.context() as mp:
             if budget:
                 mp.setattr(grassmann, "_FILTER_CHUNK_ELEMS", budget)
-            frames = sum(b.shape[0] for b in grassmann.iter_isotropic_batches(
-                f, [sig.gram, th.gram], 2))
+            frames = _common_lines(sig, th)
             eta = count_common_isotropic_lines(sig, th)
             assert eta == frames
             assert (q + 1) * eta == rhs
