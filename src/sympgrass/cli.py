@@ -25,6 +25,7 @@ from . import formulas
 from .codes import build_code, codeword_from_form, weight_enumerator, write_generator
 from .forms import (
     count_common_isotropic_lines,
+    count_isotropic,
     count_n1,
     eigen_profile,
     random_alternating_form,
@@ -33,7 +34,6 @@ from .forms import (
     AlternatingForm,
 )
 from .gf import GF
-from .grassmann import count_isotropic
 from .linalg import read_matrix_text
 
 DEFAULT_BUDGET = 10**11
@@ -116,11 +116,10 @@ def _verdict(what: str, estimate: int, budget: int, remedy: str) -> str | None:
 
 
 class Gate(NamedTuple):
-    """The stages' verdicts, each None if admitted, else the reason it is not;
-    in verify's table build admits length and dimension, and sweep d_min."""
+    """W(n,k)'s closed forms, and each stage's verdict: None if admitted, else
+    why not; in verify's table build admits length and dimension, sweep d_min."""
 
-    N: int
-    K: int
+    params: formulas.CodeParams
     budget: int
     estimate: int | None  # of the sweep; None for a point set over BUILD_POINTS
     build: str | None
@@ -144,12 +143,12 @@ def _gate(args) -> Gate:
     """
     n, k, q, command = args.n, args.k, args.q, args.subcommand
     _check_nkq(n, k, q)
-    big_n = formulas.length(n, k, q)
+    params = formulas.code_params(n, k, q)
+    big_n = params.N
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if max_digits and _exponent(big_n) >= max_digits:
         raise UsageError(f"W({n},{k}) over GF({q}): N has {_exponent(big_n) + 1} digits, over "
                          f"Python's limit of {max_digits} digits for printing an integer")
-    big_k = formulas.dimension(n, k)
     budget = getattr(args, "budget", None) or DEFAULT_BUDGET
 
     lines = None
@@ -164,9 +163,9 @@ def _gate(args) -> Gate:
         build = sweep = (f"W({n},{k}) over GF({q}) has {_sci(big_n)} points, over the "
                          f"BUILD_POINTS limit of {_sci(BUILD_POINTS)}; no option lifts it")
     else:
-        est = _estimate_ops(q, big_k, big_n)
+        est = _estimate_ops(q, params.K, big_n)
         sweep = _verdict("sweep", est, budget, "raise --budget")
-    return Gate(big_n, big_k, budget, est, build, sweep, lines)
+    return Gate(params, budget, est, build, sweep, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +173,9 @@ def _gate(args) -> Gate:
 
 
 def _closed_forms(args) -> tuple[formulas.CodeParams, dict]:
-    """Gate the command, then W(n,k)'s closed forms and the four keys that
-    params and bounds both report."""
-    _gate(args)
-    p = formulas.code_params(args.n, args.k, args.q)
+    """Gate the command; W(n,k)'s closed forms and the four keys that params
+    and bounds both report."""
+    p = _gate(args).params
     return p, {"N": p.N, "K": p.K, "d_min": p.d_min, "d_min_proved": p.d_min_proved}
 
 
@@ -201,8 +199,8 @@ def cmd_build(args) -> int:
     results = {
         "N": code.N,
         "K": code.K,
-        "expected_K": gate.K,
-        "rank_ok": code.K == gate.K,
+        "expected_K": gate.params.K,
+        "rank_ok": code.K == gate.params.K,
         "output": args.output,
         "sweep_estimate_ops": gate.estimate,
     }
@@ -253,7 +251,7 @@ def cmd_weights(args) -> int:
         code = build_code(args.n, args.k, _field(args.q))
         results = {"n": args.n, "k": args.k, "q": args.q, "N": code.N, "K": code.K}
         checks = Checks()
-        we = _sweep(code, formulas.code_params(args.n, args.k, args.q), args.threads, checks)
+        we = _sweep(code, gate.params, args.threads, checks)
         if we is None:
             results["sweep_postconditions"] = checks["sweep_postconditions"]
         else:
@@ -271,14 +269,14 @@ def cmd_weights(args) -> int:
     return 1 if any(c["pass"] is False for c in checks.values()) else 0
 
 
-def _eta_report(sigma, theta) -> dict:
+def _eta_report(sigma, theta, big_n: int) -> dict:
+    """theta's eigen profile, N1 and eta against sigma; big_n is W(n,2)'s length."""
     n, q = sigma.n, sigma.field.q
     profile = eigen_profile(sigma, theta)
     n1 = sum((q**d - 1) // (q - 1) for d in profile.values())
     eta = count_common_isotropic_lines(sigma, theta)
     rhs = formulas.line_identity_rhs(n, q, n1)
     residual = (q + 1) * eta - rhs
-    big_n = formulas.length(n, 2, q)
     return {
         "N1": n1,
         "eta": eta,
@@ -295,16 +293,16 @@ def cmd_eta(args) -> int:
     t0 = time.perf_counter()
     if args.n < 2:
         raise UsageError("eta needs n >= 2")
-    lines = _gate(args).lines
-    if lines:
-        raise BudgetError(lines)
+    gate = _gate(args)
+    if gate.lines:
+        raise BudgetError(gate.lines)
     f = _field(args.q)
     sigma = standard_symplectic(args.n, f)
     seed = None
     if args.theta == "worst":
         theta = worst_case_theta(sigma)
-        results = _eta_report(sigma, theta)
-        results["dmin_formula"] = formulas.dmin_line(args.n, args.q)
+        results = _eta_report(sigma, theta, gate.params.N)
+        results["dmin_formula"] = gate.params.d_min
         results["theta_source"] = "worst"
     elif args.theta == "random":
         seed = args.seed if args.seed is not None else 0
@@ -312,7 +310,7 @@ def cmd_eta(args) -> int:
         sample, all_zero = [], True  # only the reports that are printed are kept
         for _ in range(args.trials):
             theta = random_alternating_form(f, 2 * args.n, rng)
-            rep = _eta_report(sigma, theta)
+            rep = _eta_report(sigma, theta, gate.params.N)
             all_zero = all_zero and rep["e1_residual"] == 0
             if len(sample) < 5:
                 sample.append(rep)
@@ -327,7 +325,7 @@ def cmd_eta(args) -> int:
         if form_field != f:
             raise UsageError(f"theta file is over GF({form_field.q}), expected GF({args.q})")
         theta = AlternatingForm(f, gram)
-        results = _eta_report(sigma, theta)
+        results = _eta_report(sigma, theta, gate.params.N)
         results["theta_source"] = args.theta
     bad = results.get("e1_residual", 0) != 0 or results.get("all_residuals_zero") is False
     _log("line-count identity residual "
@@ -366,6 +364,7 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     gate = _gate(args)
+    p = gate.params
     n, k, q = args.n, args.k, args.q
     f = _field(q)
     checks = Checks()
@@ -378,9 +377,9 @@ def cmd_verify(args) -> int:
     def build():  # point count against the closed-form length, Plücker rank against K
         nonlocal code
         got = count_isotropic(n, k, f)
-        checks.record("length", got == gate.N, enumerated=got, formula=gate.N)
+        checks.record("length", got == p.N, enumerated=got, formula=p.N)
         code = build_code(n, k, f)
-        checks.record("dimension", code.K == gate.K, rank=code.K, formula=gate.K)
+        checks.record("dimension", code.K == p.K, rank=code.K, formula=p.K)
 
     def lines():  # the line-count identity for random forms, and the worst-case form
         rng = np.random.default_rng(seed)
@@ -388,14 +387,14 @@ def cmd_verify(args) -> int:
         bad = sum((q + 1) * count_common_isotropic_lines(sigma, t)
                   != formulas.line_identity_rhs(n, q, count_n1(sigma, t)) for t in thetas)
         checks.record("line_identity_random", bad == 0, trials=args.trials, failures=bad)
-        rep = _eta_report(sigma, theta)
+        rep = _eta_report(sigma, theta, p.N)
         ok = rep["eigen_dims"] == [2, 2 * n - 2] and rep["N1"] == formulas.n1_max(n, q)
-        checks.record("worst_case_theta", ok and rep["N_minus_eta"] == formulas.dmin_line(n, q),
+        checks.record("worst_case_theta", ok and rep["N_minus_eta"] == p.d_min,
                       eigen_dims=rep["eigen_dims"], N1=rep["N1"], weight=rep["N_minus_eta"])
 
     def codeword():
         weight = codeword_from_form(code, theta)[1]
-        checks.record("worst_case_codeword", weight == formulas.dmin_line(n, q), weight=weight)
+        checks.record("worst_case_codeword", weight == p.d_min, weight=weight)
 
     # each row: its checks, whether they apply to (n, k), whether they need the
     # code (such a row is left out where the build is refused), the gate verdict
@@ -404,7 +403,7 @@ def cmd_verify(args) -> int:
     for names, applies, needs_code, verdict, info, run in (
         (("length", "dimension"), True, False, gate.build, {}, build),
         (("d_min",), True, True, gate.sweep, {"estimate": gate.estimate},
-         lambda: _sweep(code, formulas.code_params(n, k, q), args.threads, checks)),
+         lambda: _sweep(code, p, args.threads, checks)),
         (("line_identity_random", "worst_case_theta"), k == 2, False, gate.lines, {}, lines),
         (("worst_case_codeword",), k == 2, True, None, {}, codeword),
     ):

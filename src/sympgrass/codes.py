@@ -28,9 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import AlternatingForm
+from .forms import AlternatingForm, isotropic_stack
 from .gf import Field
-from .grassmann import isotropic_stack, plucker_batch
+from .grassmann import plucker_batch
 from .linalg import rref, write_matrix_text
 
 
@@ -84,8 +84,6 @@ class LinearCode:
 
 def build_code(n: int, k: int, field: Field) -> LinearCode:
     """The code W(n,k): span of the coordinate functionals on the point set."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     pl = plucker_batch(field, isotropic_stack(n, k, field))
     pivots, plucker_map = pivot_generator(field, pl)
     minors = pl.T  # row P_i moves to row i, which no later pivot reads: P_j >= j

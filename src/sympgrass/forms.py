@@ -1,6 +1,8 @@
 """Alternating bilinear forms on V(2n, q).
 
-Houses the fixed standard symplectic form (Gram matrix [[0, I], [-I, 0]]),
+Houses the fixed standard symplectic form (Gram matrix [[0, I], [-I, 0]])
+and its point set, the totally isotropic k-subspaces that the codes are
+built on (the walker in grassmann takes sigma's Gram matrix as given),
 arbitrary alternating forms, the eigen profile of a pair of forms
 (the kernel dimension of theta - lam sigma for each lam in GF(q)), and the
 point/line counts that drive the minimum-distance verification for the
@@ -21,10 +23,11 @@ b = p G_theta column-major, one column per point, and reduces over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import grassmann
 from .gf import Field
 from .linalg import rank
 
@@ -89,6 +92,28 @@ def standard_symplectic(n: int, field: Field) -> AlternatingForm:
     return AlternatingForm(field, g)
 
 
+@lru_cache(maxsize=1)
+def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
+    """All isotropic k-subspace bases stacked as one read-only (N, k, 2n)
+    array.  Only the last stack is cached, keyed by (n, k, q) (a Field
+    hashes by its order): verify's length check hands it to build_code, and
+    no earlier stack is held after a later one is built."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    gram = standard_symplectic(n, field).gram
+    empty = np.zeros((0, k, 2 * n), dtype=np.uint8)  # the shape when no cell has a point
+    arr = np.concatenate([empty, *grassmann.iter_isotropic_batches(field, gram, k)])
+    arr.setflags(write=False)
+    return arr
+
+
+def count_isotropic(n: int, k: int, field: Field) -> int:
+    """Number of points of the symplectic Grassmannian; leaves its stack in
+    the one-entry isotropic_stack cache, for a build_code of the same
+    (n, k, q) that follows."""
+    return isotropic_stack(n, k, field).shape[0]
+
+
 def eigen_profile(sigma: AlternatingForm, theta: AlternatingForm) -> dict[int, int]:
     """{lam: d_lam} for each lam in GF(q) with d_lam = 2n - rank(theta - lam sigma) > 0.
 
@@ -147,8 +172,8 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
     [a; b] x = 0 has q^(s_c) solutions on them, s_c = d - c - rho_c, and cell
     (p, c1) has (q^(s_c1) - q^(s_(c1+1))) / (q - 1) rows r: 0 if c1 is z or
     m, where rho drops, else q^(d - 1 - c1 - [c1 < z] - [c1 < m]).  eta sums
-    these over p and the columns c1 > c0 where p is zero, the pairs the
-    two-form enumeration of lines visits; nothing depends on N1.  As
+    these over p and the columns c1 > c0 where p is zero, which between
+    them begin every such line's RREF basis; nothing depends on N1.  As
     a_j b_z = a_z b_j for every j >= z, m < z, so every exponent is >= 0.
 
     Each point is counted on its own, so the cells are regrouped into slabs
@@ -166,8 +191,6 @@ def count_common_isotropic_lines(sigma: AlternatingForm, theta: AlternatingForm)
 
     sigma must be non-degenerate and n >= 2.
     """
-    from . import grassmann
-
     f = sigma.field
     if not sigma.is_nondegenerate():
         raise ValueError("sigma must be non-degenerate")

@@ -1,13 +1,14 @@
 """Totally isotropic subspace enumeration and the Plücker embedding.
 
 iter_isotropic_batches is the package's one walker over RREF Schubert
-cells.  Isotropic k-subspaces are generated cell by cell (fixed pivot
-columns), extending partial RREF frames one row at a time and pruning
-extensions that break isotropy against any earlier row.  The constraint
-values of all candidate rows form one uint8 combination table of a few
-columns of frame @ G (_filter_extend), batched in numpy, so the
-enumeration keeps up with the largest verification sizes (about a million
-subspaces in a fraction of a second).
+cells.  The k-subspaces totally isotropic for one given form are generated
+cell by cell (fixed pivot columns), extending partial RREF frames one row
+at a time and pruning extensions that break isotropy against any earlier
+row.  The constraint values of all candidate rows form one uint8
+combination table of a few columns of frame @ G (_filter_extend), batched
+in numpy, so the enumeration keeps up with the largest verification sizes
+(about a million subspaces in a fraction of a second).  The walker knows
+nothing of sigma: the symplectic point set is built in forms.
 
 Plücker coordinates are the k x k minors over lexicographically ordered
 column subsets.  For an RREF basis the minor on the pivot columns equals
@@ -27,7 +28,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .forms import standard_symplectic
 from .gf import Field
 
 _FILTER_CHUNK_ELEMS = 1 << 21
@@ -164,27 +164,26 @@ def _row_candidates(f: Field, pivots: tuple[int, ...], ncols: int, i: int) -> np
 
 
 def _filter_extend(
-    f: Field, surv: np.ndarray, pivots: tuple[int, ...], grams: np.ndarray
+    f: Field, surv: np.ndarray, pivots: tuple[int, ...], gram: np.ndarray
 ) -> np.ndarray:
     """Extend the (B, r, d) frames surv by every candidate row r of the cell
-    (_row_candidates) orthogonal to all of their rows under every form of
-    the (forms, d, d) stack grams, frame by frame in candidate order.
+    (_row_candidates) orthogonal to all of their rows under the form with
+    (d, d) Gram matrix gram, frame by frame in candidate order.
 
     Candidate t is e_c + sum_j x_j e_(free_j), with c = pivots[r] and x_j the
     base-q digits of t, the first free column fastest (_row_candidates).  For
-    a frame row y and a form G, w = y @ G is taken once per chunk, and
-    y @ G @ cand_t = w_c + sum_j x_j w_(free_j).  These values for all t form
-    a combination table, one row per candidate and one column per frame,
-    row and form, built one free column at a time: the table for digits
-    0..j-1 is repeated q times, the x-th copy plus x w_j (a row of
-    f.mul_table), so the first free column runs fastest and the table's row
-    t is candidate t.  The last free column is compared, not added: a value
-    is zero iff the table of the other digits equals -(x w_last).  Every
-    entry is an encoding below q <= 16 and every sum is taken by f.arr_add,
-    so the table is exact in uint8.  A candidate survives when its values
-    are zero in all r * forms columns of its frame; read off the transposed
-    (frames, candidates) mask, the survivors come frame by frame and in
-    candidate order within a frame, with no sort.  The table stays
+    a frame row y, w = y @ G is taken once per chunk, and y @ G @ cand_t =
+    w_c + sum_j x_j w_(free_j).  These values for all t form a combination
+    table, one row per candidate and one column per frame and row, built one
+    free column at a time: the table for digits 0..j-1 is repeated q times,
+    the x-th copy plus x w_j (a row of f.mul_table), so the first free column
+    runs fastest and the table's row t is candidate t.  The last free column
+    is compared, not added: a value is zero iff the table of the other
+    digits equals -(x w_last).  Every entry is an encoding below q <= 16 and
+    every sum is taken by f.arr_add, so the table is exact in uint8.  A
+    candidate survives when its values are zero in all r columns of its
+    frame; read off the transposed (frames, candidates) mask, the survivors
+    come frame by frame and in candidate order within a frame, with no sort.  The table stays
     candidate-major: a frame-major one skips the mask's transposed copy, but
     its first digit steps add along inner axes of 1 to q entries, and the six
     bench enumerations took 0.27-0.40 s against 0.18-0.27 s (2-core x86).
@@ -199,17 +198,14 @@ def _filter_extend(
     n_surv, r, d = surv.shape
     cands = _row_candidates(f, pivots, d, r)
     cols = [pivots[r], *_free_columns(pivots, d, r)]
-    # column (g, j) of right is column cols[j] of form g
-    right = grams[:, :, cols].transpose(1, 0, 2).reshape(d, -1)
-    n_rows = r * grams.shape[0]  # table rows per frame
-    chunk = max(1, _FILTER_CHUNK_ELEMS // max(n_rows * cands.shape[0], 4 * r * d * f.e))
+    right = gram[:, cols]  # column j is column cols[j] of G
+    chunk = max(1, _FILTER_CHUNK_ELEMS // max(r * cands.shape[0], 4 * r * d * f.e))
     frame_bytes, cand_bytes = np.dtype((np.void, r * d)), np.dtype((np.void, d))
 
     def extend(part):
         n_part = part.shape[0]
-        # w[j, (i, g, b)] = (part[b, i] @ G_g)[cols[j]]: one column per table row
-        w = f.matmul(part, right).reshape(n_part, n_rows, len(cols))
-        w = np.ascontiguousarray(w.transpose(2, 1, 0)).reshape(len(cols), -1)
+        # w[j, (i, b)] = (part[b, i] @ G)[cols[j]]: one column per table row
+        w = np.ascontiguousarray(f.matmul(part, right).transpose(2, 1, 0)).reshape(len(cols), -1)
         table = w[:1]
         for j in range(1, len(cols) - 1):
             steps = np.take(f.mul_table, w[j], axis=1)  # row x holds x * w_j
@@ -218,7 +214,7 @@ def _filter_extend(
         # table = -(x w_last)
         last = (f.arr_neg(np.take(f.mul_table, w[-1], axis=1)) if len(cols) > 1
                 else np.zeros((1, w.shape[1]), dtype=np.uint8))
-        zero = (table[None, :, :] == last[:, None, :]).reshape(-1, n_rows, n_part)
+        zero = (table[None, :, :] == last[:, None, :]).reshape(-1, r, n_part)
         # frame-major: flat index b * n_cand + t
         ib, it = np.divmod(np.flatnonzero(zero.all(axis=1).T), zero.shape[0])
         out = np.empty((ib.size, (r + 1) * d), dtype=np.uint8)
@@ -232,46 +228,24 @@ def _filter_extend(
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
 
 
-def iter_isotropic_batches(f: Field, grams: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """Subspaces of dimension k totally isotropic for every given alternating form.
+def iter_isotropic_batches(f: Field, gram: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Subspaces of dimension k totally isotropic for the alternating form
+    with (d, d) Gram matrix gram.
 
-    grams is one Gram matrix (d, d) or a stack (forms, d, d).  Yields
-    canonical RREF bases stacked as (B, k, d) arrays, one per nonempty cell,
-    in lexicographic pivot-pattern order.
+    Yields canonical RREF bases stacked as (B, k, d) arrays, one per
+    nonempty cell, in lexicographic pivot-pattern order.
     """
-    grams = np.asarray(grams, dtype=np.uint8)
-    d = grams.shape[-1]
-    grams = grams.reshape(-1, d, d)
+    gram = np.asarray(gram, dtype=np.uint8)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError(f"need one square Gram matrix, got shape {gram.shape}")
+    d = gram.shape[0]
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}, got k={k}")
     for pivots in combinations(range(d), k):
         surv = _row_candidates(f, pivots, d, 0)[:, None, :]
         for _ in range(1, k):
-            surv = _filter_extend(f, surv, pivots, grams)
+            surv = _filter_extend(f, surv, pivots, gram)
             if surv.shape[0] == 0:
                 break
         if surv.shape[0]:
             yield surv
-
-
-@lru_cache(maxsize=1)
-def isotropic_stack(n: int, k: int, field: Field) -> np.ndarray:
-    """All isotropic k-subspace bases stacked as one read-only (N, k, 2n)
-    array.  Only the last stack is cached, keyed by (n, k, q) (a Field
-    hashes by its order): verify's length check hands it to build_code, and
-    no earlier stack is held after a later one is built."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    gram = standard_symplectic(n, field).gram
-    empty = np.zeros((0, k, 2 * n), dtype=np.uint8)  # the shape when no cell has a point
-    arr = np.concatenate([empty, *iter_isotropic_batches(field, gram, k)])
-    arr.setflags(write=False)
-    return arr
-
-
-def count_isotropic(n: int, k: int, field: Field) -> int:
-    """Number of points of the symplectic Grassmannian; leaves its stack in
-    the one-entry isotropic_stack cache, for a build_code of the same
-    (n, k, q) that follows."""
-    return isotropic_stack(n, k, field).shape[0]
-

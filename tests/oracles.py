@@ -477,8 +477,8 @@ def polar_pencils(n, k, f):
     pencil with T not isotropic but inside W's perp is one too.  W(3,2) at
     q = 2 has 945 pencils, while its point set holds 2205 lines.
     """
-    from sympgrass.forms import standard_symplectic
-    from sympgrass.grassmann import isotropic_stack, iter_isotropic_batches
+    from sympgrass.forms import isotropic_stack, standard_symplectic
+    from sympgrass.grassmann import iter_isotropic_batches
 
     if k < n:
         if k > 1:  # every subspace is isotropic for the zero form

@@ -17,6 +17,7 @@ from sympgrass import cli, formulas
 from sympgrass.codes import build_code, weight_enumerator
 from sympgrass.forms import (
     count_common_isotropic_lines,
+    count_isotropic,
     count_n1,
     eigen_profile,
     random_alternating_form,
@@ -24,7 +25,7 @@ from sympgrass.forms import (
     worst_case_theta,
 )
 from sympgrass.gf import GF
-from sympgrass.grassmann import count_isotropic, plucker_batch
+from sympgrass.grassmann import plucker_batch
 from sympgrass.linalg import rank
 
 from oracles import polar_line_count, polar_pencils

@@ -491,11 +491,11 @@ def test_verify_enumerates_points_once(capsys, monkeypatch):
     calls = []
     orig = grassmann.iter_isotropic_batches
 
-    def counted(f, grams, k):
+    def counted(f, gram, k):
         calls.append(k)
-        return orig(f, grams, k)
+        return orig(f, gram, k)
 
-    grassmann.isotropic_stack.cache_clear()
+    forms.isotropic_stack.cache_clear()
     monkeypatch.setattr(grassmann, "iter_isotropic_batches", counted)
     code, report, _ = run_cli(capsys, "verify", "3", "2", "2", "--trials", "1")
     assert code == 0 and report["results"]["overall_pass"] is True

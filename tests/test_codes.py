@@ -26,12 +26,13 @@ from sympgrass.codes import (
 from sympgrass.forms import (
     AlternatingForm,
     count_common_isotropic_lines,
+    isotropic_stack,
     random_alternating_form,
     standard_symplectic,
     worst_case_theta,
 )
 from sympgrass.gf import GF, Field
-from sympgrass.grassmann import isotropic_stack, plucker_batch
+from sympgrass.grassmann import plucker_batch
 from sympgrass.linalg import rank, read_matrix_text, rref
 
 from oracles import (

@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympgrass import formulas, grassmann
-from sympgrass.forms import standard_symplectic
+from sympgrass.forms import count_isotropic, isotropic_stack, standard_symplectic
 from sympgrass.gf import GF
-from sympgrass.grassmann import (
-    count_isotropic,
-    isotropic_stack,
-    iter_isotropic_batches,
-    k_subsets,
-    plucker_batch,
-)
+from sympgrass.grassmann import iter_isotropic_batches, k_subsets, plucker_batch
 from sympgrass.linalg import rank, rref
 
 from oracles import (
@@ -150,11 +144,10 @@ def _alternating(f, d, rng):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]), data=st.data())
 def test_filter_extend_matches_the_float_product_filter(q, data):
-    # random RREF frames at a random level of a random cell, against one or
-    # two forms (each zero or random alternating): the combination-table
-    # filter returns the float-product filter's array byte for byte, in its
-    # frame-major, candidate-minor order, as shipped and with one frame per
-    # chunk
+    # random RREF frames at a random level of a random cell, against one
+    # form (zero or random alternating): the combination-table filter returns
+    # the float-product filter's array byte for byte, in its frame-major,
+    # candidate-minor order, as shipped and with one frame per chunk
     f = GF(q)
     d = data.draw(st.integers(2, 6 if q <= 8 else 5), label="d")
     r = data.draw(st.integers(1, d - 1), label="level")
@@ -164,16 +157,15 @@ def test_filter_extend_matches_the_float_product_filter(q, data):
     rows = [grassmann._row_candidates(f, pivots, d, i) for i in range(r)]
     surv = np.stack([rows[i][rng.integers(0, len(rows[i]), size=n_frames)] for i in range(r)],
                     axis=1)
-    kinds = data.draw(st.lists(st.sampled_from(("zero", "random")), min_size=1, max_size=2),
-                      label="forms")
-    grams = np.stack([np.zeros((d, d), np.uint8) if kind == "zero" else _alternating(f, d, rng)
-                      for kind in kinds])
-    expect = filter_extend_reference(f, surv, grassmann._row_candidates(f, pivots, d, r), grams)
+    kind = data.draw(st.sampled_from(("zero", "random")), label="form")
+    gram = np.zeros((d, d), np.uint8) if kind == "zero" else _alternating(f, d, rng)
+    expect = filter_extend_reference(f, surv, grassmann._row_candidates(f, pivots, d, r),
+                                     gram[None])
     for budget in (None, 1):
         with pytest.MonkeyPatch.context() as mp:
             if budget:
                 mp.setattr(grassmann, "_FILTER_CHUNK_ELEMS", budget)
-            got = grassmann._filter_extend(f, surv, pivots, grams)
+            got = grassmann._filter_extend(f, surv, pivots, gram)
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
 
@@ -288,6 +280,9 @@ def test_line_point_incidence_double_count():
 
 def test_invalid_args_rejected():
     f = GF(2)
+    for gram in (np.zeros((2, 4, 4), np.uint8), np.zeros((4, 3), np.uint8)):
+        with pytest.raises(ValueError, match="one square Gram matrix"):
+            list(iter_isotropic_batches(f, gram, 1))  # a stack or a non-square matrix
     with pytest.raises(ValueError):
         isotropic_stack(2, 3, f)
     with pytest.raises(ValueError):

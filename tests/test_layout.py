@@ -10,6 +10,9 @@ the same name.  formulas is exempt: its closed forms are the paper's claims.
 
 A module imports only names it uses: every name an import binds in a
 src/ module is referred to there (no linter is installed to catch it).
+Every import is at module level, none in a function, so the imports
+between the package's modules are all in view and run one way:
+gf -> linalg -> grassmann -> forms -> codes -> cli.
 
 A module's _names are its own: no module of the package reads
 other_module._name or imports `from .other import _name`, and no code reads
@@ -169,6 +172,42 @@ def test_no_module_imports_an_unused_name():
 def test_the_import_guard_sees_an_unused_import(tmp_path):
     (tmp_path / "mod.py").write_text("import os.path\nfrom .linalg import inverse, rref\n\ninverse\n")
     assert unused_imports(tmp_path) == ["mod: os", "mod: rref"]
+
+
+def imports_in_functions(package: Path = PACKAGE) -> list[str]:
+    """'module: function' for every function of a package module, method or
+    nested function included, whose body holds an import statement."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(sub, (ast.Import, ast.ImportFrom)) for sub in ast.walk(node)
+            ):
+                found.append(f"{path.stem}: {node.name}")
+    return sorted(found)
+
+
+def test_no_function_imports():
+    found = imports_in_functions()
+    assert not found, f"imports inside functions: {', '.join(found)}"
+
+
+def test_the_function_import_guard_sees_an_import_in_a_function(tmp_path):
+    (tmp_path / "forms.py").write_text(
+        "from . import gf\n"
+        "\n"
+        "\n"
+        "def count(sigma):\n"
+        "    from . import grassmann\n"
+        "    return grassmann, gf\n"
+        "\n"
+        "\n"
+        "class Form:\n"
+        "    def rank(self):\n"
+        "        import numpy\n"
+        "        return numpy\n"
+    )
+    assert imports_in_functions(tmp_path) == ["forms: count", "forms: rank"]
 
 
 LIMITS = {"DEFAULT_BUDGET", "BUILD_POINTS"}
