@@ -4,7 +4,7 @@ like any other failure.
 filterwarnings = ["error"] turns every warning into an exception.
 Hypothesis's failure report imports libcst, which imports the deprecated
 mypy_extensions.TypedDict; unfiltered, that warning is raised inside a
-pluggy hook, and the session ends with INTERNALERROR (exit 3), no
+pluggy hook, and the pytest run ends with INTERNALERROR (exit 3), no
 falsifying example and no later test run.
 """
 
@@ -29,7 +29,7 @@ def test_passes():
 '''
 
 
-def test_a_failing_hypothesis_test_is_reported_and_the_session_goes_on(tmp_path):
+def test_a_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
     (tmp_path / "test_two.py").write_text(TWO_TESTS)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
