@@ -96,7 +96,10 @@ class BudgetError(RuntimeError):
 
 
 def _estimate_ops(q: int, big_k: int, big_n: int) -> int:
-    """Symbol operations of a sweep: N per projective message it visits."""
+    """Symbol operations of a sweep: N per projective message.  The sweep
+    transforms one block per orbit of the scalars and the torus of Sp(2n, q),
+    so for q > 2 this charges more blocks than it transforms: an upper bound.
+    Charging the orbit blocks is left to the gate's recalibration."""
     return (q**big_k - 1) // (q - 1) * big_n
 
 

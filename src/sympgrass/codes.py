@@ -12,12 +12,16 @@ column, exact with no float bound (0.02 s for the six bench builds on a
 
 Weight enumeration has one engine for every q, a count-vector transform
 (_transform_histogram) of float32 products, exact while N < 2^24, over one
-message set: one block, and, scaled by q - 1, one message per projective
-functional among the rest.  Each stage runs along its own digits of two
-reused buffers, and no digit moves; over GF(2) one signed count channel
-goes through +-1 stages.  Every distribution is checked against q^K words,
-the scalar rule and the first two power moments, and a code built from the
-point set must be projective (weight_enumerator).
+block of messages per orbit of its high digits, counted by the orbit's
+size.  The group is the scalars and, for a built code over GF(q), q > 2,
+the diagonal torus diag(t, t^-1) of Sp(2n, q), which permutes the point set
+and scales each Plücker coordinate by a character; each torus generator is
+checked to permute the columns before its character is used.  Each stage
+runs along its own digits of two reused buffers, and no digit moves; over
+GF(2) one signed count channel goes through +-1 stages.  Every distribution
+is checked against q^K words, the scalar rule and the first two power
+moments, and a code built from the point set must be projective
+(weight_enumerator).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .forms import AlternatingForm, isotropic_stack
 from .gf import Field
-from .grassmann import plucker_batch
+from .grassmann import k_subsets, plucker_batch
 from .linalg import rref, write_matrix_text
 
 
@@ -190,7 +194,48 @@ def _transform_digits(q: int, big_k: int, big_n: int) -> tuple[int, int]:
     return t, min(big_k - t, top - t)
 
 
-def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _primitive_powers(f: Field) -> np.ndarray:
+    """g^0 .. g^(q-2) for the smallest encoding g that generates GF(q)*."""
+    for g in range(1, f.q):
+        powers = [1]
+        for _ in range(f.q - 2):
+            powers.append(int(f.mul_table[powers[-1], g]))
+        if len(set(powers)) == f.q - 1:
+            return np.array(powers, dtype=np.intp)
+    raise AssertionError(f"GF({f.q})* has no generator")
+
+
+def _block_orbits(f: Field, exps: np.ndarray) -> list[tuple[int, int]]:
+    """(block id, orbit size) for each orbit of H on the q^high patterns of
+    high digits, high = len(exps), id the base-q number with the first digit
+    most significant and the smallest id of its orbit; the sizes sum to
+    q^high.  H multiplies digit i by g^(c + <exps[i], x>) over all c and x,
+    g = _primitive_powers(f)[1]: generated by the scalar g (c = 1) and one
+    element per column of exps.  A label starts as the pattern's own id and
+    is lowered, one generator h at a time, to min_b label[h^b x], b < q - 1,
+    which is the smallest id over the orbit of the generators so far (H is
+    abelian); h as a permutation of the ids is an outer sum over the digits."""
+    q, high = f.q, exps.shape[0]
+    powers = _primitive_powers(f)
+    label = np.arange(q**high, dtype=np.intp)
+    for e in np.concatenate([np.ones((high, 1), dtype=np.int64), exps], axis=1).T:
+        mult = powers[e % (q - 1)]
+        if np.all(mult == 1):
+            continue
+        perm = np.zeros(1, dtype=np.intp)
+        for i in range(high):
+            perm = (perm[:, None] * q + f.mul_table[mult[i]]).ravel()
+        image = perm
+        for _ in range(q - 2):
+            np.minimum(label, label[image], out=label)
+            image = perm[image]
+    ids, sizes = np.unique(label, return_counts=True)
+    return list(zip(ids.tolist(), sizes.tolist()))
+
+
+def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
+                         exps: np.ndarray) -> np.ndarray:
     """Exact weight histogram (length N+1 int64) of all q^K messages of gen.
 
     F(m, c) counts the columns g with m.g = c, so message m weighs
@@ -231,11 +276,24 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
     q=3 against 35-37 ms.
 
     Block i holds the messages whose first high = K - t - b digits are the
-    base-q digits of i.  Block 0 (high digits zero) is tallied once and,
-    times q - 1, the blocks whose first nonzero digit is 1, ids [q^j, 2 q^j)
-    for j < high: a message with a nonzero high part has exactly one scalar
-    multiple whose first nonzero high digit is 1, and of the same weight.
-    So (q^high - 1)/(q - 1) + 1 of the q^high blocks are transformed.
+    base-q digits of i.  exps (K x n or K x 0, _torus_exponents) are the
+    characters: (c, x) scales message digit i by g^(c + <exps[i], x>), and
+    weight_enumerator's _check_torus has proved that m and every such
+    scaling of m weigh the same.  A scaling maps block i onto the block
+    of its scaled high digits, the low digits one to one, so the two have
+    one histogram.  Each orbit of the scalings on the high digits
+    (_block_orbits) is transformed once, at its smallest id, and its
+    histogram counted times the orbit's size; the list of (id, size) is
+    shared over threads.  With width 0 the orbits are the scalars': block 0
+    and the lead blocks [q^j, 2 q^j), j < high, of size q - 1.  Measured
+    with one BLAS thread on a 2-core x86, scalar orbits -> torus orbits:
+    W(3,3) q=3 41 -> 20 blocks, 37-39 -> 19-20 ms; W(2,2) q=16 18 -> 4,
+    17-21 -> 5.4-5.5 ms; W(2,2) q=13 15 -> 4, 4.1-6.2 -> 2.0-2.6 ms; W(3,3)
+    q=4 1366 -> 104, 2.2-2.3 -> 0.175-0.178 s; W(3,2) q=4 1366 -> 90, 3.0-3.1
+    -> 0.22-0.23 s.  W(3,3) q=5 (3250 orbits of 5^8 patterns) took 2.2 s
+    and W(3,2) q=5 (3404) 11 s, against about 340 s estimated for the
+    scalar list.  The orbit step took 0.1-0.5 ms on these codes, 28-32 ms
+    at 5^8 patterns; the bench's GF(2) job, scalars only, stayed at 80-85 ms.
     """
     big_k, big_n = gen.shape
     q = f.q
@@ -273,15 +331,15 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
         a, side, _ = axes[-1]
         return np.matmul(counts.reshape(a, side), mats[-1], out=prod[: block // ch].reshape(a, -1))
 
-    def run(block_ids) -> np.ndarray:
+    def run(blocks) -> np.ndarray:
         zeros_hist = np.zeros(step * big_n + 1, dtype=np.int64)
         counts, prod = np.empty((2, block), dtype=np.float32)
         bins = np.empty(block // ch, dtype=np.intp)
-        for i in range(0, len(block_ids), per_chunk):
-            ids = np.asarray(block_ids[i : i + per_chunk], dtype=np.int64)
+        for i in range(0, len(blocks), per_chunk):
+            ids, sizes = np.array(blocks[i : i + per_chunk], dtype=np.int64).T
             msgs = (ids[:, None] * n_block + np.arange(n_block)).ravel()
             vals = f.matmul((msgs[:, None] // powers % q).astype(np.uint8), outer)
-            for j in range(len(ids)):
+            for j, size in enumerate(sizes.tolist()):
                 val = vals[j * n_block : (j + 1) * n_block]
                 if ch == 1:
                     counts.fill(0)
@@ -293,12 +351,11 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int) -> np.ndarray:
                 if level:
                     zeros += level
                 np.copyto(bins, zeros.reshape(-1), casting="unsafe")
-                zeros_hist += np.bincount(bins, minlength=zeros_hist.size)
+                zeros_hist += size * np.bincount(bins, minlength=zeros_hist.size)
         return zeros_hist
 
-    lead = [i for j in range(big_k - t - b) for i in range(q**j, 2 * q**j)]
-    hist = run([0]) + (q - 1) * _run_tasks(run, lead, threads)
-    return hist[::-step].copy()
+    blocks = _block_orbits(f, exps[: big_k - t - b])
+    return _run_tasks(run, blocks, threads)[::-step].copy()
 
 
 def weight_enumerator(
@@ -307,20 +364,25 @@ def weight_enumerator(
     threads: int = 1,
 ) -> WeightEnumerator:
     """Exact weight distribution of the code, by the count-vector transform
-    (_transform_histogram), exact while N < 2^24: one message per
-    projective functional outside the first block, its counts scaled by
-    q - 1, the blocks shared over `threads`; a longer code raises
-    ValueError before any product is taken.  method 'codeword' and
-    'hyperplane' both run this one sweep, and any other name raises
-    ValueError; ROADMAP item 1's bench change, which stops the bench naming
-    a method, removes the keyword.  The result must sum to q^K, have each
-    A_w (w > 0) divisible by q - 1 and pass _check_power_moments; a failure
-    raises AssertionError.
+    (_transform_histogram), exact while N < 2^24: one block per orbit of
+    the scalars and the torus of Sp(2n, q) on its high digits, counted times
+    the orbit's size, the blocks shared over `threads`; a longer code raises
+    ValueError before any product is taken.  A built code over GF(q), q > 2,
+    has torus characters (_torus_exponents); each torus generator must first
+    permute the columns up to scalars (_check_torus, else AssertionError
+    naming it).  A code with no Plücker map and a code over GF(2) have the
+    scalars alone.  method 'codeword' and 'hyperplane' both run this one
+    sweep, and any other name raises ValueError; ROADMAP item 1's bench
+    change, which stops the bench naming a method, removes the keyword.
+    The result must sum to q^K, have each A_w (w > 0) divisible by q - 1 and
+    pass _check_power_moments; a failure raises AssertionError.
     """
     if method not in ("codeword", "hyperplane"):
         raise ValueError(f"unknown sweep method {method!r}")
     f = code.field
-    hist = _transform_histogram(f, code.generator, threads)
+    exps = _torus_exponents(code)
+    _check_torus(f, code.generator, exps)
+    hist = _transform_histogram(f, code.generator, threads, exps)
     we = WeightEnumerator.from_histogram(hist)
     if we.total() != f.q**code.K:
         raise AssertionError("sweep histogram does not sum to q^K; internal error")
@@ -329,6 +391,48 @@ def weight_enumerator(
             raise AssertionError(f"scalar rule: A_{w} = {c}, not divisible by q - 1 = {f.q - 1}")
     _check_power_moments(f, code.generator, we, projective=code.n is not None)
     return we
+
+
+def _torus_exponents(code: LinearCode) -> np.ndarray:
+    """e, (K, n) int64: diag(t, t^-1) of Sp(2n, q) scales generator row i,
+    the Plücker coordinate S_i of its pivot (the first nonzero of row i of
+    plucker_map, a k_subsets index), by prod_a t_a^e[i, a], e[i, a] =
+    [a in S_i] - [a + n in S_i].  (K, 0), the scalars alone, for a code with
+    no Plücker map, such as a subcode, and over GF(2), whose torus is 1."""
+    if code.plucker_map is None or code.field.q == 2:
+        return np.zeros((code.K, 0), dtype=np.int64)
+    n = code.n
+    subsets = np.array(k_subsets(2 * n, code.k))[(code.plucker_map != 0).argmax(axis=1)]
+    exps = np.zeros((code.K, n), dtype=np.int64)
+    np.add.at(exps, (np.arange(code.K)[:, None], subsets % n), np.where(subsets < n, 1, -1))
+    return exps
+
+
+def _check_torus(f: Field, gen: np.ndarray, exps: np.ndarray) -> None:
+    """Each torus generator, t_a = g (g = _primitive_powers(f)[1]) and every
+    other t_b = 1, scales row i of gen by g^exps[i, a]; it must map the
+    nonzero columns, scaled to lead with 1, onto the same multiset (else
+    AssertionError naming a).  Then m and that scaling of m weigh the same
+    for every message m, and so do a block and its image: the block list of
+    _transform_histogram rests on this, not on the derivation of exps."""
+    if not exps.shape[1]:
+        return
+    cols = gen[:, gen.any(axis=0)]
+    normed = _normed_columns(f, cols)
+    powers = _primitive_powers(f)
+    for a in range(exps.shape[1]):
+        scale = powers[exps[:, a] % (f.q - 1)].astype(np.uint8)[:, None]
+        if not np.array_equal(_normed_columns(f, f.arr_mul(cols, scale)), normed):
+            raise AssertionError(f"torus generator t_{a}: does not permute the columns "
+                                 "up to scalars")
+
+
+def _normed_columns(f: Field, cols: np.ndarray) -> np.ndarray:
+    """cols, each scaled to lead with 1 (a zero column stays 0), sorted by
+    one np.lexsort so that equal columns are adjacent."""
+    lead = cols[(cols != 0).argmax(axis=0), np.arange(cols.shape[1])]
+    normed = f.arr_mul(cols, f.inv_table[lead][None, :])
+    return normed[:, np.lexsort(normed)]
 
 
 def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator,
@@ -353,9 +457,7 @@ def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator,
     z = cols.shape[1]
     pp = 0
     if z:  # with no nonzero column (K = 0 included) there is nothing to normalise
-        lead = cols[(cols != 0).argmax(axis=0), np.arange(z)]
-        normed = f.arr_mul(cols, f.inv_table[lead][None, :])
-        normed = normed[:, np.lexsort(normed)]  # equal columns now adjacent
+        normed = _normed_columns(f, cols)
         starts = np.flatnonzero(np.any(normed[:, 1:] != normed[:, :-1], axis=0)) + 1
         runs = np.diff(starts, prepend=0, append=z)  # class sizes
         pp = int(np.sum(runs * (runs - 1)))

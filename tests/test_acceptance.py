@@ -1,9 +1,10 @@
 """Acceptance suite: one test per verification criterion, exact tolerances.
 
-Each test prints one PASS/FAIL line to stderr.  The CLI sweeps of W(3,2)
-and W(3,3) over GF(4) carry the slow marker; enable them with --runslow.
-The sweeps of W(3,2) and W(3,3) over GF(3) and of W(4,2) over GF(2) kept
-their "_slow" names but run in the default suite (a few seconds at most).
+Each test prints one PASS/FAIL line to stderr.  The sweeps of W(3,3) and
+W(3,2) over GF(5) carry the slow marker; enable them with --runslow.  The
+sweeps of W(3,2) and W(3,3) over GF(3) and GF(4) and of W(4,2) over GF(2)
+kept their "_slow" names but run in the default suite (well under a second
+each, the GF(4) ones since the sweep takes one block per torus orbit).
 """
 
 import json
@@ -115,9 +116,9 @@ def run_weights(capsys, *argv) -> tuple[int, dict, float]:
     return rc, json.loads(capsys.readouterr().out)["results"], elapsed
 
 
-@pytest.mark.slow
 def test_criterion_03_line_dmin_34_slow(capsys):
-    """`weights 3 2 4 --budget 1e13`: all 4^14 codewords of length 23205."""
+    """`weights 3 2 4 --budget 1e13`: all 4^14 codewords of length 23205,
+    swept as 90 torus-orbit blocks (0.3 s on a 2-core x86)."""
     rc, res, elapsed = run_weights(capsys, "3", "2", "4", "--budget", "10000000000000")
     expected = formulas.dmin_line(3, 4)
     ok = rc == 0 and res["d_min"] == expected
@@ -166,9 +167,9 @@ def test_criterion_05_w33_table_q3_slow():
     assert elapsed < 600
 
 
-@pytest.mark.slow
 def test_criterion_05_w33_table_q4_slow(capsys):
-    """`weights 3 3 4 --budget 1e13`: the rank 3 Lagrangian-Grassmannian table over GF(4)."""
+    """`weights 3 3 4 --budget 1e13`: the rank 3 Lagrangian-Grassmannian
+    table over GF(4), swept as 104 torus-orbit blocks (0.2 s on a 2-core x86)."""
     rc, res, elapsed = run_weights(capsys, "3", "3", "4", "--budget", "10000000000000")
     got = {int(w): c for w, c in res["distribution"].items()}
     expected = formulas.w33_table(4)
@@ -176,6 +177,35 @@ def test_criterion_05_w33_table_q4_slow(capsys):
     report("5 W(3,3) table q=4 [slow]", ok, f"{elapsed:.1f}s")
     assert rc == 0 and res["table_match"] is True
     assert got == expected
+
+
+@pytest.mark.slow
+def test_criterion_05_w33_table_q5_slow(capsys):
+    """`weights 3 3 5 --budget 1e14`: the W(3,3) table over GF(5), the first
+    past q = 4, swept as 3250 torus-orbit blocks (about 3 s on a 2-core x86)."""
+    rc, res, elapsed = run_weights(capsys, "3", "3", "5", "--budget", "100000000000000")
+    got = {int(w): c for w, c in res["distribution"].items()}
+    expected = formulas.w33_table(5)
+    ok = rc == 0 and got == expected
+    report("5 W(3,3) table q=5 [slow]", ok, f"{elapsed:.1f}s")
+    assert rc == 0 and res["table_match"] is True
+    assert got == expected
+
+
+@pytest.mark.slow
+def test_line_code_w32_q5_enumerator_slow():
+    """W(3,2) over GF(5): all 5^14 codewords of length 101 556, swept as 3404
+    torus-orbit blocks (about 11 s on a 2-core x86, one BLAS thread), equal
+    to the line code's enumerator pinned from an exhaustive sweep of every
+    projective message (559 s)."""
+    t0 = time.perf_counter()
+    we = weight_enumerator(build_code(3, 2, GF(5)))
+    elapsed = time.perf_counter() - t0
+    expected = {0: 1, 78000: 1627500, 78125: 406224, 81000: 528937500,
+                81125: 1015560000, 81250: 2684984400, 81375: 1872000000}
+    report("3 enumerator W(3,2) q=5 [slow]", we.distribution == expected, f"{elapsed:.1f}s")
+    assert we.distribution == expected
+    assert we.d_min == formulas.dmin_line(3, 5)
 
 
 def test_criterion_06_line_identity_random():

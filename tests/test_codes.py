@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -389,10 +390,8 @@ def test_both_method_names_run_the_one_sweep():
         weight_enumerator(code, method="x")
 
 
-def test_codeword_sweep_transforms_only_the_lead_blocks(monkeypatch):
-    # W(2,2) q=13 has high >= 1 outer digits beyond its block; the sweep
-    # hands the threads the blocks [q^j, 2 q^j), j < high, sum_j q^j of
-    # them, and not all q^high (block 0 is run directly)
+def record_blocks(monkeypatch) -> list:
+    """The block lists the sweeps hand to _run_tasks, in order."""
     handed = []
     orig = codes._run_tasks
 
@@ -401,13 +400,145 @@ def test_codeword_sweep_transforms_only_the_lead_blocks(monkeypatch):
         return orig(run, tasks, threads)
 
     monkeypatch.setattr(codes, "_run_tasks", record)
+    return handed
+
+
+def test_codeword_sweep_transforms_one_block_per_torus_orbit(monkeypatch):
+    # W(2,2) q=13 has high = 2 outer digits beyond its block.  The torus of
+    # Sp(4, 13) and the scalars cut the 169 high patterns to 4 orbits, each
+    # swept once at its smallest id and counted by its size; the scalars
+    # alone would leave 15 (block 0 and the lead blocks [q^j, 2 q^j))
+    handed = record_blocks(monkeypatch)
     q = 13
     code = build_code(2, 2, GF(q))
     assert weight_enumerator(code, method="codeword").distribution == formulas.w22_table(q)
+    assert code.K - sum(codes._transform_digits(q, code.K, code.N)) == 2
+    assert handed == [[(0, 1), (1, 12), (13, 12), (14, 144)]]
+
+
+def scalar_blocks(q: int, high: int) -> list[tuple[int, int]]:
+    """Block 0 once and each lead block [q^j, 2 q^j), j < high, q - 1 times:
+    one message per projective class, the scalars' orbits."""
+    return [(0, 1)] + [(i, q - 1) for j in range(high) for i in range(q**j, 2 * q**j)]
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_a_code_with_no_origin_sweeps_the_scalar_orbits(monkeypatch, q):
+    # with no Plücker map there is no torus, and the sweep is handed block 0
+    # and the lead blocks, as before the torus orbits: a random K = 4 code
+    # with blocks of q^2 entries, so t = 1 and high = 3
+    handed = record_blocks(monkeypatch)
+    monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", q**2)
+    gen = np.random.default_rng(q).integers(0, q, size=(4, 6), dtype=np.uint8)
+    code = LinearCode(field=GF(q), n=None, k=None, N=6, K=4, generator=gen)
+    assert code.K - sum(codes._transform_digits(q, code.K, code.N)) == 3
+    assert weight_enumerator(code).distribution == oracle_weight_enumerator(q, gen.tolist())
+    assert handed == [scalar_blocks(q, 3)]
+
+
+def test_a_binary_code_sweeps_the_scalar_orbits(monkeypatch):
+    # the torus of Sp(2n, 2) is trivial: built W(3,3) q=2 with blocks of 64
+    # entries is handed every one of its 2^high blocks once
+    handed = record_blocks(monkeypatch)
+    monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", 64)
+    code = build_code(3, 3, GF(2))
+    high = code.K - sum(codes._transform_digits(2, code.K, code.N))
+    assert high >= 4
+    assert weight_enumerator(code).distribution == formulas.w33_table(2)
+    assert handed == [scalar_blocks(2, high)] == [[(i, 1) for i in range(2**high)]]
+
+
+def burnside_orbits(q: int, exps: np.ndarray) -> int:
+    """(1/|H|) sum_(h in H) prod_i (1 + (q - 1)[h_i = 1]), the number of
+    orbits of H on GF(q)^high, H the image of T x GF(q)* as exponent vectors
+    c + exps @ x mod q - 1 (h_i = 1 where the exponent is 0)."""
+    image = {tuple(((c + exps @ np.array(x, dtype=np.int64)) % (q - 1)).tolist())
+             for c in range(q - 1)
+             for x in itertools.product(range(q - 1), repeat=exps.shape[1])}
+    fixed = sum(math.prod(q if e == 0 else 1 for e in h) for h in image)
+    assert fixed % len(image) == 0
+    return fixed // len(image)
+
+
+ORBIT_CASES = [(2, 2, q, 3 if q <= 5 else 4) for q in ALL_Q] + [
+    (3, 3, 2, 12), (3, 3, 3, 11), (2, 1, 5, 3)]
+
+
+@pytest.mark.parametrize("n,k,q,block", ORBIT_CASES)
+def test_orbit_blocks_sweep_as_every_block(monkeypatch, n, k, q, block):
+    # blocks of q^block entries leave high >= 2 high digits.  The orbit
+    # sweep's histogram is byte-equal to one handed every id with size 1,
+    # its sizes sum to q^high, and its orbit count is Burnside's
+    code = build_code(n, k, GF(q))
+    f, gen = code.field, code.generator
+    monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", q**block)
     high = code.K - sum(codes._transform_digits(q, code.K, code.N))
-    assert high >= 1
-    assert handed == [[i for j in range(high) for i in range(q**j, 2 * q**j)]]
-    assert len(handed[0]) == sum(q**j for j in range(high))
+    assert high >= 2
+    exps = codes._torus_exponents(code)
+    assert exps.shape == (code.K, 0 if q == 2 else n)
+    handed = record_blocks(monkeypatch)
+    assert weight_enumerator(code).distribution == formulas.known_table(n, k, q)
+    orbit = codes._transform_histogram(f, gen, 1, exps)
+    blocks = handed[-1]
+    monkeypatch.setattr(codes, "_block_orbits",
+                        lambda f, exps: [(i, 1) for i in range(q ** exps.shape[0])])
+    every = codes._transform_histogram(f, gen, 1, exps)
+    assert orbit.dtype == every.dtype and orbit.tobytes() == every.tobytes()
+    assert sum(size for _, size in blocks) == q**high
+    assert len(blocks) == burnside_orbits(q, exps[:high])
+
+
+@pytest.mark.parametrize("n,k,q,orbits", [
+    (3, 3, 3, 20), (2, 2, 13, 4), (2, 2, 16, 4), (3, 2, 4, 90), (3, 3, 4, 104)])
+def test_orbit_counts_at_the_real_block_size(n, k, q, orbits):
+    code = build_code(n, k, GF(q))
+    exps = codes._torus_exponents(code)
+    high = code.K - sum(codes._transform_digits(q, code.K, code.N))
+    blocks = codes._block_orbits(code.field, exps[:high])
+    assert len(blocks) == burnside_orbits(q, exps[:high]) == orbits
+    assert sum(size for _, size in blocks) == q**high
+
+
+def plus_torus(code: LinearCode, exps: np.ndarray) -> np.ndarray:
+    """The exponents of diag(t, t), not in Sp(2n, q): [a in S_i] + [a + n in S_i]."""
+    exps = np.zeros((code.K, code.n), dtype=np.int64)
+    pivots = (code.plucker_map != 0).argmax(axis=1)
+    subsets = list(itertools.combinations(range(2 * code.n), code.k))
+    for i, p in enumerate(pivots.tolist()):
+        for j in subsets[p]:
+            exps[i, j % code.n] += 1
+    return exps
+
+
+def borrowed_row(code: LinearCode, exps: np.ndarray) -> np.ndarray:
+    """The true exponents exps with one row's vector given another's, the
+    first pair that differs mod q - 1."""
+    exps = exps.copy()
+    q = code.field.q
+    i, j = next((i, j) for i in range(code.K) for j in range(code.K)
+                if np.any((exps[i] - exps[j]) % (q - 1)))
+    exps[i] = exps[j]
+    return exps
+
+
+@pytest.mark.parametrize("wrong", [plus_torus, borrowed_row])
+def test_a_wrong_torus_character_fails_the_invariance_check(monkeypatch, wrong):
+    # the true characters pass on every listed code; each wrong one raises
+    # the check's AssertionError on at least one of them, before any sweep
+    listed = [build_code(n, k, GF(q)) for n, k, q in ((2, 1, 5), (2, 2, 4), (2, 2, 5), (3, 3, 4))]
+    for code in listed:
+        codes._check_torus(code.field, code.generator, codes._torus_exponents(code))
+    true = codes._torus_exponents
+    failed = []
+    for code in listed:
+        monkeypatch.setattr(codes, "_torus_exponents", lambda c: wrong(c, true(c)))
+        try:
+            weight_enumerator(code)
+        except AssertionError as exc:
+            assert str(exc).startswith("torus generator t_")
+            failed.append(code)
+        monkeypatch.setattr(codes, "_torus_exponents", true)
+    assert failed
 
 
 @pytest.mark.parametrize("n,k,q", [(2, 2, 3), (3, 3, 2), (2, 2, 4)])
@@ -623,7 +754,7 @@ def test_float32_exactness_guard(monkeypatch):
         weight_enumerator(code, method="hyperplane")
     # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
-        codes._transform_histogram(GF(2), wide[:, 1:], 1)
+        codes._transform_histogram(GF(2), wide[:, 1:], 1, np.zeros((1, 0), np.int64))
 
 
 def test_float32_exactness_guard_codeword(monkeypatch):
@@ -640,7 +771,7 @@ def test_float32_exactness_guard_codeword(monkeypatch):
         weight_enumerator(code, method="codeword")
     # one column fewer is within the bound and reaches the products
     with pytest.raises(AssertionError, match="product taken"):
-        codes._transform_histogram(GF(2), wide[:, 1:], 1)
+        codes._transform_histogram(GF(2), wide[:, 1:], 1, np.zeros((1, 0), np.int64))
 
 
 def test_codeword_from_sigma_is_zero():
