@@ -424,9 +424,9 @@ def scalar_blocks(q: int, high: int) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("q", ALL_Q)
 def test_a_code_with_no_origin_sweeps_the_scalar_orbits(monkeypatch, q):
-    # with no Plücker map there is no torus, and the sweep is handed block 0
-    # and the lead blocks, as before the torus orbits: a random K = 4 code
-    # with blocks of q^2 entries, so t = 1 and high = 3
+    # with no Plücker map there is no torus, and the sweep is handed the
+    # scalars' orbits, block 0 and the lead blocks: a random K = 4 code with
+    # blocks of q^2 entries, so t = 1 and high = 3
     handed = record_blocks(monkeypatch)
     monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", q**2)
     gen = np.random.default_rng(q).integers(0, q, size=(4, 6), dtype=np.uint8)
@@ -499,7 +499,7 @@ def test_orbit_counts_at_the_real_block_size(n, k, q, orbits):
     assert sum(size for _, size in blocks) == q**high
 
 
-def plus_torus(code: LinearCode, exps: np.ndarray) -> np.ndarray:
+def plus_torus(code: LinearCode, _true: np.ndarray) -> np.ndarray:
     """The exponents of diag(t, t), not in Sp(2n, q): [a in S_i] + [a + n in S_i]."""
     exps = np.zeros((code.K, code.n), dtype=np.int64)
     pivots = (code.plucker_map != 0).argmax(axis=1)
@@ -529,15 +529,14 @@ def test_a_wrong_torus_character_fails_the_invariance_check(monkeypatch, wrong):
     for code in listed:
         codes._check_torus(code.field, code.generator, codes._torus_exponents(code))
     true = codes._torus_exponents
+    monkeypatch.setattr(codes, "_torus_exponents", lambda c: wrong(c, true(c)))
     failed = []
     for code in listed:
-        monkeypatch.setattr(codes, "_torus_exponents", lambda c: wrong(c, true(c)))
         try:
             weight_enumerator(code)
         except AssertionError as exc:
             assert str(exc).startswith("torus generator t_")
             failed.append(code)
-        monkeypatch.setattr(codes, "_torus_exponents", true)
     assert failed
 
 
