@@ -17,9 +17,10 @@ size.  The group is the scalars and, for a built code over GF(q), q > 2,
 the diagonal torus diag(t, t^-1) of Sp(2n, q), which permutes the point set
 and scales each Plücker coordinate by a character; each torus generator is
 checked to permute the columns before its character is used.  Each stage
-runs along its own digits of two reused buffers, and no digit moves; over
-GF(2) one signed count channel goes through +-1 stages.  Every distribution
-is checked against q^K words, the scalar rule and the first two power
+runs along its own digits of two reused buffers, no digit moves, and a
+block's zero counts are sorted in place and binned by runs; over GF(2) one
+signed count channel goes through +-1 stages.  Every distribution is
+checked against q^K words, the scalar rule and the first two power
 moments, and a code built from the point set must be projective
 (weight_enumerator).
 """
@@ -251,14 +252,18 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
     stage's digits, next to the next stage's, so no digit moves, and each
     product is written into the other of two buffers that run() allocates
     once.  The last stage is one 2-d product on the right with the c' = 0
-    columns of M, and the zero counts are cast once for one np.bincount.
-    Over GF(2) ch = 1: D(u) = F(u, 0) - F(u, 1) is tallied by np.add.at
-    with weights +-1 and M is the symmetric +-1 matrix H; F(m, 0) =
-    (N + D(m))/2 is read from the even bins of a histogram of N + D.  Every
-    entry of F or D, of a product and of its partial sums, in any stage
-    order, is a sum (signed over GF(2)) of counts of disjoint column sets,
-    so it is an integer of magnitude at most N, and the float32 arithmetic
-    is exact while N < 2^24; so is the even N + D(m).
+    columns of M.  Over GF(2) ch = 1: D(u) = F(u, 0) - F(u, 1) is tallied
+    by np.add.at with weights +-1, M is the symmetric +-1 matrix H, and
+    F(m, 0) = (N + D(m))/2 is counted in bin N + D.  Every entry of F or D,
+    of a product and of its partial sums, in any stage order, is a sum
+    (signed over GF(2)) of counts of disjoint column sets, so it is an
+    integer of magnitude at most N, and the float32 arithmetic is exact
+    while N < 2^24; so is the even N + D(m).  The zero counts, a view into
+    a buffer the next block overwrites, are sorted in place, and each run
+    of one value (-0.0 joins 0.0) adds size times its length to one bin.
+    Sorting the 2^17 values of a block of the bench's GF(2) job (6 to 8
+    distinct) took 0.14-0.18 ms, against 0.36-0.40 ms to add N, cast to
+    intp and np.bincount, whose increments serialise on a few bins.
 
     Stages of _RADIX digits, the short stage first (the last, 2-d, product
     is fastest at full side), measured with one BLAS thread on a 2-core
@@ -278,22 +283,19 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
     Block i holds the messages whose first high = K - t - b digits are the
     base-q digits of i.  exps (K x n or K x 0, _torus_exponents) are the
     characters: (c, x) scales message digit i by g^(c + <exps[i], x>), and
-    weight_enumerator's _check_torus has proved that m and every such
-    scaling of m weigh the same.  A scaling maps block i onto the block
-    of its scaled high digits, the low digits one to one, so the two have
-    one histogram.  Each orbit of the scalings on the high digits
-    (_block_orbits) is transformed once, at its smallest id, and its
-    histogram counted times the orbit's size; the list of (id, size) is
-    shared over threads.  With width 0 the orbits are the scalars': block 0
-    and the lead blocks [q^j, 2 q^j), j < high, of size q - 1.  Measured
-    with one BLAS thread on a 2-core x86, scalar orbits -> torus orbits:
-    W(3,3) q=3 41 -> 20 blocks, 37-39 -> 19-20 ms; W(2,2) q=16 18 -> 4,
-    17-21 -> 5.4-5.5 ms; W(2,2) q=13 15 -> 4, 4.1-6.2 -> 2.0-2.6 ms; W(3,3)
-    q=4 1366 -> 104, 2.2-2.3 -> 0.175-0.178 s; W(3,2) q=4 1366 -> 90, 3.0-3.1
-    -> 0.22-0.23 s.  W(3,3) q=5 (3250 orbits of 5^8 patterns) took 2.2 s
-    and W(3,2) q=5 (3404) 11 s, against about 340 s estimated for the
-    scalar list.  The orbit step took 0.1-0.5 ms on these codes, 28-32 ms
-    at 5^8 patterns; the bench's GF(2) job, scalars only, stayed at 80-85 ms.
+    weight_enumerator's _check_torus has proved that m and every such scaling
+    of m weigh the same.  A scaling maps block i onto the block of its scaled
+    high digits, the low digits one to one, so the two have one histogram.
+    Each orbit of the scalings on the high digits (_block_orbits) is
+    transformed once, at its smallest id, and its histogram counted times the
+    orbit's size; the list of (id, size) is shared over threads.  With width 0
+    the orbits are the scalars': block 0 and the lead blocks [q^j, 2 q^j),
+    j < high, of size q - 1.  Scalar -> torus orbits, one BLAS thread on a
+    2-core x86: W(3,3) q=3 41 -> 20 blocks, 37-39 -> 19-20 ms; W(2,2) q=16 18 -> 4,
+    17-21 -> 5.4-5.5 ms; W(3,3) q=4 1366 -> 104, 2.2-2.3 -> 0.175-0.178 s.
+    W(3,3) q=5 (3250 orbits of 5^8 patterns) sweeps in 2.3-2.6 s and W(3,2)
+    q=5 (3404) in 11.1-11.4 s, against about 340 s estimated for the scalar
+    list.  The orbit step took 0.1-0.5 ms, 28-32 ms at 5^8 patterns.
     """
     big_k, big_n = gen.shape
     q = f.q
@@ -334,7 +336,6 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
     def run(blocks) -> np.ndarray:
         zeros_hist = np.zeros(step * big_n + 1, dtype=np.int64)
         counts, prod = np.empty((2, block), dtype=np.float32)
-        bins = np.empty(block // ch, dtype=np.intp)
         for i in range(0, len(blocks), per_chunk):
             ids, sizes = np.array(blocks[i : i + per_chunk], dtype=np.int64).T
             msgs = (ids[:, None] * n_block + np.arange(n_block)).ravel()
@@ -347,11 +348,10 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
                 else:
                     np.copyto(counts, np.bincount((offsets + channel * val).ravel(),
                                                   minlength=block))
-                zeros = transform(counts, prod)
-                if level:
-                    zeros += level
-                np.copyto(bins, zeros.reshape(-1), casting="unsafe")
-                zeros_hist += size * np.bincount(bins, minlength=zeros_hist.size)
+                zeros = transform(counts, prod).reshape(-1)
+                zeros.sort()  # a view into counts or prod, which the next block overwrites
+                ends = np.append(np.flatnonzero(zeros[1:] != zeros[:-1]), zeros.size - 1)
+                zeros_hist[zeros[ends].astype(np.intp) + level] += size * np.diff(ends, prepend=-1)
         return zeros_hist
 
     blocks = _block_orbits(f, exps[: big_k - t - b])

@@ -580,17 +580,20 @@ def test_threads_do_not_change_distribution(monkeypatch):
     dists = [weight_enumerator(code, threads=t).distribution for t in (1, 3, 4)]
     assert dists == [formulas.w33_table(2)] * 3
     # W(2,2) over GF(3) and GF(4).  At 64 entries the transform has 27 and
-    # 64 blocks and high = 3, and the sweep's 13 and 21 lead
-    # blocks go to the threads in chunks, one of which (q = 4, two threads)
-    # holds blocks 1 and 4.  At q^4 entries high = 2, and at one thread the
-    # first outer product takes two or three lead blocks, 1 and q among them.
-    for q in (3, 4):
+    # 64 blocks and high = 3, and the sweep's 10 and 8 torus-orbit blocks go
+    # to the threads in chunks, one of which (q = 3, two threads) holds
+    # blocks 4 and 9.  At q^4 entries high = 2, each has 4 orbit blocks, and
+    # at one thread the first outer product takes two or three of them, of
+    # orbit sizes 1 and q - 1 among them.
+    handed = record_blocks(monkeypatch)
+    for q, orbits in ((3, {64: 10, 81: 4}), (4, {64: 8, 256: 4})):
         code = build_code(2, 2, GF(q))
         for block, high in ((64, 3), (q**4, 2)):
             monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", block)
             assert code.K - sum(codes._transform_digits(q, code.K, code.N)) == high
             dists = [weight_enumerator(code, threads=t).distribution for t in (1, 2, 3, 4)]
             assert dists == [formulas.w22_table(q)] * 4
+            assert [len(blocks) for blocks in handed[-4:]] == [orbits[block]] * 4
 
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -720,6 +723,29 @@ def test_sweep_of_an_empty_generator(big_k, big_n):
         gen = np.zeros((big_k, big_n), dtype=np.uint8)
         code = LinearCode(field=GF(q), n=None, k=None, N=big_n, K=big_k, generator=gen)
         assert weight_enumerator(code).distribution == {0: q**big_k}
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_block_histograms_at_the_edge_bins(monkeypatch, q):
+    # blocks of q^2 entries: t = 1, high = 2, and the q + 1 scalar orbit
+    # blocks after block 0, each of size q - 1, add into one bin.  The
+    # all-zero generator makes every block one run, at N + D = 2N, the top
+    # bin, over GF(2).  A first row of all ones and no other gives weights 0
+    # and N only: blocks q to 2q - 1 are each one run at zero count 0, over
+    # GF(2) N + D = 0, bin 0
+    monkeypatch.setattr(codes, "_TRANSFORM_BLOCK", q**2)
+    big_k, big_n = 3, 5
+    assert big_k - sum(codes._transform_digits(q, big_k, big_n)) == 2
+    ones = np.zeros((big_k, big_n), dtype=np.uint8)
+    ones[0] = 1
+    handed = record_blocks(monkeypatch)
+    for gen in (np.zeros_like(ones), ones):
+        code = LinearCode(field=GF(q), n=None, k=None, N=big_n, K=big_k, generator=gen)
+        expected = oracle_weight_enumerator(q, gen.tolist())
+        for threads in (1, 2):
+            assert weight_enumerator(code, threads=threads).distribution == expected
+    assert expected == {0: q**2, big_n: q**3 - q**2}
+    assert handed == [scalar_blocks(q, 2)] * 4
 
 
 @pytest.mark.parametrize("q,big_k,block,high", [
