@@ -262,7 +262,7 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
     a buffer the next block overwrites, are sorted in place, and each run
     of one value (-0.0 joins 0.0) adds size times its length to one bin.
     Sorting the 2^17 values of a block of the bench's GF(2) job (6 to 8
-    distinct) took 0.14-0.18 ms, against 0.36-0.40 ms to add N, cast to
+    distinct) took 0.14-0.21 ms, against 0.36-0.40 ms to add N, cast to
     intp and np.bincount, whose increments serialise on a few bins.
 
     Stages of _RADIX digits, the short stage first (the last, 2-d, product
@@ -291,8 +291,8 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
     orbit's size; the list of (id, size) is shared over threads.  With width 0
     the orbits are the scalars': block 0 and the lead blocks [q^j, 2 q^j),
     j < high, of size q - 1.  Scalar -> torus orbits, one BLAS thread on a
-    2-core x86: W(3,3) q=3 41 -> 20 blocks, 37-39 -> 19-20 ms; W(2,2) q=16 18 -> 4,
-    17-21 -> 5.4-5.5 ms; W(3,3) q=4 1366 -> 104, 2.2-2.3 -> 0.175-0.178 s.
+    2-core x86: W(3,3) q=3 41 -> 20 blocks, 37-39 -> 19-20 ms; W(2,2) q=16
+    18 -> 4, 17-21 -> 5.4-5.5 ms; W(3,3) q=4 1366 -> 104, 2.2-2.3 -> 0.18 s.
     W(3,3) q=5 (3250 orbits of 5^8 patterns) sweeps in 2.3-2.6 s and W(3,2)
     q=5 (3404) in 11.1-11.4 s, against about 340 s estimated for the scalar
     list.  The orbit step took 0.1-0.5 ms, 28-32 ms at 5^8 patterns.
