@@ -195,33 +195,21 @@ def _transform_digits(q: int, big_k: int, big_n: int) -> tuple[int, int]:
     return t, min(big_k - t, top - t)
 
 
-@lru_cache(maxsize=None)
-def _primitive_powers(f: Field) -> np.ndarray:
-    """g^0 .. g^(q-2) for the smallest encoding g that generates GF(q)*."""
-    for g in range(1, f.q):
-        powers = [1]
-        for _ in range(f.q - 2):
-            powers.append(int(f.mul_table[powers[-1], g]))
-        if len(set(powers)) == f.q - 1:
-            return np.array(powers, dtype=np.intp)
-    raise AssertionError(f"GF({f.q})* has no generator")
-
-
-def _block_orbits(f: Field, exps: np.ndarray) -> list[tuple[int, int]]:
-    """(block id, orbit size) for each orbit of H on the q^high patterns of
-    high digits, high = len(exps), id the base-q number with the first digit
-    most significant and the smallest id of its orbit; the sizes sum to
-    q^high.  H multiplies digit i by g^(c + <exps[i], x>) over all c and x,
-    g = _primitive_powers(f)[1]: generated by the scalar g (c = 1) and one
-    element per column of exps.  A label starts as the pattern's own id and
+def _block_orbits(f: Field, exps: np.ndarray) -> np.ndarray:
+    """One row (block id, orbit size) of a (B, 2) array per orbit of H on
+    the q^high patterns of high digits, high = len(exps), id the base-q
+    number with the first digit most significant and the smallest id of its
+    orbit; the sizes sum to q^high.  H multiplies digit i by
+    g^(c + <exps[i], x>) over all c and x, g the generator whose powers are
+    f.exp_table: generated by the scalar g (c = 1) and one element per
+    column of exps.  A label starts as the pattern's own id and
     is lowered, one generator h at a time, to min_b label[h^b x], b < q - 1,
     which is the smallest id over the orbit of the generators so far (H is
     abelian); h as a permutation of the ids is an outer sum over the digits."""
     q, high = f.q, exps.shape[0]
-    powers = _primitive_powers(f)
     label = np.arange(q**high, dtype=np.intp)
     for e in np.concatenate([np.ones((high, 1), dtype=np.int64), exps], axis=1).T:
-        mult = powers[e % (q - 1)]
+        mult = f.exp_table[e % (q - 1)]
         if np.all(mult == 1):
             continue
         perm = np.zeros(1, dtype=np.intp)
@@ -231,8 +219,7 @@ def _block_orbits(f: Field, exps: np.ndarray) -> list[tuple[int, int]]:
         for _ in range(q - 2):
             np.minimum(label, label[image], out=label)
             image = perm[image]
-    ids, sizes = np.unique(label, return_counts=True)
-    return list(zip(ids.tolist(), sizes.tolist()))
+    return np.stack(np.unique(label, return_counts=True), axis=1)
 
 
 def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
@@ -288,14 +275,16 @@ def _transform_histogram(f: Field, gen: np.ndarray, threads: int,
     high digits, the low digits one to one, so the two have one histogram.
     Each orbit of the scalings on the high digits (_block_orbits) is
     transformed once, at its smallest id, and its histogram counted times the
-    orbit's size; the list of (id, size) is shared over threads.  With width 0
+    orbit's size; the (id, size) rows are shared over threads.  With width 0
     the orbits are the scalars': block 0 and the lead blocks [q^j, 2 q^j),
     j < high, of size q - 1.  Scalar -> torus orbits, one BLAS thread on a
     2-core x86: W(3,3) q=3 41 -> 20 blocks, 37-39 -> 19-20 ms; W(2,2) q=16
     18 -> 4, 17-21 -> 5.4-5.5 ms; W(3,3) q=4 1366 -> 104, 2.2-2.3 -> 0.18 s.
-    W(3,3) q=5 (3250 orbits of 5^8 patterns) sweeps in 2.3-2.6 s and W(3,2)
-    q=5 (3404) in 11.1-11.4 s, against about 340 s estimated for the scalar
-    list.  The orbit step took 0.1-0.5 ms, 28-32 ms at 5^8 patterns.
+    W(3,3) q=5 (3250 orbits of 5^8 patterns) sweeps in 2.3-2.5 s and W(3,2)
+    q=5 (3404) in 4.7-4.9 s, against about 340 s estimated for the scalar
+    list (2.8-2.9 s and 12.4-12.6 s while Field.matmul gathered a prime
+    field's right operand through its digit table).  The orbit step took
+    0.1-0.5 ms, 28-32 ms at 5^8 patterns.
     """
     big_k, big_n = gen.shape
     q = f.q
@@ -409,7 +398,7 @@ def _torus_exponents(code: LinearCode) -> np.ndarray:
 
 
 def _check_torus(f: Field, gen: np.ndarray, exps: np.ndarray) -> None:
-    """Each torus generator, t_a = g (g = _primitive_powers(f)[1]) and every
+    """Each torus generator, t_a = g (g = f.exp_table[1]) and every
     other t_b = 1, scales row i of gen by g^exps[i, a]; it must map the
     nonzero columns, scaled to lead with 1, onto the same multiset (else
     AssertionError naming a).  Then m and that scaling of m weigh the same
@@ -419,9 +408,8 @@ def _check_torus(f: Field, gen: np.ndarray, exps: np.ndarray) -> None:
         return
     cols = gen[:, gen.any(axis=0)]
     normed = _normed_columns(f, cols)
-    powers = _primitive_powers(f)
     for a in range(exps.shape[1]):
-        scale = powers[exps[:, a] % (f.q - 1)].astype(np.uint8)[:, None]
+        scale = f.exp_table[exps[:, a] % (f.q - 1)][:, None]
         if not np.array_equal(_normed_columns(f, f.arr_mul(cols, scale)), normed):
             raise AssertionError(f"torus generator t_{a}: does not permute the columns "
                                  "up to scalars")

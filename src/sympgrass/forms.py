@@ -85,7 +85,7 @@ def standard_symplectic(n: int, field: Field) -> AlternatingForm:
         raise ValueError("need n >= 1")
     g = np.zeros((2 * n, 2 * n), dtype=np.uint8)
     one = np.uint8(1)
-    minus_one = np.uint8(field.neg(1))
+    minus_one = field.neg_table[1]
     for i in range(n):
         g[i, n + i] = one
         g[n + i, i] = minus_one
@@ -235,7 +235,7 @@ def worst_case_theta(sigma: AlternatingForm) -> AlternatingForm:
         raise ValueError("worst-case construction needs n >= 2")
     g = sigma.gram
     i, j = np.argwhere(np.triu(g != 0, 1))[0]  # non-degeneracy guarantees one
-    rows = f.arr_mul(np.stack([g[:, j], f.arr_neg(g[:, i])]), np.uint8(f.inv(int(g[i, j]))))
+    rows = f.arr_mul(np.stack([g[:, j], f.arr_neg(g[:, i])]), f.inv_table[g[i, j]])
     theta = AlternatingForm(f, f.matmul(g[:, [i, j]], rows))
     assert theta.rank == 2
     return theta

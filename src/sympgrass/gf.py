@@ -11,14 +11,18 @@ so that encodings are reproducible across runs and file formats:
     q = 9  : x^2 + x + 2
     q = 16 : x^4 + x + 1
 
-Each modulus makes x a generator of GF(q)*, so the multiplication table is
-read from the powers of x: exp[i] = x^i, one digit shift per power, and
-a * b = exp[(log a + log b) mod (q - 1)]; a field whose powers of x miss an
-element raises AssertionError.  A prime field multiplies residues mod q.
-Negation is digitwise, and the inverse is read from the multiplication
-table.
+Each modulus makes x a generator of GF(q)*, and GF(p) is taken as
+GF(p)[x]/(x - g), g its smallest primitive root, so every multiplication
+table is read from the powers of one generator, kept as exp_table:
+exp[i] = x^i, one digit shift per power, and a * b = exp[(log a + log b)
+mod (q - 1)]; a field whose powers of x miss an element raises
+AssertionError.  For every q, x is the smallest encoding that generates
+GF(q)*, and the sweep's torus scales by its powers.  Negation is digitwise,
+and the inverse is read from the multiplication table.
 
-Scalar arithmetic is table-driven (full q x q tables).  Array helpers
+Scalars are read from the tables: add_table and mul_table, q x q;
+neg_table and inv_table, one entry per element (inv_table[0] = 0); and
+exp_table, g^0 .. g^(q-2).  Array helpers
 (`arr_add` etc.) operate elementwise on numpy arrays of encodings and agree
 with the scalar tables entrywise (tested).  In characteristic 2 an encoding
 is a vector of GF(2) digits, so addition is one bitwise XOR for q = 2, 4, 8
@@ -40,11 +44,12 @@ W(4,3) took 12.2 s instead of 6.8 s and 552 MB of peak memory instead of
 already its e base-p digits, and multiplication by a fixed element is an
 e x e matrix over GF(p), so a product over GF(p^e) is one float32 BLAS
 product of the digit-expanded operands, reduced mod p and recombined; a
-prime field is the case e = 1.  It takes one right matrix, so that a stacked
-left operand is one BLAS call, and expands an extension field's left
-operand by one np.take from a (q, e) float32 table of digits.  Every entry
-of the float product is an integer of at most k*e*(p-1)^2 for inner
-dimension k, exact below 2^24; larger products raise ValueError.  The
+prime field is the case e = 1, whose operands are converted to float32 on
+both sides.  It takes one right matrix, so that a stacked left operand is
+one BLAS call, and expands an extension field's left operand by one np.take
+from the digits of x^0 * a, row 0 of the right operand's digit table.
+Every entry of the float product is an integer of at most k*e*(p-1)^2 for
+inner dimension k, exact below 2^24; larger products raise ValueError.  The
 product is reduced in the narrowest unsigned dtype that holds that bound
 (uint8 below 2^8, uint16 below 2^16), by & 1 when p = 2.
 """
@@ -84,23 +89,26 @@ class Field:
         powers = p ** np.arange(e, dtype=np.uint8)
         digits = np.arange(q, dtype=np.uint8)[:, None] // powers % p
         add = ((digits[:, None, :] + digits[None, :, :]) % p @ powers).astype(np.uint8)
-        if e == 1:
-            mul = (np.outer(np.arange(q), np.arange(q)) % q).astype(np.uint8)
+        # GF(p) is GF(p)[x]/(x - g), g its smallest primitive root, so that
+        # exp[i] encodes x^i for every q: one shift of the digits per power,
+        # with x^e = -(m_0 + ... + m_(e-1) x^(e-1)) folded back in
+        if modulus is None:
+            g = next(g for g in range(1, q) if len({pow(g, i, q) for i in range(q - 1)}) == q - 1)
+            low = np.array([-g])
         else:
-            # exp[i] encodes x^i: one shift of the digits per power, with
-            # x^e = -(m_0 + ... + m_(e-1) x^(e-1)) folded back in
             low = np.asarray(modulus[:e])
-            power = np.eye(e, dtype=np.intp)[0]
-            exp = np.empty(q - 1, dtype=np.intp)
-            for i in range(q - 1):
-                exp[i] = power @ powers
-                power = (np.concatenate(([0], power[:-1])) - power[-1] * low) % p
-            if sorted(exp.tolist()) != list(range(1, q)):
-                raise AssertionError(f"x does not generate GF({q})*; bad modulus")
-            log = np.zeros(q, dtype=np.intp)
-            log[exp] = np.arange(q - 1)
-            mul = np.zeros((q, q), dtype=np.uint8)
-            mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        power = np.eye(e, dtype=np.intp)[0]
+        exp = np.empty(q - 1, dtype=np.uint8)
+        for i in range(q - 1):
+            exp[i] = power @ powers
+            power = (np.concatenate(([0], power[:-1])) - power[-1] * low) % p
+        if sorted(exp.tolist()) != list(range(1, q)):
+            raise AssertionError(f"x does not generate GF({q})*; bad modulus")
+        log = np.zeros(q, dtype=np.intp)
+        log[exp] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.uint8)
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        self.exp_table = exp
         self.add_table = add
         self.mul_table = mul
         self._add_packed = np.zeros(256, dtype=np.uint8)
@@ -112,31 +120,13 @@ class Field:
         # the one b with a * b = 1 (0 for a = 0, whose row holds no 1)
         self.inv_table = np.argmax(mul == 1, axis=1).astype(np.uint8)
 
-        # row a of _digit_table holds the digits of a, the left operand's expansion
-        self._digit_table = digits.astype(np.float32)
-        # row r of _mul_digits[b] holds the digits of x^r * b (x^r is encoded as p^r)
+        # row r of _mul_digits[b] holds the digits of x^r * b (x^r is encoded
+        # as p^r); row 0 holds b's own digits, the left operand's expansion
         xb = mul[powers][:, :, None] // powers % p
         self._mul_digits = xb.transpose(1, 0, 2).astype(np.float32)
 
-        for t in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
+        for t in (self.exp_table, self.add_table, self.mul_table, self.neg_table, self.inv_table):
             t.setflags(write=False)
-
-    # -- scalar ops ----------------------------------------------------
-
-    def _check(self, *vals: int) -> None:
-        for v in vals:
-            if not 0 <= v < self.q:
-                raise ValueError(f"{v} is not an element encoding of GF({self.q})")
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return int(self.neg_table[a])
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no multiplicative inverse in GF({self.q})")
-        return int(self.inv_table[a])
 
     # -- elementwise array ops (uint8 encodings in, uint8 out) ----------
 
@@ -212,9 +202,12 @@ class Field:
             raise ValueError(f"inner dimension {k} is too large for an exact GF({self.q}) product")
         rows = math.prod(a.shape[:-1])  # explicit, as -1 is ambiguous when k = 0
         # a prime-field element is its own single digit, converted several
-        # times faster than it is looked up
-        a_dig = a.astype(np.float32) if e == 1 else np.take(self._digit_table, a, axis=0)
-        b_dig = self._mul_digits[b].swapaxes(1, 2).reshape(k * e, n * e)
+        # times faster than it is looked up, on either side
+        if e == 1:
+            a_dig, b_dig = a.astype(np.float32), b.astype(np.float32)
+        else:
+            a_dig = np.take(self._mul_digits[:, 0], a, axis=0)
+            b_dig = self._mul_digits[b].swapaxes(1, 2).reshape(k * e, n * e)
         prod = (a_dig.reshape(rows, k * e) @ b_dig).reshape(*a.shape[:-1], n * e)
         wide = np.uint8 if bound < 1 << 8 else np.uint16 if bound < 1 << 16 else np.uint32
         digits = prod.astype(wide)

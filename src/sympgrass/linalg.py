@@ -58,7 +58,7 @@ def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
             continue
         if i != r:
             r_mat[[r, i]] = r_mat[[i, r]]
-        row = f.arr_mul(r_mat[r], np.uint8(f.inv(pv))) if pv != 1 else r_mat[r]
+        row = f.arr_mul(r_mat[r], f.inv_table[pv]) if pv != 1 else r_mat[r]
         factors = f.arr_neg(r_mat[:, c])
         factors[r] = 0
         r_mat = f.arr_add(r_mat, f.arr_mul(factors[:, None], row))

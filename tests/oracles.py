@@ -356,7 +356,7 @@ def rref_reference(f, m):
             r_mat[[r, i]] = r_mat[[i, r]]
         pv = int(r_mat[r, c])
         if pv != 1:
-            r_mat[r] = f.arr_mul(r_mat[r], np.uint8(f.inv(pv)))
+            r_mat[r] = f.arr_mul(r_mat[r], f.inv_table[pv])
         others = np.nonzero(r_mat[:, c])[0]
         others = others[others != r]
         if others.size:
@@ -379,7 +379,7 @@ def random_alternating_form_reference(f, dim, rng):
         for j in range(i + 1, dim):
             v = int(rng.integers(0, f.q))
             g[i, j] = v
-            g[j, i] = f.neg(v)
+            g[j, i] = f.neg_table[v]
     return g
 
 

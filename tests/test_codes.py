@@ -391,12 +391,13 @@ def test_both_method_names_run_the_one_sweep():
 
 
 def record_blocks(monkeypatch) -> list:
-    """The block lists the sweeps hand to _run_tasks, in order."""
+    """The block lists the sweeps hand to _run_tasks, in order, each as a
+    list of (id, size) tuples of Python ints."""
     handed = []
     orig = codes._run_tasks
 
     def record(run, tasks, threads):
-        handed.append(list(tasks))
+        handed.append([(int(i), int(size)) for i, size in tasks])
         return orig(run, tasks, threads)
 
     monkeypatch.setattr(codes, "_run_tasks", record)

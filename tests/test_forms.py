@@ -59,7 +59,7 @@ def all_alternating_forms(f, d):
         g = np.zeros((d, d), dtype=np.uint8)
         for (i, j), v in zip(pairs, entries):
             g[i, j] = v
-            g[j, i] = f.neg(v)
+            g[j, i] = f.neg_table[v]
         yield AlternatingForm(f, g)
 
 

@@ -16,7 +16,7 @@ gf -> linalg -> grassmann -> forms -> codes -> cli.
 
 A module's _names are its own: no module of the package reads
 other_module._name or imports `from .other import _name`, and no code reads
-a _name off an object other than self or cls, such as f._digit_table from
+a _name off an object other than self or cls, such as f._mul_digits from
 outside Field (dunders excepted), so that each layout decision is known to
 one module.
 
