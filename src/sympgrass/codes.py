@@ -370,7 +370,8 @@ def weight_enumerator(
         raise ValueError(f"unknown sweep method {method!r}")
     f = code.field
     exps = _torus_exponents(code)
-    _check_torus(f, code.generator, exps)
+    normed = _normed_columns(f, code.generator)
+    _check_torus(f, code.generator, exps, normed)
     hist = _transform_histogram(f, code.generator, threads, exps)
     we = WeightEnumerator.from_histogram(hist)
     if we.total() != f.q**code.K:
@@ -378,7 +379,7 @@ def weight_enumerator(
     for w, c in we.distribution.items():
         if w and c % (f.q - 1):
             raise AssertionError(f"scalar rule: A_{w} = {c}, not divisible by q - 1 = {f.q - 1}")
-    _check_power_moments(f, code.generator, we, projective=code.n is not None)
+    _check_power_moments(f, code.generator, we, projective=code.n is not None, normed=normed)
     return we
 
 
@@ -397,34 +398,39 @@ def _torus_exponents(code: LinearCode) -> np.ndarray:
     return exps
 
 
-def _check_torus(f: Field, gen: np.ndarray, exps: np.ndarray) -> None:
+def _check_torus(f: Field, gen: np.ndarray, exps: np.ndarray,
+                 normed: np.ndarray | None = None) -> None:
     """Each torus generator, t_a = g (g = f.exp_table[1]) and every
     other t_b = 1, scales row i of gen by g^exps[i, a]; it must map the
     nonzero columns, scaled to lead with 1, onto the same multiset (else
     AssertionError naming a).  Then m and that scaling of m weigh the same
     for every message m, and so do a block and its image: the block list of
-    _transform_histogram rests on this, not on the derivation of exps."""
+    _transform_histogram rests on this, not on the derivation of exps.
+    normed (_normed_columns(f, gen) if not given) is scaled in place of gen's
+    columns, whose images differ from its own only by column scalars."""
     if not exps.shape[1]:
         return
-    cols = gen[:, gen.any(axis=0)]
-    normed = _normed_columns(f, cols)
+    normed = _normed_columns(f, gen) if normed is None else normed
     for a in range(exps.shape[1]):
         scale = f.exp_table[exps[:, a] % (f.q - 1)][:, None]
-        if not np.array_equal(_normed_columns(f, f.arr_mul(cols, scale)), normed):
+        if not np.array_equal(_normed_columns(f, f.arr_mul(normed, scale)), normed):
             raise AssertionError(f"torus generator t_{a}: does not permute the columns "
                                  "up to scalars")
 
 
-def _normed_columns(f: Field, cols: np.ndarray) -> np.ndarray:
-    """cols, each scaled to lead with 1 (a zero column stays 0), sorted by
+def _normed_columns(f: Field, gen: np.ndarray) -> np.ndarray:
+    """The nonzero columns of gen, each scaled to lead with 1, sorted by
     one np.lexsort so that equal columns are adjacent."""
+    cols = gen[:, gen.any(axis=0)]
+    if not cols.size:  # K = 0 or no nonzero column: nothing to normalise
+        return cols
     lead = cols[(cols != 0).argmax(axis=0), np.arange(cols.shape[1])]
     normed = f.arr_mul(cols, f.inv_table[lead][None, :])
     return normed[:, np.lexsort(normed)]
 
 
 def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator,
-                         projective: bool) -> None:
+                         projective: bool, normed: np.ndarray | None = None) -> None:
     """The first two power moments of a sweep over all q^K messages of gen,
     and, for a projective code (one built from a point set), Z = N, Pp = 0.
 
@@ -439,16 +445,14 @@ def _check_power_moments(f: Field, gen: np.ndarray, we: WeightEnumerator,
     are computed times q^2 so that no power of q is negative.  Pp is read
     from one np.lexsort of the columns scaled to lead with 1 (no bound on
     q^K): 0.043 s at W(9,1) q=2, where a sort of structured rows took 1.64 s.
+    normed is _normed_columns(f, gen), computed here if not given.
     """
     q, big_k = f.q, gen.shape[0]
-    cols = gen[:, gen.any(axis=0)]
-    z = cols.shape[1]
-    pp = 0
-    if z:  # with no nonzero column (K = 0 included) there is nothing to normalise
-        normed = _normed_columns(f, cols)
-        starts = np.flatnonzero(np.any(normed[:, 1:] != normed[:, :-1], axis=0)) + 1
-        runs = np.diff(starts, prepend=0, append=z)  # class sizes
-        pp = int(np.sum(runs * (runs - 1)))
+    normed = _normed_columns(f, gen) if normed is None else normed
+    z = normed.shape[1]
+    starts = np.flatnonzero(np.any(normed[:, 1:] != normed[:, :-1], axis=0)) + 1
+    runs = np.diff(starts, prepend=0, append=z)  # class sizes
+    pp = int(np.sum(runs * (runs - 1)))
     if projective and (z, pp) != (gen.shape[1], 0):
         raise AssertionError(
             f"projectivity: {z} nonzero columns, expected N = {gen.shape[1]}; "

@@ -146,7 +146,7 @@ class Field:
         return np.take(self._add_packed, a << 4 | b)
 
     def arr_neg(self, a) -> np.ndarray:
-        """-a, always a fresh writable array (rref writes into it)."""
+        """-a, always a fresh writable array."""
         a = np.asarray(a, dtype=np.uint8)
         if self.p == 2:
             return a.copy()  # in characteristic 2, -a = a

@@ -4,20 +4,13 @@ Matrices are numpy uint8 arrays of element encodings, shape (rows, cols),
 paired with the Field they live over: row reduction, rank, and the text
 matrix files.
 
-rref reduces one matrix and returns its pivots; rank eliminates a stack of
-matrices at once, and ranks one matrix as a stack of one.  The stacked loop
-spends one set of numpy calls per column on the whole stack, which pays on
-many small matrices: N1 reads the q ranks of theta - lam sigma from one
-call (over GF(13) at n = 2, 0.10-0.16 ms against 1.5-1.8 ms for 13 rref
-calls).  On one matrix rref is faster (sigma's Gram matrix in 117 against
-157 us at n = 2, q = 13, 143 against 289 us at n = 4, q = 3), but the only
-single matrix ranked is sigma's, once per run, so one path serves both.
-rref's one update, of the whole matrix per pivot, was as fast as or faster
-than updating only the rows with a nonzero factor above 4096 entries and
-jumping over zero columns, on the bench builds' row samples (W(4,3) q=3,
-224 x 56: 3.0 -> 2.1 ms; W(5,5) q=2, 1008 x 252: 14.2 -> 6.8 ms) and on
-6 x 6 and 8 x 8 Gram matrices (best of 3 x 7 interleaved runs, 2-core x86,
-numpy 2.4, one BLAS thread).
+One elimination loop, _pivot_steps, serves both.  rank runs it on a stack
+of matrices at once: N1's q ranks of theta - lam sigma take one call
+(0.09-0.11 ms against 1.2-1.4 ms for 13 calls at n = 2, q = 13).  rref
+runs it on one matrix as a stack of one, plus an update of its kept rows
+per pivot: the bench builds' samples took 0.6-2.6 ms, against 0.3-1.4 ms
+with a loop of its own (2-core x86, numpy 2.4, one BLAS thread), once per
+build.
 """
 
 from __future__ import annotations
@@ -33,69 +26,68 @@ from .gf import GF, Field
 # row reduction
 
 
+def _pivot_steps(f: Field, work: np.ndarray):
+    """Eliminate a (mats, rows, cols) stack column by column, without row
+    swaps, and yield (c, pv, rows) for each column c where some matrix finds
+    a pivot: pv holds each matrix's pivot (0 if it has none) and rows its
+    pivot row.  The pivot is the column's largest entry (one argmax: it is
+    nonzero unless all are), and one update clears the column from every
+    row, the pivot row included, so a used row is zero and never picked
+    again.  A zero column costs one any() and no update.  work is not
+    written to.
+    """
+    mats = np.arange(work.shape[0])
+    neg_inv = f.neg_table[f.inv_table]  # -1/v, and 0 for v = 0
+    for c in range(work.shape[2]):
+        col = work[:, :, c]
+        if not col.any():
+            continue
+        pick = col.argmax(axis=1)
+        pv = col[mats, pick]
+        rows = work[mats, pick]
+        # a matrix without a pivot has pv = 0, so its factors are 0 and it is unchanged
+        factors = f.arr_mul(col, neg_inv[pv][:, None])
+        work = f.arr_add(work, f.arr_mul(factors[:, :, None], rows[:, None, :]))
+        yield c, pv, rows
+
+
 def rref(f: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form.  Returns (R, rank, pivot_columns).
 
-    Column by column: the largest entry of column c at or below row r is
-    nonzero unless all of them are, so one argmax finds a pivot, and a
-    column without one is skipped.  The pivot row is swapped into place and
-    normalised, and one update of the whole matrix, with the pivot row's own
-    factor set to zero, clears the rest of the column.  The loop stops at
-    full rank.  The RREF is unique, so which row supplies the pivot does not
-    change the result.
+    m runs through _pivot_steps as a stack of one, until its rows run out.
+    A pivot row is zero before its pivot column; it is normalised and kept,
+    and its column is cleared from the rows kept before it that have it
+    (Gauss-Jordan on at most rank rows, from the pivot column on).  The RREF
+    is unique, so which row supplies the pivot does not change the result.
     """
-    r_mat = np.array(m, dtype=np.uint8, copy=True)
-    if r_mat.ndim != 2:
+    m = np.asarray(m, dtype=np.uint8)
+    if m.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    nrows, ncols = r_mat.shape
+    r_mat = np.zeros_like(m)
     pivots: list[int] = []
-    for c in range(ncols):
-        if (r := len(pivots)) == nrows:
-            break
-        i = r + int(r_mat[r:, c].argmax())
-        pv = int(r_mat[i, c])
-        if pv == 0:
-            continue
-        if i != r:
-            r_mat[[r, i]] = r_mat[[i, r]]
-        row = f.arr_mul(r_mat[r], f.inv_table[pv]) if pv != 1 else r_mat[r]
-        factors = f.arr_neg(r_mat[:, c])
-        factors[r] = 0
-        r_mat = f.arr_add(r_mat, f.arr_mul(factors[:, None], row))
-        r_mat[r] = row
+    for c, pv, rows in _pivot_steps(f, m[None]):
+        row = f.arr_mul(rows[0, c:], f.inv_table[pv[0]])
+        kept = np.flatnonzero(r_mat[: len(pivots), c])  # the kept rows to clear
+        factors = f.arr_neg(r_mat[kept, c])
+        r_mat[kept, c:] = f.arr_add(r_mat[kept, c:], f.arr_mul(factors[:, None], row))
+        r_mat[len(pivots), c:] = row
         pivots.append(c)
+        if len(pivots) == m.shape[0]:
+            break
     return r_mat, len(pivots), pivots
 
 
 def rank(f: Field, m: np.ndarray):
-    """The rank of a matrix (a Python int), or the ranks of a
-    (..., rows, cols) stack (an int array of the leading shape).
-
-    Every matrix of a stack is eliminated at once, one step per column and
-    without row swaps: each takes a row with a nonzero entry in the column
-    (one argmax, as in rref) as pivot and clears the column from every row,
-    the pivot row included, which leaves it zero.  A used row is a zero
-    row, so it is never picked again, and a rank is the number of columns
-    that found a pivot.  The loop ends once every matrix is zero.
-    """
+    """The rank of a matrix (a Python int), or the ranks of a (..., rows,
+    cols) stack (an int array of the leading shape): each matrix's number of
+    pivots in _pivot_steps."""
     m = np.asarray(m, dtype=np.uint8)
     if m.ndim < 2:
         raise ValueError("expected a matrix or a stack of matrices")
     *lead, nrows, ncols = m.shape
-    work = m.reshape(math.prod(lead), nrows, ncols)  # explicit: -1 is ambiguous when empty
-    mats = np.arange(work.shape[0])
-    ranks = np.zeros(work.shape[0], dtype=np.intp)
-    neg_inv = f.neg_table[f.inv_table]  # -1/v, and 0 for v = 0
-    for c in range(ncols):
-        if not work.any():
-            break
-        col = work[:, :, c]
-        pick = col.argmax(axis=1)  # the largest entry is nonzero unless all are
-        pv = col[mats, pick]
+    ranks = np.zeros(math.prod(lead), dtype=np.intp)  # explicit: -1 is ambiguous when empty
+    for _, pv, _ in _pivot_steps(f, m.reshape(ranks.size, nrows, ncols)):
         ranks += pv != 0
-        # a matrix without a pivot has pv = 0, so its factors are 0 and it is unchanged
-        factors = f.arr_mul(col, neg_inv[pv][:, None])
-        work = f.arr_add(work, f.arr_mul(factors[:, :, None], work[mats, pick][:, None, :]))
     return int(ranks[0]) if not lead else ranks.reshape(lead)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympgrass.formulas import gaussian_binomial
-from sympgrass.gf import GF
+from sympgrass.gf import GF, Field
 from sympgrass.grassmann import iter_isotropic_batches
 from sympgrass.linalg import rank, read_matrix_text, rref, write_matrix_text
 
@@ -89,7 +89,10 @@ def test_rref_matches_the_reference(q, rows, cols, inner, zero_rows, zero_cols, 
     m = f.matmul(left, right)
     m[[i for i in range(rows) if zero_rows >> i & 1]] = 0
     m[:, [j for j in range(cols) if zero_cols >> j & 1]] = 0
+    m.setflags(write=False)
+    before = m.copy()
     r, rk, piv = rref(f, m)
+    assert np.array_equal(m, before)
     want = rref_reference(f, m)
     assert r.dtype == np.uint8 and r.shape == m.shape
     assert r.tobytes() == want[0].tobytes() and (rk, piv) == want[1:]
@@ -137,6 +140,24 @@ def test_stacked_rank_matches_the_reference(q, rows, cols, inner, seed):
     for m, rk in zip(mats, want):
         one = rank(f, m)
         assert type(one) is int and one == rk
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_updates_follow_pivots_not_columns(q):
+    # a 3 x 1000 matrix of rank 2 with pivots at columns 0 and 999: the
+    # 998 zero columns between them cost no update, in rref or in rank
+    f = Field(q)  # its own instance, so that the spy sees no other caller
+    m = np.zeros((3, 1000), dtype=np.uint8)
+    m[0, 0], m[1, 999], m[2] = 1, 1, m[0] ^ m[1]
+    calls = []
+    add = f.arr_add
+    f.arr_add = lambda a, b: calls.append(1) or add(a, b)
+    r, rk, piv = rref(f, m)
+    assert (rk, piv) == (2, [0, 999]) and len(calls) <= 2 * 2
+    calls.clear()
+    assert rank(f, m) == 2 and len(calls) <= 2 * 2
+    calls.clear()
+    assert rank(f, np.stack([m, m[::-1]])).tolist() == [2, 2] and len(calls) <= 2 * 2
 
 
 def test_stacked_rank_of_empty_stacks():
